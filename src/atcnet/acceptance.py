@@ -189,11 +189,10 @@ def _check_leader_follower() -> tuple[bool, str]:
         n_runs=config.run.monte_carlo_runs,
         master_seed=config.run.seed,
         stride=config.run.stride,
-        record_iterates=True,
+        burn_in_fraction=0.5,
     )
     tol = 10.0 * np.sqrt(config.step_sizes.mu_max)
-    tails = [traj.iterates[traj.iterates.shape[0] // 2 :].mean(axis=0) for traj in trajectories]
-    mean_r = np.mean(tails, axis=0)[1]
+    mean_r = np.mean([traj.mean_iterate_tail for traj in trajectories], axis=0)[1]
     dist = float(np.linalg.norm(mean_r - stars[0]))
 
     # The receiver's own data must prefer a visibly different solution.
@@ -212,7 +211,7 @@ def _check_long_term_model() -> tuple[bool, str]:
     stars = workflows.pareto_points(partition, models, config.step_sizes)
     w = influence.influence_matrix(partition).w
     points = influence.receiving_limit_points(w, stars, partition)
-    paired = engine.run_paired_long_term(
+    [paired] = engine.run_paired_long_term(
         config.matrix,
         models,
         config.step_sizes,
@@ -233,18 +232,17 @@ def _check_long_term_model() -> tuple[bool, str]:
         lw = influence.influence_matrix(lpartition).w
         lpoints = influence.receiving_limit_points(lw, lstars, lpartition)
         gap_runs = []
-        for r in range(4):
-            pr = engine.run_paired_long_term(
-                logi.matrix,
-                lmodels,
-                steps,
-                lpoints.by_original_agent(),
-                iterations=iterations,
-                seed=23,
-                run_index=r,
-                noise_at="limit_point",
-                w_init=lpoints.by_original_agent(),
-            )
+        for pr in engine.run_paired_long_term(
+            logi.matrix,
+            lmodels,
+            steps,
+            lpoints.by_original_agent(),
+            iterations=iterations,
+            seed=23,
+            n_runs=4,
+            noise_at="limit_point",
+            w_init=lpoints.by_original_agent(),
+        ):
             half = pr.sq_error.shape[0] // 2
             nl = pr.sq_error[half:].sum(axis=1).mean()
             lt = pr.sq_error_model[half:].sum(axis=1).mean()
@@ -283,7 +281,7 @@ def _check_gradient_oracles() -> tuple[bool, str]:
     n = 100000
     for model, point in ((quad, np.array([0.4, 0.1])), (logi, np.array([0.3, 0.3]))):
         batch = model.draw_batch(np.random.default_rng(17), n)
-        noise = model.gradients_at(point, batch) - model.true_gradient(point)
+        noise = model.gradient_rows(point, batch) - model.true_gradient(point)
         g = model.noise_covariance(point)
         if g is None:
             g = noise.T @ noise / n

@@ -1,10 +1,11 @@
 """Per-agent stochastic cost models.
 
-Each model exposes the true gradient and Hessian of its expected loss, an
-instantaneous stochastic gradient computed from one streaming sample, and
-batched sampling with caller-owned random generators so parallel runs keep
-disjoint streams. The expected stochastic gradient equals the true gradient
-(zero-mean gradient noise).
+Each model exposes the true gradient and Hessian of its expected loss,
+instantaneous stochastic gradients computed from streaming samples (one
+broadcasting entry point, ``gradient_rows``), and batched sampling with
+caller-owned random generators so parallel runs keep disjoint streams. The
+expected stochastic gradient equals the true gradient (zero-mean gradient
+noise).
 """
 from __future__ import annotations
 
@@ -27,10 +28,11 @@ def logistic_stochastic_gradient(w, gamma, h, rho):
     """Instantaneous gradient of the regularized logistic loss at one sample.
 
     The data term is -gamma * h / (1 + exp(gamma h.w)); the regularizer
-    contributes rho * w.
+    contributes rho * w. Points (..., M) broadcast against labels (...) and
+    features (..., M), one sample per point.
     """
-    z = gamma * (h @ w)
-    return -(gamma * inv_one_plus_exp(z)) * h + rho * w
+    z = gamma * np.einsum("...m,...m->...", h, w)
+    return -(gamma * inv_one_plus_exp(z))[..., None] * h + rho * w
 
 
 def finite_difference_gradient(f, point, eps: float = 1e-6) -> np.ndarray:
@@ -55,6 +57,14 @@ class CostModel(ABC):
     """Interface shared by all per-agent cost models."""
 
     dimension: int
+    # attributes ``gradient_rows`` reads, passed per agent when agents are batched
+    gradient_params: tuple[str, ...] = ()
+    constant_hessian: bool = False  # the true gradient is affine
+
+    @property
+    def gradient_source(self) -> "CostModel":
+        """The model whose ``gradient_rows`` and parameters serve this one's samples."""
+        return self
 
     @abstractmethod
     def true_gradient(self, w: np.ndarray) -> np.ndarray: ...
@@ -69,18 +79,20 @@ class CostModel(ABC):
     def draw_batch(self, rng: np.random.Generator, n: int) -> tuple: ...
 
     @abstractmethod
-    def stochastic_gradient(self, w: np.ndarray, sample: tuple) -> np.ndarray: ...
-
-    @abstractmethod
     def sample_loss(self, w: np.ndarray, sample: tuple) -> float: ...
 
     @abstractmethod
-    def gradients_at(self, w: np.ndarray, batch: tuple) -> np.ndarray:
-        """Stochastic gradients of every sample in ``batch`` at one point."""
+    def gradient_rows(self, w_rows: np.ndarray, fields: tuple, **params) -> np.ndarray:
+        """Row-wise stochastic gradients: one sample and one point per row.
 
-    @abstractmethod
-    def gradient_rows(self, w_rows: np.ndarray, fields: tuple) -> np.ndarray:
-        """Row-wise stochastic gradients: one sample and one point per row."""
+        Points (..., M) and sample fields broadcast over their leading axes.
+        ``params`` override the attributes named in ``gradient_params``, for
+        instance with one value per agent that broadcasts like the points.
+        """
+
+    def stochastic_gradient(self, w: np.ndarray, sample: tuple) -> np.ndarray:
+        """Gradient at one point on one sample."""
+        return self.gradient_rows(np.asarray(w, dtype=float), sample)
 
     def draw_sample(self, rng: np.random.Generator) -> tuple:
         return tuple(f[0] for f in self.draw_batch(rng, 1))
@@ -116,6 +128,8 @@ class QuadraticCost(CostModel):
     sigma_v2: float
     w_o: np.ndarray
 
+    constant_hessian = True
+
     def __init__(self, r_u, sigma_v2, w_o):
         w_o = np.atleast_1d(np.asarray(w_o, dtype=float))
         object.__setattr__(self, "w_o", w_o)
@@ -148,22 +162,14 @@ class QuadraticCost(CostModel):
         d = u @ self.w_o + v
         return u, d
 
-    def stochastic_gradient(self, w, sample):
-        u, d = sample
-        return 2.0 * u * (u @ w - d)
-
     def sample_loss(self, w, sample):
         u, d = sample
         return float((d - u @ w) ** 2)
 
-    def gradients_at(self, w, batch):
-        u, d = batch
-        return 2.0 * u * (u @ w - d)[:, None]
-
     def gradient_rows(self, w_rows, fields):
         u, d = fields
-        inner = np.einsum("rm,rm->r", u, w_rows)
-        return 2.0 * u * (inner - d)[:, None]
+        inner = np.einsum("...m,...m->...", u, w_rows)
+        return 2.0 * u * (inner - d)[..., None]
 
     def noise_covariance(self, at):
         """Gaussian-regressor closed form, exact at any evaluation point."""
@@ -274,6 +280,8 @@ class LogisticCost(CostModel):
     eval_samples: int = 200000
     eval_seed: int = 0
 
+    gradient_params = ("rho",)
+
     @property
     def dimension(self) -> int:
         return self.sampler.dimension
@@ -304,26 +312,14 @@ class LogisticCost(CostModel):
     def draw_batch(self, rng, n):
         return self.sampler.draw(rng, n)
 
-    def stochastic_gradient(self, w, sample):
-        gamma, h = sample
-        return logistic_stochastic_gradient(np.asarray(w, dtype=float), gamma, h, self.rho)
-
     def sample_loss(self, w, sample):
         gamma, h = sample
         w = np.asarray(w, dtype=float)
         return float(0.5 * self.rho * (w @ w) + np.logaddexp(0.0, -gamma * (h @ w)))
 
-    def gradients_at(self, w, batch):
-        gamma, h = batch
-        w = np.asarray(w, dtype=float)
-        sig = inv_one_plus_exp(gamma * (h @ w))
-        return -(gamma * sig)[:, None] * h + self.rho * w
-
-    def gradient_rows(self, w_rows, fields):
+    def gradient_rows(self, w_rows, fields, rho=None):
         gamma, h = fields
-        z = gamma * np.einsum("rm,rm->r", h, w_rows)
-        sig = inv_one_plus_exp(z)
-        return -(gamma * sig)[:, None] * h + self.rho * w_rows
+        return logistic_stochastic_gradient(w_rows, gamma, h, self.rho if rho is None else rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,6 +337,14 @@ class ZeroedObservations(CostModel):
     def dimension(self) -> int:
         return self.inner.dimension
 
+    @property
+    def constant_hessian(self) -> bool:
+        return self.inner.constant_hessian
+
+    @property
+    def gradient_source(self) -> CostModel:
+        return self.inner.gradient_source
+
     def true_gradient(self, w):
         return self.inner.true_gradient(w)
 
@@ -356,17 +360,11 @@ class ZeroedObservations(CostModel):
             for f in self.inner.draw_batch(rng, n)
         )
 
-    def stochastic_gradient(self, w, sample):
-        return self.inner.stochastic_gradient(w, sample)
-
     def sample_loss(self, w, sample):
         return self.inner.sample_loss(w, sample)
 
-    def gradients_at(self, w, batch):
-        return self.inner.gradients_at(w, batch)
-
-    def gradient_rows(self, w_rows, fields):
-        return self.inner.gradient_rows(w_rows, fields)
+    def gradient_rows(self, w_rows, fields, **params):
+        return self.inner.gradient_rows(w_rows, fields, **params)
 
 
 def noise_covariance_at(
@@ -380,7 +378,7 @@ def noise_covariance_at(
         raise ValueError("covariance estimation needs n_samples >= 1000")
     point = np.asarray(point, dtype=float)
     batch = model.draw_batch(rng, n_samples)
-    noise = model.gradients_at(point, batch) - model.true_gradient(point)
+    noise = model.gradient_rows(point, batch) - model.true_gradient(point)
     return NoiseCovariance(g=noise.T @ noise / n_samples)
 
 

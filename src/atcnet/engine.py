@@ -3,10 +3,11 @@
 Every iteration, each agent takes a stochastic-gradient step on its own
 sample (adapt) and then convexly averages its neighbors' intermediate
 iterates with its combination-matrix column (combine); all adapts complete
-before any combine. Monte-Carlo runs evolve in one vectorized ensemble but
-each (run, agent) pair owns an independent random stream derived from
-(master_seed, run_index, agent_id), so results are reproducible and a single
-run never depends on how many others execute alongside it.
+before any combine. One batched kernel advances the stacked (runs, agents,
+M) iterates of a Monte-Carlo ensemble with one gradient call per model kind
+per round, but each (run, agent) pair owns an independent random stream
+derived from (master_seed, run_index, agent_id), so results are reproducible
+and a single run never depends on how many others execute alongside it.
 """
 from __future__ import annotations
 
@@ -22,12 +23,6 @@ DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_STRIDE = 10
 DEFAULT_BURN_IN = 0.5
 _BLOCK = 1024
-
-
-def _frozen_int(a):
-    out = np.array(a, dtype=int)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +72,7 @@ class Trajectory:
     run_index: int
     mu_max: float
     stride: int
+    mean_iterate_tail: np.ndarray | None = None  # (N, M) when a burn-in was given
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,16 +99,157 @@ class LongTermState:
     iteration: int = 0
 
 
-def _check_setup(a: CombinationMatrix, models, step_sizes: StepSizeProfile):
-    n = a.n
-    if len(models) != n:
-        raise DimensionMismatch(f"{len(models)} models for {n} agents")
-    if step_sizes.n != n:
-        raise DimensionMismatch(f"tau has length {step_sizes.n}, expected {n}")
-    dims = {m.dimension for m in models}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"models disagree on dimension: {sorted(dims)}")
-    return n, dims.pop()
+def _adapt_combine(weights_t, mu, x, grads):
+    """All agents step along ``grads`` (adapt), then all average (combine)."""
+    return np.matmul(weights_t, x - mu * grads)
+
+
+def _check_bounded(x, iteration, threshold, report_run=True):
+    """Raise Diverged for the first (run, agent) beyond ``threshold``; NaN counts."""
+    if np.abs(x).max() <= threshold:
+        return
+    run, agent = np.argwhere(~(np.abs(x) <= threshold))[0][:2]
+    raise Diverged(int(agent), iteration, run=int(run) if report_run else None)
+
+
+class _Kernel:
+    """Batched adapt-then-combine step over stacked (runs, agents, M) iterates.
+
+    Agents whose models share a gradient formula form one kind. Each step
+    makes one ``gradient_rows`` call per kind and passes the per-agent
+    parameters as arrays that broadcast over runs. A kind's samples sit in
+    one (block, runs, agents of the kind, ...) buffer per sample field.
+    """
+
+    def __init__(self, a: CombinationMatrix, models, step_sizes: StepSizeProfile):
+        self.n = n = a.n
+        if len(models) != n:
+            raise DimensionMismatch(f"{len(models)} models for {n} agents")
+        if step_sizes.n != n:
+            raise DimensionMismatch(f"tau has length {step_sizes.n}, expected {n}")
+        dims = {model.dimension for model in models}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"models disagree on dimension: {sorted(dims)}")
+        self.m = dims.pop()
+        self.models, self.weights_t, self.mu = models, a.weights.T, step_sizes.mu[:, None]
+        sources = [model.gradient_source for model in models]
+        agents_of: dict[type, list[int]] = {}
+        for k, source in enumerate(sources):
+            agents_of.setdefault(type(source), []).append(k)
+        self.kinds = []  # (agents, gradient source, per-agent parameters)
+        self.slot = {}   # agent -> (kind, position within the kind)
+        for g, agents in enumerate(agents_of.values()):
+            first = sources[agents[0]]
+            params = {name: np.array([getattr(sources[k], name) for k in agents])[:, None]
+                      for name in first.gradient_params}
+            self.kinds.append((np.array(agents), first, params))
+            self.slot.update((k, (g, at)) for at, k in enumerate(agents))
+        self.buffers = [None] * len(self.kinds)
+
+    def draw(self, rngs, size: int) -> None:
+        """Refill the buffers with ``size`` samples per (run, agent).
+
+        Agent k of run r draws from ``rngs[r][k]``; agents draw in order.
+        """
+        for k, model in enumerate(self.models):
+            g, at = self.slot[k]
+            for r, run_rngs in enumerate(rngs):
+                fields = model.draw_batch(run_rngs[k], size)
+                if self.buffers[g] is None:
+                    shape = (size, len(rngs), len(self.kinds[g][0]))
+                    self.buffers[g] = [np.empty(shape + f.shape[1:]) for f in fields]
+                for buf, f in zip(self.buffers[g], fields):
+                    buf[:, r, at] = f
+
+    def gradients(self, w: np.ndarray, j: int) -> np.ndarray:
+        """Stochastic gradients at points ``w`` (..., runs, N, M) on sample ``j``."""
+        if len(self.kinds) == 1:
+            (_, source, params), = self.kinds
+            return source.gradient_rows(w, tuple(b[j] for b in self.buffers[0]), **params)
+        out = np.empty(w.shape)
+        for (agents, source, params), buffers in zip(self.kinds, self.buffers):
+            fields = tuple(b[j] for b in buffers)
+            out[..., agents, :] = source.gradient_rows(w[..., agents, :], fields, **params)
+        return out
+
+    def run(
+        self, limit_points, iterations, n_runs, seed, stride, *, w_init=None,
+        record_iterates=False, burn_in_fraction=None, noise_at=None,
+        threshold=DIVERGENCE_THRESHOLD,
+    ) -> dict:
+        """Iterate from ``w_init`` over independent (seed, run, agent) streams.
+
+        Returns read-only records with runs on the first axis. With
+        ``noise_at`` set, the linear model of ``run_paired_long_term`` runs
+        alongside.
+        """
+        n, m, wt, mu = self.n, self.m, self.weights_t, self.mu
+        if iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        limit_points = np.asarray(limit_points, dtype=float)
+        if limit_points.shape != (n, m):
+            raise DimensionMismatch(
+                f"limit points have shape {limit_points.shape}, expected {(n, m)}"
+            )
+        rngs = [[np.random.default_rng([seed, r, k]) for k in range(n)] for r in range(n_runs)]
+        rec_iters = np.arange(stride, iterations + 1, stride)
+        n_rec = rec_iters.shape[0]
+        sq_error = np.empty((n_runs, n_rec, n))
+        iterates = np.empty((n_runs, n_rec, n, m)) if record_iterates else None
+        tail_from = n_rec if burn_in_fraction is None else int(np.floor(burn_in_fraction * n_rec))
+        tail = np.zeros((n_runs, n, m))  # running sum in record order, as numpy's mean adds
+
+        x = np.zeros((n_runs, n, m))
+        if w_init is not None:
+            x[:] = w_init
+        if noise_at is not None:
+            hessians = long_term_state(self.models, limit_points).hessians
+            err = limit_points - x
+            sq_model = np.empty_like(sq_error)
+            max_gap = np.zeros(n_runs)
+            points = np.stack((x, np.broadcast_to(limit_points, x.shape)))
+
+        rec_at = 0
+        for i in range(iterations):
+            j = i % _BLOCK
+            if j == 0:
+                self.draw(rngs, _BLOCK)
+            if noise_at == "limit_point":
+                points[0] = x
+                grads, noisy = self.gradients(points, j)
+            else:
+                grads = noisy = self.gradients(x, j)
+            if noise_at is not None:
+                # The linear model steps along H err - (noise - bias), and at the
+                # point p where the noise is taken (iterate or limit point),
+                # noise - bias = ghat(p) - grad J(p) + grad J(lp) = ghat(p) - H (p - lp).
+                away = x - limit_points if noise_at == "iterate" else 0.0
+                linear = np.einsum("kmn,rkn->rkm", hessians, err + away) - noisy
+                err = _adapt_combine(wt, mu, err, linear)
+            x = _adapt_combine(wt, mu, x, grads)
+            _check_bounded(x, i + 1, threshold)
+            if noise_at is not None:
+                gap = np.abs((limit_points - x) - err).max(axis=(1, 2))
+                np.maximum(max_gap, gap, out=max_gap)
+            if (i + 1) % stride == 0:
+                diff = x - limit_points
+                sq_error[:, rec_at] = np.einsum("rkm,rkm->rk", diff, diff)
+                if record_iterates:
+                    iterates[:, rec_at] = x
+                if rec_at >= tail_from:
+                    tail += x
+                if noise_at is not None:
+                    sq_model[:, rec_at] = np.einsum("rkm,rkm->rk", err, err)
+                rec_at += 1
+        out = {"iterations": rec_iters, "sq_error": sq_error, "iterates": iterates}
+        if burn_in_fraction is not None:
+            out["mean_iterate_tail"] = tail / (n_rec - tail_from)
+        if noise_at is not None:
+            out.update(sq_error_model=sq_model, max_state_gap=max_gap)
+        for value in out.values():
+            if value is not None:
+                value.setflags(write=False)
+        return out
 
 
 def atc_step(
@@ -123,25 +260,17 @@ def atc_step(
     rng: np.random.Generator,
     divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> NetworkState:
-    """One synchronous diffusion round: all agents adapt, then all combine."""
-    n, m = _check_setup(a, models, step_sizes)
-    mu = step_sizes.mu
-    psi = np.empty((n, m))
-    for k in range(n):
-        sample = models[k].draw_sample(rng)
-        grad = models[k].stochastic_gradient(state.iterates[k], sample)
-        psi[k] = state.iterates[k] - mu[k] * grad
-    nxt = a.weights.T @ psi
+    """One synchronous diffusion round: all agents adapt, then all combine.
+
+    Each agent draws one sample from ``rng``, in agent order.
+    """
+    kernel = _Kernel(a, models, step_sizes)
+    kernel.draw([[rng] * kernel.n], size=1)
+    x = np.asarray(state.iterates, dtype=float)[None]
+    nxt = _adapt_combine(kernel.weights_t, kernel.mu, x, kernel.gradients(x, 0))
     iteration = state.iteration + 1
-    bad = ~(np.abs(nxt) <= divergence_threshold)  # catches NaN as well
-    if bad.any():
-        agent = int(np.argwhere(bad)[0][0])
-        raise Diverged(agent, iteration)
-    return NetworkState(iterates=nxt, iteration=iteration)
-
-
-def _agent_rngs(master_seed: int, run_index: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng([master_seed, run_index, k]) for k in range(n)]
+    _check_bounded(nxt, iteration, divergence_threshold, report_run=False)
+    return NetworkState(iterates=nxt[0], iteration=iteration)
 
 
 def run_ensemble(
@@ -155,6 +284,7 @@ def run_ensemble(
     stride: int = DEFAULT_STRIDE,
     record_iterates: bool = False,
     divergence_threshold: float = DIVERGENCE_THRESHOLD,
+    burn_in_fraction: float | None = None,
 ) -> list[Trajectory]:
     """Monte-Carlo ensemble of diffusion runs with independent streams.
 
@@ -167,69 +297,31 @@ def run_ensemble(
         Number of synchronous rounds, starting from all-zero iterates.
     stride : int
         Squared errors are recorded after every ``stride``-th round.
+    burn_in_fraction : float, optional
+        When given, each Trajectory carries ``mean_iterate_tail``: the mean
+        of the recorded iterates after this fraction of the records,
+        accumulated without storing them.
 
     Returns one Trajectory per run. Deterministic in (master_seed, config).
     """
-    n, m = _check_setup(a, models, step_sizes)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    limit_points = np.asarray(limit_points, dtype=float)
-    if limit_points.shape != (n, m):
-        raise DimensionMismatch(
-            f"limit points have shape {limit_points.shape}, expected {(n, m)}"
+    rec = _Kernel(a, models, step_sizes).run(
+        limit_points, iterations, n_runs, master_seed, stride, record_iterates=record_iterates,
+        burn_in_fraction=burn_in_fraction, threshold=divergence_threshold,
+    )
+    tail = rec.get("mean_iterate_tail")
+    return [
+        Trajectory(
+            iterations=rec["iterations"],
+            sq_error=rec["sq_error"][r],
+            iterates=rec["iterates"][r] if record_iterates else None,
+            seed=master_seed,
+            run_index=r,
+            mu_max=step_sizes.mu_max,
+            stride=stride,
+            mean_iterate_tail=None if tail is None else tail[r],
         )
-    mu = step_sizes.mu
-    weights = a.weights
-
-    rngs = [_agent_rngs(master_seed, r, n) for r in range(n_runs)]
-    rec_iters = np.arange(stride, iterations + 1, stride)
-    n_rec = rec_iters.shape[0]
-    sq_rec = np.empty((n_rec, n_runs, n))
-    it_rec = np.empty((n_rec, n_runs, n, m)) if record_iterates else None
-
-    x = np.zeros((n_runs, n, m))
-    grads = np.empty_like(x)
-    blocks: list[tuple] = [()] * n
-    rec_at = 0
-    for i in range(iterations):
-        j = i % _BLOCK
-        if j == 0:
-            for k in range(n):
-                per_run = [models[k].draw_batch(rngs[r][k], _BLOCK) for r in range(n_runs)]
-                blocks[k] = tuple(
-                    np.stack([fields[f] for fields in per_run])
-                    for f in range(len(per_run[0]))
-                )
-        for k in range(n):
-            fields = tuple(arr[:, j] for arr in blocks[k])
-            grads[:, k, :] = models[k].gradient_rows(x[:, k, :], fields)
-        psi = x - mu[None, :, None] * grads
-        x = np.matmul(weights.T, psi)
-        bad = ~(np.abs(x) <= divergence_threshold)  # catches NaN as well
-        if bad.any():
-            run, agent = np.argwhere(bad)[0][:2]
-            raise Diverged(int(agent), i + 1, run=int(run))
-        if (i + 1) % stride == 0:
-            diff = x - limit_points[None]
-            sq_rec[rec_at] = np.einsum("rkm,rkm->rk", diff, diff)
-            if record_iterates:
-                it_rec[rec_at] = x
-            rec_at += 1
-
-    out = []
-    for r in range(n_runs):
-        out.append(
-            Trajectory(
-                iterations=_frozen_int(rec_iters),
-                sq_error=_frozen(sq_rec[:, r, :]),
-                iterates=_frozen(it_rec[:, r]) if record_iterates else None,
-                seed=master_seed,
-                run_index=r,
-                mu_max=step_sizes.mu_max,
-                stride=stride,
-            )
-        )
-    return out
+        for r in range(n_runs)
+    ]
 
 
 def run(
@@ -243,17 +335,8 @@ def run(
     record_iterates: bool = False,
 ) -> Trajectory:
     """Single diffusion run; equivalent to run 0 of a one-run ensemble."""
-    return run_ensemble(
-        a,
-        models,
-        step_sizes,
-        limit_points,
-        iterations,
-        n_runs=1,
-        master_seed=seed,
-        stride=stride,
-        record_iterates=record_iterates,
-    )[0]
+    return run_ensemble(a, models, step_sizes, limit_points, iterations, n_runs=1,
+                        master_seed=seed, stride=stride, record_iterates=record_iterates)[0]
 
 
 def long_term_state(models: list[CostModel], limit_points: np.ndarray) -> LongTermState:
@@ -275,10 +358,9 @@ def long_term_step(
     noise_samples: np.ndarray,
 ) -> LongTermState:
     """One round of the constant-Hessian linear error recursion."""
-    mu = step_sizes.mu[:, None]
     err = lt_state.error
-    damped = err - mu * np.einsum("kmn,kn->km", lt_state.hessians, err)
-    nxt = a.weights.T @ (damped + mu * (noise_samples - lt_state.bias))
+    linear = np.einsum("kmn,kn->km", lt_state.hessians, err) - (noise_samples - lt_state.bias)
+    nxt = _adapt_combine(a.weights.T, step_sizes.mu[:, None], err, linear)
     return replace(lt_state, error=nxt, iteration=lt_state.iteration + 1)
 
 
@@ -299,76 +381,40 @@ def run_paired_long_term(
     limit_points: np.ndarray,
     iterations: int,
     seed: int,
-    run_index: int = 0,
+    n_runs: int = 1,
     noise_at: str = "iterate",
     stride: int = DEFAULT_STRIDE,
     w_init: np.ndarray | None = None,
-) -> PairedRun:
+) -> list[PairedRun]:
     """Run the diffusion recursion and its linear model on shared samples.
 
     ``noise_at`` selects where each sample's gradient noise is evaluated
     before being fed to the linear model: at the nonlinear run's current
-    iterate (exact pairing; cheap only when true gradients are closed-form)
-    or at the agent's limit point. The linear model's error state always
-    starts at limit_points - w_init, so the two stay paired from step 0;
-    starting ``w_init`` at the limit points themselves skips the large
+    iterate (exact pairing; needs constant Hessians, so that the true gradient
+    is affine) or at the agent's limit point. The linear model's error state
+    always starts at limit_points - w_init, so the two stay paired from step
+    0; starting ``w_init`` at the limit points themselves skips the large
     initial transient when only steady-state behavior matters.
+
+    Returns one PairedRun per run; run r uses the streams of run r of
+    ``run_ensemble`` with the same seed.
     """
     if noise_at not in ("iterate", "limit_point"):
         raise ValueError("noise_at must be 'iterate' or 'limit_point'")
-    n, m = _check_setup(a, models, step_sizes)
-    limit_points = np.asarray(limit_points, dtype=float)
-    mu = step_sizes.mu
-    weights = a.weights
-
-    lt = long_term_state(models, limit_points)
-    grad_at_limit = -lt.bias
-    x = np.zeros((n, m)) if w_init is None else np.array(w_init, dtype=float)
-    lt = replace(lt, error=limit_points - x)
-
-    rngs = _agent_rngs(seed, run_index, n)
-    rec_iters = np.arange(stride, iterations + 1, stride)
-    sq_nl = np.empty((rec_iters.shape[0], n))
-    sq_lt = np.empty_like(sq_nl)
-    max_gap = 0.0
-    err_lt = lt.error
-    blocks: list[tuple] = [()] * n
-    psi = np.empty((n, m))
-    noise = np.empty((n, m))
-    rec_at = 0
-    for i in range(iterations):
-        j = i % _BLOCK
-        if j == 0:
-            blocks = [models[k].draw_batch(rngs[k], _BLOCK) for k in range(n)]
-        for k in range(n):
-            sample = tuple(arr[j] for arr in blocks[k])
-            ghat = models[k].stochastic_gradient(x[k], sample)
-            psi[k] = x[k] - mu[k] * ghat
-            if noise_at == "iterate":
-                noise[k] = ghat - models[k].true_gradient(x[k])
-            else:
-                noise[k] = (
-                    models[k].stochastic_gradient(limit_points[k], sample)
-                    - grad_at_limit[k]
-                )
-        x = weights.T @ psi
-        damped = err_lt - mu[:, None] * np.einsum("kmn,kn->km", lt.hessians, err_lt)
-        err_lt = weights.T @ (damped + mu[:, None] * (noise - lt.bias))
-        gap = np.abs((limit_points - x) - err_lt).max()
-        if gap > max_gap:
-            max_gap = float(gap)
-        if (i + 1) % stride == 0:
-            d_nl = x - limit_points
-            sq_nl[rec_at] = np.einsum("km,km->k", d_nl, d_nl)
-            sq_lt[rec_at] = np.einsum("km,km->k", err_lt, err_lt)
-            rec_at += 1
-
-    return PairedRun(
-        iterations=_frozen_int(rec_iters),
-        sq_error=_frozen(sq_nl),
-        sq_error_model=_frozen(sq_lt),
-        max_state_gap=max_gap,
+    if noise_at == "iterate" and not all(model.constant_hessian for model in models):
+        raise ValueError("noise_at='iterate' needs models with constant Hessians")
+    rec = _Kernel(a, models, step_sizes).run(
+        limit_points, iterations, n_runs, seed, stride, w_init=w_init, noise_at=noise_at
     )
+    return [
+        PairedRun(
+            iterations=rec["iterations"],
+            sq_error=rec["sq_error"][r],
+            sq_error_model=rec["sq_error_model"][r],
+            max_state_gap=float(rec["max_state_gap"][r]),
+        )
+        for r in range(n_runs)
+    ]
 
 
 def estimate_msd(
@@ -393,12 +439,3 @@ def estimate_msd(
         halfwidth=_frozen(2.0 * stderr),
         n_runs=len(trajectories),
     )
-
-
-def write_trajectory_csv(trajectory: Trajectory, fileobj) -> None:
-    """Write one run as CSV rows ``iteration,agent_id,sq_error``."""
-    fileobj.write("iteration,agent_id,sq_error\n")
-    n = trajectory.sq_error.shape[1]
-    for t, it in enumerate(trajectory.iterations):
-        for k in range(n):
-            fileobj.write(f"{int(it)},{k},{float(trajectory.sq_error[t, k])!r}\n")

@@ -23,6 +23,8 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .topology import NetworkPartition, classify, perron, spectral_radius
 
+_CSV_CHUNK_ROWS = 1 << 16
+
 
 def _jsonable(value):
     if isinstance(value, dict):
@@ -63,15 +65,16 @@ def pareto_points(
     return stars
 
 
+def _limit_points(partition: NetworkPartition, stars):
+    w = influence.influence_matrix(partition).w
+    return influence.receiving_limit_points(w, stars, partition)
+
+
 def limit_points_for(config: ExperimentConfig):
     """Partition, limit points and Pareto solutions for a full config."""
     partition = classify(config.matrix)
-    models = config.require_models()
-    step_sizes = config.require_step_sizes()
-    stars = pareto_points(partition, models, step_sizes)
-    w = influence.influence_matrix(partition).w
-    points = influence.receiving_limit_points(w, stars, partition)
-    return partition, points, stars
+    stars = pareto_points(partition, config.require_models(), config.require_step_sizes())
+    return partition, _limit_points(partition, stars), stars
 
 
 def analyze(config: ExperimentConfig) -> dict:
@@ -153,14 +156,22 @@ class SimulationResult:
     payload: dict
 
 
-def simulate(config: ExperimentConfig) -> SimulationResult:
-    """Monte-Carlo diffusion per the config's run controls."""
+def simulate(config: ExperimentConfig, *, _structure=None) -> SimulationResult:
+    """Monte-Carlo diffusion per the config's run controls.
+
+    ``_structure`` is the (partition, Pareto solutions) pair when the caller
+    has already derived it from this config.
+    """
     iterations = config.require_iterations()
     models = config.require_models()
     step_sizes = config.require_step_sizes()
     if step_sizes.n != config.n:
         raise ConfigError("step sizes and matrix disagree on agent count")
-    partition, points, stars = limit_points_for(config)
+    if _structure is None:
+        partition, points, _ = limit_points_for(config)
+    else:
+        partition, stars = _structure
+        points = _limit_points(partition, stars)
     lp = points.by_original_agent()
     trajectories = engine.run_ensemble(
         config.matrix,
@@ -171,7 +182,7 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
         n_runs=config.run.monte_carlo_runs,
         master_seed=config.run.seed,
         stride=config.run.stride,
-        record_iterates=config.run.record_iterates,
+        burn_in_fraction=config.run.burn_in_fraction if config.run.record_iterates else None,
     )
     estimate = (
         engine.estimate_msd(trajectories, config.run.burn_in_fraction)
@@ -196,9 +207,8 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
             "burn_in_fraction": config.run.burn_in_fraction,
         }
     if config.run.record_iterates:
-        start = int(np.floor(config.run.burn_in_fraction * trajectories[0].iterates.shape[0]))
-        tail = [traj.iterates[start:].mean(axis=0) for traj in trajectories]
-        payload["mean_iterate_tail"] = _jsonable(np.mean(tail, axis=0))
+        tails = [traj.mean_iterate_tail for traj in trajectories]
+        payload["mean_iterate_tail"] = _jsonable(np.mean(tails, axis=0))
     return SimulationResult(
         partition=partition,
         limit_points=lp,
@@ -246,7 +256,7 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
-        result = simulate(config)
+        result = simulate(config, _structure=(partition, stars))
         if result.estimate is None:
             raise ConfigError("comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs")
         rows = performance.compare(report, result.estimate)
@@ -274,27 +284,37 @@ def write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_rows(path: Path, header: str, prefixes: list[str], values: np.ndarray) -> None:
+    """Write ``header``, then rows ``prefix + repr(value)`` over the (T, N) values.
+
+    ``prefixes`` holds the ``iteration,agent_id,`` of each row in row-major
+    order; rows are joined and written in bounded chunks.
+    """
+    flat = values.ravel().tolist()
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for at in range(0, len(flat), _CSV_CHUNK_ROWS):
+            chunk = slice(at, at + _CSV_CHUNK_ROWS)
+            fh.write("".join(map("{}{!r}\n".format, prefixes[chunk], flat[chunk])))
+
+
 def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Path]:
     """Write per-run CSVs, the aggregate learning curve and summary.json."""
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
+    iters, mean = learning_curve(result.trajectories)
+    prefixes = [f"{it},{k}," for it in iters.tolist() for k in range(mean.shape[1])]
     written = []
     for traj in result.trajectories:
         path = runs_dir / f"run_{traj.run_index}.csv"
-        with path.open("w") as fh:
-            engine.write_trajectory_csv(traj, fh)
+        _write_rows(path, "iteration,agent_id,sq_error", prefixes, traj.sq_error)
         written.append(path)
 
-    iters, mean = learning_curve(result.trajectories)
+    db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in mean.ravel().tolist()]
     curve_path = out_dir / "learning_curve.csv"
-    with curve_path.open("w") as fh:
-        fh.write("iteration,agent_id,mean_sq_error_db\n")
-        for t, it in enumerate(iters):
-            for k in range(mean.shape[1]):
-                value = mean[t, k]
-                db = 10.0 * math.log10(value) if value > 0 else float("-inf")
-                fh.write(f"{int(it)},{k},{db!r}\n")
+    _write_rows(curve_path, "iteration,agent_id,mean_sq_error_db", prefixes,
+                np.reshape(db, mean.shape))
     written.append(curve_path)
 
     summary_path = out_dir / "summary.json"

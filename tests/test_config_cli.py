@@ -12,6 +12,23 @@ from atcnet.errors import ConfigError
 from conftest import EIGHT_AGENT
 from test_influence import W_REFERENCE
 
+RUN_0_CSV = """iteration,agent_id,sq_error
+10,0,0.0
+10,1,1e-300
+20,0,0.0
+20,1,0.1
+30,0,0.0
+30,1,12345.678
+"""
+LEARNING_CURVE_CSV = """iteration,agent_id,mean_sq_error_db
+10,0,-inf
+10,1,-7.781512503836437
+20,0,-inf
+20,1,-13.009214356129464
+30,0,-inf
+30,1,37.90731125052567
+"""
+
 
 def eight_agent_config(**run_overrides):
     run = {"seed": 5, "iterations": 2000, "monte_carlo_runs": 2, "stride": 10}
@@ -200,6 +217,25 @@ class TestSimulateWorkflow:
         curve = (tmp_path / "learning_curve.csv").read_text().splitlines()
         assert curve[0] == "iteration,agent_id,mean_sq_error_db"
         assert len(run0) == 1 + 200 * 8  # 2000 iterations, stride 10, 8 agents
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        # agent 0 averages to exactly 0, which the learning curve writes as -inf dB
+        sq_error = [
+            np.array([[0.0, 1e-300], [0.0, 0.1], [0.0, 12345.678]]),
+            np.array([[0.0, 1.0 / 3.0], [0.0, 2.5e-05], [0.0, 7.0]]),
+        ]
+        trajectories = [
+            an.Trajectory(iterations=np.array([10, 20, 30]), sq_error=values, iterates=None,
+                          seed=0, run_index=r, mu_max=0.1, stride=10)
+            for r, values in enumerate(sq_error)
+        ]
+        result = workflows.SimulationResult(
+            partition=None, limit_points=None, trajectories=trajectories, estimate=None,
+            payload={},
+        )
+        workflows.write_simulation_outputs(result, tmp_path)
+        assert (tmp_path / "runs" / "run_0.csv").read_text() == RUN_0_CSV
+        assert (tmp_path / "learning_curve.csv").read_text() == LEARNING_CURVE_CSV
 
     def test_requires_full_config(self):
         config = parse_config(

@@ -99,7 +99,7 @@ class TestQuadraticCost:
         model = QuadraticCost(r_u=[[1.0, 0.4], [0.4, 2.0]], sigma_v2=0.2, w_o=[1.0, 2.0])
         w = np.array([0.3, -0.8])
         batch = model.draw_batch(np.random.default_rng(0), 200000)
-        mean = model.gradients_at(w, batch).mean(axis=0)
+        mean = model.gradient_rows(w, batch).mean(axis=0)
         assert np.abs(mean - model.true_gradient(w)).max() < 0.03
 
     def test_gradient_rows_matches_single_samples(self):
@@ -152,7 +152,7 @@ class TestNoiseCovariance:
             (make_logistic(), np.array([0.3, 0.3])),
         ):
             batch = model.draw_batch(np.random.default_rng(6), n)
-            noise = model.gradients_at(point, batch) - model.true_gradient(point)
+            noise = model.gradient_rows(point, batch) - model.true_gradient(point)
             g = model.noise_covariance(point)
             if g is None:
                 g = noise.T @ noise / n

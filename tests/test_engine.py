@@ -1,10 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 import atcnet as an
-from atcnet import engine
+from atcnet import engine, workflows
 from atcnet.costs import QuadraticCost
 from atcnet.errors import Diverged, InsufficientData
 
@@ -167,7 +165,7 @@ class TestLongTerm:
         steps = an.StepSizeProfile(0.0005, np.ones(8))
         w = an.influence_matrix(eight_partition).w
         points = an.receiving_limit_points(w, [[1.0], [1.5]], eight_partition)
-        paired = an.run_paired_long_term(
+        [paired] = an.run_paired_long_term(
             eight_agent, models, steps, points.by_original_agent(),
             iterations=500, seed=13, noise_at="iterate",
         )
@@ -246,12 +244,14 @@ class TestEstimateMsd:
 
 
 class TestTrajectoryCsv:
-    def test_format(self, two_agent_setup):
+    def test_format(self, two_agent_setup, tmp_path):
         a, models, steps = two_agent_setup
         traj = an.run(a, models, steps, np.zeros((2, 1)), iterations=20, seed=1, stride=10)
-        buf = io.StringIO()
-        engine.write_trajectory_csv(traj, buf)
-        lines = buf.getvalue().strip().splitlines()
+        result = workflows.SimulationResult(
+            partition=None, limit_points=None, trajectories=[traj], estimate=None, payload={}
+        )
+        workflows.write_simulation_outputs(result, tmp_path)
+        lines = (tmp_path / "runs" / "run_0.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,agent_id,sq_error"
         assert len(lines) == 1 + 2 * 2  # two recorded iterations x two agents
         first = lines[1].split(",")

@@ -10,7 +10,7 @@ noise).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +59,6 @@ class CostModel(ABC):
     dimension: int
     # attributes ``gradient_rows`` reads, passed per agent when agents are batched
     gradient_params: tuple[str, ...] = ()
-    constant_hessian: bool = False  # the true gradient is affine
 
     @property
     def gradient_source(self) -> "CostModel":
@@ -127,8 +126,6 @@ class QuadraticCost(CostModel):
     r_u: np.ndarray
     sigma_v2: float
     w_o: np.ndarray
-
-    constant_hessian = True
 
     def __init__(self, r_u, sigma_v2, w_o):
         w_o = np.atleast_1d(np.asarray(w_o, dtype=float))
@@ -338,10 +335,6 @@ class ZeroedObservations(CostModel):
         return self.inner.dimension
 
     @property
-    def constant_hessian(self) -> bool:
-        return self.inner.constant_hessian
-
-    @property
     def gradient_source(self) -> CostModel:
         return self.inner.gradient_source
 
@@ -389,11 +382,5 @@ def hessian_at(model: CostModel, point: np.ndarray, n_samples: int | None = None
     design of that size instead of the model's fixed evaluation set.
     """
     if n_samples is not None and isinstance(model, LogisticCost):
-        resized = LogisticCost(
-            rho=model.rho,
-            sampler=model.sampler,
-            eval_samples=n_samples,
-            eval_seed=model.eval_seed,
-        )
-        return resized.hessian(point)
+        return replace(model, eval_samples=n_samples).hessian(point)
     return model.hessian(point)

@@ -104,12 +104,12 @@ def _adapt_combine(weights_t, mu, x, grads):
     return np.matmul(weights_t, x - mu * grads)
 
 
-def _check_bounded(x, iteration, threshold, report_run=True):
-    """Raise Diverged for the first (run, agent) beyond ``threshold``; NaN counts."""
+def _check_bounded(x, iteration, threshold):
+    """Raise Diverged for the first agent of (runs, N, M) or (N, M) ``x`` beyond ``threshold``."""
     if np.abs(x).max() <= threshold:
         return
-    run, agent = np.argwhere(~(np.abs(x) <= threshold))[0][:2]
-    raise Diverged(int(agent), iteration, run=int(run) if report_run else None)
+    *run, agent, _ = np.argwhere(~(np.abs(x) <= threshold))[0]
+    raise Diverged(int(agent), iteration, *map(int, run))
 
 
 class _Kernel:
@@ -132,18 +132,20 @@ class _Kernel:
             raise DimensionMismatch(f"models disagree on dimension: {sorted(dims)}")
         self.m = dims.pop()
         self.models, self.weights_t, self.mu = models, a.weights.T, step_sizes.mu[:, None]
-        sources = [model.gradient_source for model in models]
         agents_of: dict[type, list[int]] = {}
-        for k, source in enumerate(sources):
-            agents_of.setdefault(type(source), []).append(k)
-        self.kinds = []  # (agents, gradient source, per-agent parameters)
-        self.slot = {}   # agent -> (kind, position within the kind)
+        for k, model in enumerate(models):
+            agents_of.setdefault(type(model.gradient_source), []).append(k)
+        self.kinds = []  # (agent index, gradient source, per-agent parameters)
+        self.slot = {}   # agent -> (kind, position within the kind, agents of the kind)
         for g, agents in enumerate(agents_of.values()):
-            first = sources[agents[0]]
-            params = {name: np.array([getattr(sources[k], name) for k in agents])[:, None]
-                      for name in first.gradient_params}
-            self.kinds.append((np.array(agents), first, params))
-            self.slot.update((k, (g, at)) for at, k in enumerate(agents))
+            sources = [models[k].gradient_source for k in agents]
+            params = {name: np.array([getattr(s, name) for s in sources])[:, None]
+                      for name in sources[0].gradient_params}
+            # neighbouring agents are indexed by a slice, which views instead of copying
+            contiguous = agents[-1] - agents[0] + 1 == len(agents)
+            index = slice(agents[0], agents[-1] + 1) if contiguous else np.array(agents)
+            self.kinds.append((index, sources[0], params))
+            self.slot.update((k, (g, at, len(agents))) for at, k in enumerate(agents))
         self.buffers = [None] * len(self.kinds)
 
     def draw(self, rngs, size: int) -> None:
@@ -152,20 +154,17 @@ class _Kernel:
         Agent k of run r draws from ``rngs[r][k]``; agents draw in order.
         """
         for k, model in enumerate(self.models):
-            g, at = self.slot[k]
+            g, at, count = self.slot[k]
             for r, run_rngs in enumerate(rngs):
                 fields = model.draw_batch(run_rngs[k], size)
                 if self.buffers[g] is None:
-                    shape = (size, len(rngs), len(self.kinds[g][0]))
+                    shape = (size, len(rngs), count)
                     self.buffers[g] = [np.empty(shape + f.shape[1:]) for f in fields]
                 for buf, f in zip(self.buffers[g], fields):
                     buf[:, r, at] = f
 
     def gradients(self, w: np.ndarray, j: int) -> np.ndarray:
         """Stochastic gradients at points ``w`` (..., runs, N, M) on sample ``j``."""
-        if len(self.kinds) == 1:
-            (_, source, params), = self.kinds
-            return source.gradient_rows(w, tuple(b[j] for b in self.buffers[0]), **params)
         out = np.empty(w.shape)
         for (agents, source, params), buffers in zip(self.kinds, self.buffers):
             fields = tuple(b[j] for b in buffers)
@@ -203,28 +202,26 @@ class _Kernel:
         if w_init is not None:
             x[:] = w_init
         if noise_at is not None:
-            hessians = long_term_state(self.models, limit_points).hessians
+            lt = long_term_state(self.models, limit_points)
             err = limit_points - x
             sq_model = np.empty_like(sq_error)
             max_gap = np.zeros(n_runs)
-            points = np.stack((x, np.broadcast_to(limit_points, x.shape)))
+            at_limit = np.broadcast_to(limit_points, x.shape)
 
-        rec_at = 0
         for i in range(iterations):
             j = i % _BLOCK
             if j == 0:
                 self.draw(rngs, _BLOCK)
+            grads = noisy = self.gradients(x, j)
             if noise_at == "limit_point":
-                points[0] = x
-                grads, noisy = self.gradients(points, j)
-            else:
-                grads = noisy = self.gradients(x, j)
+                noisy = self.gradients(at_limit, j)
+            elif noise_at == "iterate":
+                true = [[model.true_gradient(xk) for model, xk in zip(self.models, xr)] for xr in x]
+                noisy = noisy - np.array(true) - lt.bias
             if noise_at is not None:
-                # The linear model steps along H err - (noise - bias), and at the
-                # point p where the noise is taken (iterate or limit point),
-                # noise - bias = ghat(p) - grad J(p) + grad J(lp) = ghat(p) - H (p - lp).
-                away = x - limit_points if noise_at == "iterate" else 0.0
-                linear = np.einsum("kmn,rkn->rkm", hessians, err + away) - noisy
+                # The linear model steps along H err - (noise - bias), where noise - bias
+                # is ghat(lp) at the limit point and ghat(x) - grad J(x) + grad J(lp) at x.
+                linear = np.einsum("kmn,rkn->rkm", lt.hessians, err) - noisy
                 err = _adapt_combine(wt, mu, err, linear)
             x = _adapt_combine(wt, mu, x, grads)
             _check_bounded(x, i + 1, threshold)
@@ -232,6 +229,7 @@ class _Kernel:
                 gap = np.abs((limit_points - x) - err).max(axis=(1, 2))
                 np.maximum(max_gap, gap, out=max_gap)
             if (i + 1) % stride == 0:
+                rec_at = i // stride
                 diff = x - limit_points
                 sq_error[:, rec_at] = np.einsum("rkm,rkm->rk", diff, diff)
                 if record_iterates:
@@ -240,7 +238,6 @@ class _Kernel:
                     tail += x
                 if noise_at is not None:
                     sq_model[:, rec_at] = np.einsum("rkm,rkm->rk", err, err)
-                rec_at += 1
         out = {"iterations": rec_iters, "sq_error": sq_error, "iterates": iterates}
         if burn_in_fraction is not None:
             out["mean_iterate_tail"] = tail / (n_rec - tail_from)
@@ -267,10 +264,9 @@ def atc_step(
     kernel = _Kernel(a, models, step_sizes)
     kernel.draw([[rng] * kernel.n], size=1)
     x = np.asarray(state.iterates, dtype=float)[None]
-    nxt = _adapt_combine(kernel.weights_t, kernel.mu, x, kernel.gradients(x, 0))
-    iteration = state.iteration + 1
-    _check_bounded(nxt, iteration, divergence_threshold, report_run=False)
-    return NetworkState(iterates=nxt[0], iteration=iteration)
+    nxt = _adapt_combine(kernel.weights_t, kernel.mu, x, kernel.gradients(x, 0))[0]
+    _check_bounded(nxt, state.iteration + 1, divergence_threshold)
+    return NetworkState(iterates=nxt, iteration=state.iteration + 1)
 
 
 def run_ensemble(
@@ -342,13 +338,9 @@ def run(
 def long_term_state(models: list[CostModel], limit_points: np.ndarray) -> LongTermState:
     """Freeze Hessians and biases of the linear model at the limit points."""
     limit_points = np.asarray(limit_points, dtype=float)
-    n, m = limit_points.shape
-    hessians = np.empty((n, m, m))
-    bias = np.empty((n, m))
-    for k in range(n):
-        hessians[k] = models[k].hessian(limit_points[k])
-        bias[k] = -models[k].true_gradient(limit_points[k])
-    return LongTermState(error=np.zeros((n, m)), hessians=hessians, bias=bias)
+    hessians = np.array([model.hessian(p) for model, p in zip(models, limit_points)])
+    bias = -np.array([model.true_gradient(p) for model, p in zip(models, limit_points)])
+    return LongTermState(error=np.zeros(limit_points.shape), hessians=hessians, bias=bias)
 
 
 def long_term_step(
@@ -358,9 +350,10 @@ def long_term_step(
     noise_samples: np.ndarray,
 ) -> LongTermState:
     """One round of the constant-Hessian linear error recursion."""
+    mu = step_sizes.mu[:, None]
     err = lt_state.error
-    linear = np.einsum("kmn,kn->km", lt_state.hessians, err) - (noise_samples - lt_state.bias)
-    nxt = _adapt_combine(a.weights.T, step_sizes.mu[:, None], err, linear)
+    damped = err - mu * np.einsum("kmn,kn->km", lt_state.hessians, err)
+    nxt = a.weights.T @ (damped + mu * (noise_samples - lt_state.bias))
     return replace(lt_state, error=nxt, iteration=lt_state.iteration + 1)
 
 
@@ -390,10 +383,10 @@ def run_paired_long_term(
 
     ``noise_at`` selects where each sample's gradient noise is evaluated
     before being fed to the linear model: at the nonlinear run's current
-    iterate (exact pairing; needs constant Hessians, so that the true gradient
-    is affine) or at the agent's limit point. The linear model's error state
-    always starts at limit_points - w_init, so the two stay paired from step
-    0; starting ``w_init`` at the limit points themselves skips the large
+    iterate (exact pairing; cheap only when true gradients are closed-form)
+    or at the agent's limit point. The linear model's error state always
+    starts at limit_points - w_init, so the two stay paired from step 0;
+    starting ``w_init`` at the limit points themselves skips the large
     initial transient when only steady-state behavior matters.
 
     Returns one PairedRun per run; run r uses the streams of run r of
@@ -401,20 +394,11 @@ def run_paired_long_term(
     """
     if noise_at not in ("iterate", "limit_point"):
         raise ValueError("noise_at must be 'iterate' or 'limit_point'")
-    if noise_at == "iterate" and not all(model.constant_hessian for model in models):
-        raise ValueError("noise_at='iterate' needs models with constant Hessians")
     rec = _Kernel(a, models, step_sizes).run(
         limit_points, iterations, n_runs, seed, stride, w_init=w_init, noise_at=noise_at
     )
-    return [
-        PairedRun(
-            iterations=rec["iterations"],
-            sq_error=rec["sq_error"][r],
-            sq_error_model=rec["sq_error_model"][r],
-            max_state_gap=float(rec["max_state_gap"][r]),
-        )
-        for r in range(n_runs)
-    ]
+    runs = zip(rec["sq_error"], rec["sq_error_model"], rec["max_state_gap"].tolist())
+    return [PairedRun(rec["iterations"], sq, sq_model, gap) for sq, sq_model, gap in runs]
 
 
 def estimate_msd(
@@ -427,9 +411,8 @@ def estimate_msd(
     if not 0.0 <= burn_in_fraction < 1.0:
         raise ValueError("burn_in_fraction must lie in [0, 1)")
     t = trajectories[0].sq_error.shape[0]
-    for traj in trajectories:
-        if traj.sq_error.shape != trajectories[0].sq_error.shape:
-            raise DimensionMismatch("trajectories have inconsistent shapes")
+    if any(traj.sq_error.shape != trajectories[0].sq_error.shape for traj in trajectories):
+        raise DimensionMismatch("trajectories have inconsistent shapes")
     start = int(np.floor(burn_in_fraction * t))
     per_run = np.stack([traj.sq_error[start:].mean(axis=0) for traj in trajectories])
     estimate = per_run.mean(axis=0)

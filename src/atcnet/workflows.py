@@ -156,26 +156,25 @@ class SimulationResult:
     payload: dict
 
 
-def simulate(config: ExperimentConfig, *, _structure=None) -> SimulationResult:
-    """Monte-Carlo diffusion per the config's run controls.
-
-    ``_structure`` is the (partition, Pareto solutions) pair when the caller
-    has already derived it from this config.
-    """
-    iterations = config.require_iterations()
+def simulate(config: ExperimentConfig) -> SimulationResult:
+    """Monte-Carlo diffusion per the config's run controls."""
+    config.require_iterations()
     models = config.require_models()
     step_sizes = config.require_step_sizes()
     if step_sizes.n != config.n:
         raise ConfigError("step sizes and matrix disagree on agent count")
-    if _structure is None:
-        partition, points, _ = limit_points_for(config)
-    else:
-        partition, stars = _structure
-        points = _limit_points(partition, stars)
-    lp = points.by_original_agent()
+    partition = classify(config.matrix)
+    return _simulate(config, partition, pareto_points(partition, models, step_sizes))
+
+
+def _simulate(config: ExperimentConfig, partition: NetworkPartition, stars) -> SimulationResult:
+    """Monte-Carlo diffusion on the partition and Pareto solutions of ``config``."""
+    iterations = config.require_iterations()
+    step_sizes = config.require_step_sizes()
+    lp = _limit_points(partition, stars).by_original_agent()
     trajectories = engine.run_ensemble(
         config.matrix,
-        list(models),
+        list(config.require_models()),
         step_sizes,
         lp,
         iterations=iterations,
@@ -256,7 +255,7 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
-        result = simulate(config, _structure=(partition, stars))
+        result = _simulate(config, partition, stars)
         if result.estimate is None:
             raise ConfigError("comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs")
         rows = performance.compare(report, result.estimate)
@@ -284,13 +283,12 @@ def write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_rows(path: Path, header: str, prefixes: list[str], values: np.ndarray) -> None:
-    """Write ``header``, then rows ``prefix + repr(value)`` over the (T, N) values.
+def _write_rows(path: Path, header: str, prefixes: list[str], flat: list[float]) -> None:
+    """Write ``header``, then one row ``prefix + repr(value)`` per value.
 
-    ``prefixes`` holds the ``iteration,agent_id,`` of each row in row-major
-    order; rows are joined and written in bounded chunks.
+    ``prefixes`` holds the ``iteration,agent_id,`` of each row, in the
+    row-major order of ``flat``; rows are joined and written in bounded chunks.
     """
-    flat = values.ravel().tolist()
     with path.open("w") as fh:
         fh.write(header + "\n")
         for at in range(0, len(flat), _CSV_CHUNK_ROWS):
@@ -308,13 +306,12 @@ def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Pa
     written = []
     for traj in result.trajectories:
         path = runs_dir / f"run_{traj.run_index}.csv"
-        _write_rows(path, "iteration,agent_id,sq_error", prefixes, traj.sq_error)
+        _write_rows(path, "iteration,agent_id,sq_error", prefixes, traj.sq_error.ravel().tolist())
         written.append(path)
 
     db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in mean.ravel().tolist()]
     curve_path = out_dir / "learning_curve.csv"
-    _write_rows(curve_path, "iteration,agent_id,mean_sq_error_db", prefixes,
-                np.reshape(db, mean.shape))
+    _write_rows(curve_path, "iteration,agent_id,mean_sq_error_db", prefixes, db)
     written.append(curve_path)
 
     summary_path = out_dir / "summary.json"

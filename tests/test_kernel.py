@@ -146,7 +146,22 @@ class TestBatchedKernel:
         for p, t in zip(paired, alone):
             assert np.array_equal(p.sq_error, t.sq_error)
 
-    def test_iterate_noise_needs_constant_hessians(self):
+    def test_iterate_noise_matches_per_agent_linear_model(self):
+        # logistic agents have no closed-form true gradient; the noise at the
+        # iterate still subtracts each agent's own true gradient there
         a, models, steps, lp = mixed_network()
-        with pytest.raises(ValueError):
-            engine.run_paired_long_term(a, models, steps, lp, iterations=10, seed=0)
+        [paired] = engine.run_paired_long_term(a, models, steps, lp, iterations=20, seed=6,
+                                               stride=1)
+        rngs = [np.random.default_rng([6, 0, k]) for k in range(len(models))]
+        blocks = [model.draw_batch(rng, engine._BLOCK) for model, rng in zip(models, rngs)]
+        x = np.zeros(lp.shape)
+        state = engine.long_term_state(models, lp)
+        state = engine.LongTermState(error=lp - x, hessians=state.hessians, bias=state.bias)
+        for i in range(20):
+            ghat = np.array([model.stochastic_gradient(x[k], tuple(f[i] for f in blocks[k]))
+                             for k, model in enumerate(models)])
+            noise = ghat - np.array([model.true_gradient(x[k]) for k, model in enumerate(models)])
+            x = a.weights.T @ (x - steps.mu[:, None] * ghat)
+            state = engine.long_term_step(state, a, steps, noise)
+            np.testing.assert_allclose(paired.sq_error_model[i], (state.error ** 2).sum(axis=1),
+                                       rtol=1e-12, atol=0)

@@ -132,7 +132,7 @@ def _check_structural_properties() -> tuple[bool, str]:
     residual = influence.fixed_point_residual(config.matrix, points)
     checks.append(("fixed-point residual", residual < 1e-9, f"{residual:.2e} < 1e-9"))
 
-    lim = influence.limiting_power(config.matrix, partition)
+    lim = influence.limiting_power(partition, im)
     a2000 = np.linalg.matrix_power(config.matrix.weights, 2000)
     power_err = np.abs(a2000 - lim.original).max()
     checks.append(("limiting power", power_err < 1e-8, f"{power_err:.2e} < 1e-8"))

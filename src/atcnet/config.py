@@ -36,6 +36,7 @@ from .errors import AtcnetError, ConfigError
 from .topology import CombinationMatrix, validate
 
 PRESET_NAMES = ("two-agent-logistic", "three-subnetwork-regression", "fully-connected")
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,13 @@ def _expect(mapping, key, field, kind=None, required=True, default=None):
             raise ConfigError("missing required key", field=field)
         return default
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
+    if kind is None:
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    # bool is an int subclass, but `true` is not a number here
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"expected {expected}, got {type(value).__name__}", field=field)
     return value
 
 
@@ -187,12 +193,12 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     if "step_sizes" in data:
         section = data["step_sizes"]
         mu_max = _expect(section, "mu_max", "step_sizes.mu_max", (int, float))
-        tau = section.get("tau", [1.0] * n)
+        tau = _expect(section, "tau", "step_sizes.tau", list, required=False, default=[1.0] * n)
         if len(tau) != n:
             raise ConfigError(f"tau has {len(tau)} entries for {n} agents", field="step_sizes.tau")
         try:
             step_sizes = StepSizeProfile(mu_max=mu_max, tau=tau)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), field="step_sizes")
 
     run_section = _expect(data, "run", "run", dict)
@@ -200,7 +206,10 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     iterations = run_section.get("iterations")
     if iterations is not None and (not isinstance(iterations, int) or iterations < 1):
         raise ConfigError("iterations must be an integer >= 1", field="run.iterations")
-    burn_in = run_section.get("burn_in_fraction", DEFAULT_BURN_IN)
+    burn_in = _expect(
+        run_section, "burn_in_fraction", "run.burn_in_fraction", (int, float),
+        required=False, default=DEFAULT_BURN_IN,
+    )
     if not 0.0 <= burn_in < 1.0:
         raise ConfigError("burn_in_fraction must lie in [0, 1)", field="run.burn_in_fraction")
     stride = run_section.get("stride", DEFAULT_STRIDE)
@@ -236,7 +245,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}")
     return parse_config(data, base_dir=path.parent)
@@ -247,4 +256,4 @@ def load_preset(name: str) -> ExperimentConfig:
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
     text = resources.files("atcnet").joinpath(f"presets/{name}.yaml").read_text()
-    return parse_config(yaml.safe_load(text), base_dir=".")
+    return parse_config(yaml.load(text, Loader=_YAML_LOADER), base_dir=".")

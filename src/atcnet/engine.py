@@ -34,9 +34,9 @@ class StepSizeProfile:
 
     def __init__(self, mu_max, tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        if mu_max < 0:
+        if not mu_max >= 0:
             raise ValueError("mu_max must be nonnegative")
-        if np.any(tau <= 0) or np.any(tau > 1):
+        if not np.all((tau > 0) & (tau <= 1)):
             raise ValueError("tau entries must lie in (0, 1]")
         object.__setattr__(self, "mu_max", float(mu_max))
         object.__setattr__(self, "tau", _frozen(tau))

@@ -21,6 +21,16 @@ class NegativeWeight(AtcnetError):
         self.value = value
 
 
+class NonFiniteWeight(AtcnetError):
+    def __init__(self, source, receiver, value):
+        super().__init__(
+            f"weight from agent {source} to agent {receiver} is not finite ({value})"
+        )
+        self.source = source
+        self.receiver = receiver
+        self.value = value
+
+
 class ColumnSumViolation(AtcnetError):
     def __init__(self, column, actual_sum):
         super().__init__(

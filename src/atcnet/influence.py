@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAnRAgent, SingularSystem
-from .topology import CombinationMatrix, NetworkPartition, perron, _frozen
+from .topology import CombinationMatrix, NetworkPartition, _frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +78,8 @@ def influence_matrix(partition: NetworkPartition) -> InfluenceMatrix:
     cond = float(np.linalg.cond(eye - t_rr)) if t_rr.shape[0] else 1.0
 
     theta = np.zeros((partition.n_gs, partition.n_gs))
-    at = 0
-    for block in partition.s_blocks():
-        size = block.shape[0]
-        p = perron(block).entries
-        theta[at : at + size, at : at + size] = np.outer(p, np.ones(size))
-        at += size
+    for sl, p in zip(partition.s_slices, partition.perron_vectors):
+        theta[sl, sl] = np.outer(p, np.ones(p.shape[0]))
     return InfluenceMatrix(w=_frozen(w), theta=_frozen(theta), cond=cond)
 
 
@@ -103,10 +99,12 @@ class LimitingPower:
     canonical: np.ndarray  # (n, n), senders first
 
 
-def limiting_power(a: CombinationMatrix, partition: NetworkPartition) -> LimitingPower:
-    """Limit of A^n: [Theta, Theta W; 0, 0] mapped back to input agent order."""
-    im = influence_matrix(partition)
-    n = a.n
+def limiting_power(partition: NetworkPartition, im: InfluenceMatrix) -> LimitingPower:
+    """Limit of A^n: [Theta, Theta W; 0, 0] mapped back to input agent order.
+
+    ``im`` is the partition's influence matrix, which supplies Theta and W.
+    """
+    n = partition.n
     canonical = np.zeros((n, n))
     canonical[: partition.n_gs, : partition.n_gs] = im.theta
     if partition.n_gr:
@@ -167,13 +165,10 @@ def influence_vector(
     w: np.ndarray, partition: NetworkPartition, agent_id: int
 ) -> InfluenceVector:
     """Sum W's column for one receiving agent over each sending sub-network."""
-    r_agents = partition.r_agents
-    if agent_id not in r_agents:
-        raise NotAnRAgent(agent_id)
-    col = np.asarray(w, dtype=float)[:, partition.r_column(agent_id)]
-    entries = np.empty(len(partition.s_sizes))
-    at = 0
-    for s, size in enumerate(partition.s_sizes):
-        entries[s] = col[at : at + size].sum()
-        at += size
+    try:
+        column = partition.r_column(agent_id)
+    except KeyError:
+        raise NotAnRAgent(agent_id) from None
+    col = np.asarray(w, dtype=float)[:, column]
+    entries = np.array([col[sl].sum() for sl in partition.s_slices])
     return InfluenceVector(agent_id=agent_id, entries=_frozen(entries))

@@ -23,7 +23,7 @@ from .errors import (
     SingularAggregateHessian,
 )
 from .influence import influence_matrix, influence_vector
-from .topology import NetworkPartition, perron, _frozen
+from .topology import NetworkPartition, _frozen
 
 MSD_NOISE_SAMPLES = 1_000_000
 
@@ -38,14 +38,12 @@ class QWeights:
 def q_weights(partition: NetworkPartition, step_sizes: StepSizeProfile) -> QWeights:
     """q_{s,k} = mu_{s,k} * p_{s,k} for every sending agent."""
     mu = step_sizes.mu
-    groups = []
-    at = 0
-    for block, size in zip(partition.s_blocks(), partition.s_sizes):
-        members = partition.order[at : at + size]
-        p = perron(block).entries
-        groups.append(_frozen(mu[members] * p))
-        at += size
-    return QWeights(per_subnetwork=tuple(groups))
+    return QWeights(
+        per_subnetwork=tuple(
+            _frozen(mu[partition.order[sl]] * p)
+            for sl, p in zip(partition.s_slices, partition.perron_vectors)
+        )
+    )
 
 
 def _aggregate(models, q, point):
@@ -197,9 +195,8 @@ def theoretical_msd(
     qw = q_weights(partition, step_sizes)
     subnetworks = []
     msd_values = []
-    at = 0
-    for s, size in enumerate(partition.s_sizes):
-        members = [int(i) for i in partition.order[at : at + size]]
+    for s, sl in enumerate(partition.s_slices):
+        members = partition.order[sl].tolist()
         sub_models = [models[k] for k in members]
         q = qw.per_subnetwork[s]
         star = (
@@ -226,7 +223,6 @@ def theoretical_msd(
                 msd_db=_maybe_db(msd),
             )
         )
-        at += size
 
     r_entries = []
     if partition.n_gr:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .errors import (
     IsolatedRAgent,
     NegativeWeight,
     NoConvergence,
+    NonFiniteWeight,
     NonPrimitiveSource,
     NonSquare,
 )
@@ -31,6 +34,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _slices(sizes) -> tuple[slice, ...]:
+    """Consecutive slices of the given sizes, starting at 0."""
+    ends = list(accumulate(sizes))
+    return tuple(slice(end - size, end) for size, end in zip(sizes, ends))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +67,10 @@ class NetworkPartition:
     """Canonical sending/receiving decomposition of a combination matrix.
 
     ``order`` lists original agent ids in canonical order (senders first);
-    the blocks are taken from weights[order][:, order].
+    the blocks are taken from weights[order][:, order]. ``rho_t_rr`` is the
+    spectral radius of t_rr, the largest over its diagonal blocks since t_rr
+    is block upper-triangular. What is derived from the partition (slices,
+    agent ids, Perron vectors) is computed on first use and kept.
     """
 
     scc_list: tuple[tuple[int, ...], ...]
@@ -72,45 +84,43 @@ class NetworkPartition:
     n_gr: int
     s_sizes: tuple[int, ...]
     r_sizes: tuple[int, ...]
+    rho_t_rr: float
 
     @property
     def n(self) -> int:
         return self.n_gs + self.n_gr
 
-    @property
+    @cached_property
     def s_agents(self) -> tuple[int, ...]:
         """Original ids of sending agents, in canonical order."""
-        return tuple(int(i) for i in self.order[: self.n_gs])
+        return tuple(self.order[: self.n_gs].tolist())
 
-    @property
+    @cached_property
     def r_agents(self) -> tuple[int, ...]:
         """Original ids of receiving agents, in canonical order."""
-        return tuple(int(i) for i in self.order[self.n_gs :])
+        return tuple(self.order[self.n_gs :].tolist())
+
+    @cached_property
+    def s_slices(self) -> tuple[slice, ...]:
+        """Canonical sending positions of each sending sub-network."""
+        return _slices(self.s_sizes)
+
+    @cached_property
+    def perron_vectors(self) -> tuple[np.ndarray, ...]:
+        """Perron vector of each sending sub-network's diagonal block."""
+        return tuple(perron(block).entries for block in self.s_blocks())
+
+    @cached_property
+    def _r_columns(self) -> dict[int, int]:
+        return {aid: col for col, aid in enumerate(self.r_agents)}
 
     def s_blocks(self) -> list[np.ndarray]:
         """Diagonal blocks of t_ss, one per sending sub-network."""
-        blocks = []
-        at = 0
-        for size in self.s_sizes:
-            blocks.append(self.t_ss[at : at + size, at : at + size])
-            at += size
-        return blocks
-
-    def subnetwork_of_s_agent(self) -> np.ndarray:
-        """Sub-network index for each canonical sending position."""
-        out = np.empty(self.n_gs, dtype=int)
-        at = 0
-        for s, size in enumerate(self.s_sizes):
-            out[at : at + size] = s
-            at += size
-        return out
+        return [self.t_ss[sl, sl] for sl in self.s_slices]
 
     def r_column(self, agent_id: int) -> int:
         """Canonical receiving-side column index for an original agent id."""
-        for col, aid in enumerate(self.r_agents):
-            if aid == agent_id:
-                return col
-        raise KeyError(agent_id)
+        return self._r_columns[agent_id]
 
     def permute(self, matrix: np.ndarray) -> np.ndarray:
         """Apply the canonical symmetric permutation to an (n, n) matrix."""
@@ -125,7 +135,7 @@ class PerronVector:
 
 
 def validate(matrix) -> CombinationMatrix:
-    """Check nonnegativity and unit column sums; renormalize within tolerance.
+    """Check finite, nonnegative entries and unit column sums; renormalize.
 
     Columns whose sums deviate from 1 by at most ``COLUMN_SUM_TOL`` (printed
     matrices are often rounded to a few decimals) are rescaled exactly to 1.
@@ -135,6 +145,10 @@ def validate(matrix) -> CombinationMatrix:
         raise NonSquare(a.shape)
     if a.shape[0] < 1:
         raise NonSquare(a.shape)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        l, k = bad[0]
+        raise NonFiniteWeight(int(l), int(k), float(a[l, k]))
     neg = np.argwhere(a < 0)
     if neg.size:
         l, k = neg[0]
@@ -175,8 +189,8 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
             if advanced:
                 continue
             work.pop()
@@ -197,21 +211,21 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
 
 def condense(a: CombinationMatrix) -> Condensation:
     """SCC decomposition of the directed graph {l -> k : weights[l, k] > 0}."""
-    w = a.weights
     n = a.n
-    adj = [list(np.nonzero(w[l] > 0)[0]) for l in range(n)]
+    src, dst = np.nonzero(a.weights > 0)  # row-major: grouped by source
+    starts = np.searchsorted(src, np.arange(n + 1)).tolist()
+    targets = dst.tolist()
+    adj = [targets[starts[l] : starts[l + 1]] for l in range(n)]
     raw = _tarjan_sccs(adj)
 
-    comp_of = [0] * n
+    comp_of = np.empty(n, dtype=int)
     for ci, comp in enumerate(raw):
-        for v in comp:
-            comp_of[v] = ci
-
-    raw_edges = set()
-    for l in range(n):
-        for k in adj[l]:
-            if comp_of[l] != comp_of[k]:
-                raw_edges.add((comp_of[l], comp_of[k]))
+        comp_of[comp] = ci
+    from_scc, to_scc = comp_of[src], comp_of[dst]
+    linked = np.zeros((len(raw), len(raw)), dtype=bool)
+    linked[from_scc, to_scc] = True
+    np.fill_diagonal(linked, False)
+    raw_edges = {tuple(edge) for edge in np.argwhere(linked).tolist()}
 
     # Deterministic topological order: Kahn with smallest original agent id first.
     indeg = [0] * len(raw)
@@ -281,10 +295,9 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
         if has_inbound[ci]:
             r_ids.append(ci)
             continue
-        adj = {
-            u: [v for v in members if w[u, v] > 0]
-            for u in members
-        }
+        ids = np.array(members)
+        inside = w[np.ix_(ids, ids)] > 0
+        adj = {u: ids[row].tolist() for u, row in zip(members, inside)}
         if _period(adj, members) != 1:
             raise NonPrimitiveSource(ci, members)
         s_ids.append(ci)
@@ -304,13 +317,13 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
     # A receiving SCC whose own block keeps all its column weight would never
     # settle; with a valid left-stochastic matrix this cannot happen, but a
     # block spectral radius at 1 is rejected explicitly.
-    at = 0
-    for ci in r_ids:
-        size = len(cond.sccs[ci])
-        block = t_rr[at : at + size, at : at + size]
-        if spectral_radius(block) >= 1.0 - 1e-12:
+    r_sizes = tuple(len(cond.sccs[ci]) for ci in r_ids)
+    rho_t_rr = 0.0
+    for ci, sl in zip(r_ids, _slices(r_sizes)):
+        rho = spectral_radius(t_rr[sl, sl])
+        if rho >= 1.0 - 1e-12:
             raise IsolatedRAgent(ci, cond.sccs[ci])
-        at += size
+        rho_t_rr = max(rho_t_rr, rho)
 
     return NetworkPartition(
         scc_list=cond.sccs,
@@ -323,7 +336,8 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
         n_gs=n_gs,
         n_gr=n_gr,
         s_sizes=tuple(len(cond.sccs[ci]) for ci in s_ids),
-        r_sizes=tuple(len(cond.sccs[ci]) for ci in r_ids),
+        r_sizes=r_sizes,
+        rho_t_rr=rho_t_rr,
     )
 
 

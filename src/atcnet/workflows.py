@@ -21,7 +21,7 @@ import numpy as np
 from . import engine, influence, performance
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .topology import NetworkPartition, classify, perron, spectral_radius
+from .topology import NetworkPartition, classify
 
 _CSV_CHUNK_ROWS = 1 << 16
 
@@ -32,7 +32,7 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
+        return value.tolist()
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
@@ -56,13 +56,10 @@ def pareto_points(
 ) -> list[np.ndarray]:
     """One Pareto solution per sending sub-network."""
     qw = performance.q_weights(partition, step_sizes)
-    stars = []
-    at = 0
-    for s, size in enumerate(partition.s_sizes):
-        members = [int(i) for i in partition.order[at : at + size]]
-        stars.append(performance.pareto_solve([models[k] for k in members], qw.per_subnetwork[s]))
-        at += size
-    return stars
+    return [
+        performance.pareto_solve([models[k] for k in partition.order[sl].tolist()], q)
+        for sl, q in zip(partition.s_slices, qw.per_subnetwork)
+    ]
 
 
 def _limit_points(partition: NetworkPartition, stars):
@@ -84,6 +81,7 @@ def analyze(config: ExperimentConfig) -> dict:
     sizes; everything else needs the combination matrix alone.
     """
     partition = classify(config.matrix)
+    im = influence.influence_matrix(partition)
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -101,22 +99,17 @@ def analyze(config: ExperimentConfig) -> dict:
         "r_agents": list(partition.r_agents),
         "subnetworks": [],
     }
-    at = 0
-    for s, (block, size) in enumerate(zip(partition.s_blocks(), partition.s_sizes)):
-        members = [int(i) for i in partition.order[at : at + size]]
-        p = perron(block).entries
+    for s, (sl, p) in enumerate(zip(partition.s_slices, partition.perron_vectors)):
+        members = partition.order[sl].tolist()
         entry = {"id": s, "agents": members, "perron": p}
         if config.step_sizes is not None:
             entry["q"] = config.step_sizes.mu[members] * p
         payload["subnetworks"].append(entry)
-        at += size
 
-    lim = influence.limiting_power(config.matrix, partition)
-    payload["a_infinity"] = lim.original
+    payload["a_infinity"] = influence.limiting_power(partition, im).original
 
     if partition.n_gr:
-        im = influence.influence_matrix(partition)
-        payload["spectral_radius_t_rr"] = spectral_radius(partition.t_rr)
+        payload["spectral_radius_t_rr"] = partition.rho_t_rr
         payload["condition_i_minus_t_rr"] = im.cond
         payload["w"] = {
             "rows": list(partition.s_agents),
@@ -132,7 +125,8 @@ def analyze(config: ExperimentConfig) -> dict:
         ]
 
     if config.models is not None and config.step_sizes is not None:
-        _, points, stars = limit_points_for(config)
+        stars = pareto_points(partition, config.models, config.step_sizes)
+        points = influence.receiving_limit_points(im.w, stars, partition)
         payload["limit_points"] = {
             "w_star": [
                 {"subnetwork": s, "value": star} for s, star in enumerate(stars)
@@ -278,9 +272,46 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     return _jsonable(payload)
 
 
+def _json_key(key) -> str:
+    """A dict key as ``json`` turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value indented by ``pad``.
+
+    That call encodes every number in Python. Here each list without a nested
+    list or dict goes through the C encoder in one call, its items separated
+    by a newline and the next indentation, which gives the same text.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = (
+            f"{json.dumps(_json_key(k))}: {_encode(v, inner)}" for k, v in sorted(value.items())
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, value))):
+            body = (",\n" + inner).join(_encode(v, inner) for v in value)
+        else:
+            body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def write_json(payload: dict, path: Path) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_encode(payload, "") + "\n")
 
 
 def _write_rows(path: Path, header: str, prefixes: list[str], flat: list[float]) -> None:

@@ -1,4 +1,7 @@
+import importlib
 import json
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import yaml
 
 import atcnet as an
 from atcnet import cli, workflows
-from atcnet.config import load_config, load_preset, parse_config
+from atcnet.config import PRESET_NAMES, _YAML_LOADER, load_config, load_preset, parse_config
 from atcnet.errors import ConfigError
 
 from conftest import EIGHT_AGENT
@@ -103,6 +106,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="iterations"):
             parse_config(data)
 
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("step_sizes", "tau", 1.0, "step_sizes.tau"),
+            ("step_sizes", "tau", [None] * 8, "step_sizes"),
+            ("step_sizes", "mu_max", "x", "step_sizes.mu_max"),
+            ("run", "burn_in_fraction", "a", "run.burn_in_fraction"),
+            ("run", "burn_in_fraction", None, "run.burn_in_fraction"),
+            ("run", "seed", True, "run.seed"),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
+        data = eight_agent_config()
+        data[section][key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.field == field
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["analyze", "--config", str(path)]) == 1
+        assert f"{field}:" in capsys.readouterr().err
+
     def test_structure_only_config(self):
         config = parse_config(
             {"name": "s", "matrix": {"inline": [[1.0]]}, "run": {"seed": 2}}
@@ -129,6 +154,21 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             load_preset("nonexistent")
+
+    def test_yaml_loader_matches_python_safe_loader(self, tmp_path, monkeypatch):
+        # the presets and the configs the benchmark workloads write
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        texts = [
+            resources.files("atcnet").joinpath(f"presets/{name}.yaml").read_text()
+            for name in PRESET_NAMES
+        ]
+        for name, workload in workloads.WORKLOADS.items():
+            work = tmp_path / name
+            work.mkdir()
+            texts.append(workload.generate(1, work).config.read_text())
+        for text in texts:
+            assert yaml.load(text, Loader=_YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 class TestAnalyzeWorkflow:
@@ -337,6 +377,13 @@ class TestCli:
         path = self.write_config(tmp_path, data)
         assert cli.main(["analyze", "--config", path]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_non_finite_matrix_exit_code(self, tmp_path, capsys):
+        data = eight_agent_config()
+        data["matrix"]["inline"][6][2] = float("nan")
+        path = self.write_config(tmp_path, data)
+        assert cli.main(["analyze", "--config", path]) == 1
+        assert "matrix: weight from agent 6 to agent 2 is not finite" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["analyze", "--config", str(tmp_path / "nope.yaml")]) == 1

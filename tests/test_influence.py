@@ -107,20 +107,21 @@ class TestNeumann:
 class TestLimitingPower:
     def test_fully_connected_uniform(self, fully_connected):
         p = an.classify(fully_connected)
-        lim = an.limiting_power(fully_connected, p)
+        lim = an.limiting_power(p, an.influence_matrix(p))
         assert np.allclose(lim.original, 0.125, atol=1e-12)
 
     def test_eight_agent_against_matrix_power(self, eight_agent, eight_partition):
-        lim = an.limiting_power(eight_agent, eight_partition)
+        lim = an.limiting_power(eight_partition, an.influence_matrix(eight_partition))
         oracle = np.linalg.matrix_power(eight_agent.weights, 2000)
         assert np.abs(lim.original - oracle).max() < 1e-8
 
     def test_two_agent(self, two_agent):
-        lim = an.limiting_power(two_agent, an.classify(two_agent))
+        p = an.classify(two_agent)
+        lim = an.limiting_power(p, an.influence_matrix(p))
         assert np.allclose(lim.original, [[1.0, 1.0], [0.0, 0.0]], atol=1e-12)
 
     def test_idempotent_under_combination(self, eight_agent, eight_partition):
-        lim = an.limiting_power(eight_agent, eight_partition)
+        lim = an.limiting_power(eight_partition, an.influence_matrix(eight_partition))
         assert np.abs(lim.original @ eight_agent.weights - lim.original).max() < 1e-10
 
     def test_unpermutes_to_original_order(self):
@@ -128,7 +129,7 @@ class TestLimitingPower:
         raw, _, _ = random_weak_matrix(rng)
         a = an.validate(raw)
         p = an.classify(a)
-        lim = an.limiting_power(a, p)
+        lim = an.limiting_power(p, an.influence_matrix(p))
         assert np.allclose(p.permute(lim.original), lim.canonical, atol=1e-15)
         oracle = np.linalg.matrix_power(a.weights, 4000)
         assert np.abs(lim.original - oracle).max() < 1e-8

@@ -6,6 +6,7 @@ from atcnet.errors import (
     ColumnSumViolation,
     IsolatedRAgent,
     NegativeWeight,
+    NonFiniteWeight,
     NonPrimitiveSource,
     NonSquare,
 )
@@ -32,6 +33,14 @@ class TestValidate:
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
             an.validate([[1.1, 0.0], [-0.1, 1.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_named(self, value):
+        raw = EIGHT_AGENT.copy()
+        raw[6, 2] = value
+        with pytest.raises(NonFiniteWeight) as exc:
+            an.validate(raw)
+        assert (exc.value.source, exc.value.receiver) == (6, 2)
 
     def test_non_square(self):
         with pytest.raises(NonSquare):
@@ -89,6 +98,15 @@ class TestClassify:
         assert p.s_sizes == (8,)
         assert p.n_gr == 0
         assert p.t_rr.shape == (0, 0)
+        assert p.rho_t_rr == 0.0
+
+    def test_rho_t_rr_is_largest_receiving_block_radius(self):
+        rng = np.random.default_rng(4)
+        raw, _, _ = random_weak_matrix(rng, s_sizes=(2,), r_sizes=(3, 2, 4))
+        p = an.classify(an.validate(raw))
+        assert len(p.r_sizes) == 3
+        exact = np.abs(np.linalg.eigvals(p.t_rr)).max()
+        assert p.rho_t_rr == pytest.approx(exact, rel=1e-9)
 
     def test_periodic_source_rejected(self):
         with pytest.raises(NonPrimitiveSource):

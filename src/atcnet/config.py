@@ -16,7 +16,6 @@ file via ``matrix: {file: weights.csv}``.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -111,11 +110,13 @@ def _load_matrix(section, base_dir: Path) -> CombinationMatrix:
         path = base_dir / str(section["file"])
         if not path.exists():
             raise ConfigError(f"matrix file not found: {path}", field="matrix.file")
-        text = path.read_text()
-        delimiter = "," if "," in text.splitlines()[0] else None
         try:
-            raw = np.loadtxt(io.StringIO(text), delimiter=delimiter)
-        except ValueError as exc:
+            with path.open() as fh:
+                first = fh.readline()
+            if not first:
+                raise ConfigError(f"matrix file is empty: {path}", field="matrix.file")
+            raw = np.loadtxt(path, delimiter="," if "," in first else None)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"bad matrix file {path}: {exc}", field="matrix.file")
     try:
         return validate(np.atleast_2d(raw))
@@ -149,17 +150,31 @@ def _build_model(spec, index: int) -> CostModel:
     kind = _expect(spec, "kind", f"{field}.kind", str)
     try:
         if kind == "quadratic":
-            return QuadraticCost(
+            model = QuadraticCost(
                 r_u=_expect(spec, "r_u", f"{field}.r_u"),
                 sigma_v2=_expect(spec, "sigma_v2", f"{field}.sigma_v2", (int, float)),
                 w_o=_expect(spec, "w_o", f"{field}.w_o"),
             )
+            r = model.r_u
+            if not (np.all(np.isfinite(r)) and np.array_equal(r, r.T)):
+                raise ConfigError("r_u must be a finite symmetric matrix", field=f"{field}.r_u")
+            try:
+                np.linalg.cholesky(r)
+            except np.linalg.LinAlgError:
+                raise ConfigError("r_u must be positive definite", field=f"{field}.r_u")
+            return model
         if kind == "logistic":
+            eval_samples = _expect(spec, "eval_samples", f"{field}.eval_samples", int, False, 200000)
+            if eval_samples < 1:
+                raise ConfigError("eval_samples must be >= 1", field=f"{field}.eval_samples")
+            eval_seed = _expect(spec, "eval_seed", f"{field}.eval_seed", int, False, 0)
+            if eval_seed < 0:
+                raise ConfigError("eval_seed must be >= 0", field=f"{field}.eval_seed")
             return LogisticCost(
                 rho=_expect(spec, "rho", f"{field}.rho", (int, float)),
                 sampler=_build_sampler(_expect(spec, "sampler", f"{field}.sampler", dict), f"{field}.sampler"),
-                eval_samples=spec.get("eval_samples", 200000),
-                eval_seed=spec.get("eval_seed", 0),
+                eval_samples=eval_samples,
+                eval_seed=eval_seed,
             )
     except ConfigError:
         raise

@@ -32,7 +32,9 @@ def logistic_stochastic_gradient(w, gamma, h, rho):
     features (..., M), one sample per point.
     """
     z = gamma * np.einsum("...m,...m->...", h, w)
-    return -(gamma * inv_one_plus_exp(z))[..., None] * h + rho * w
+    grad = -(gamma * inv_one_plus_exp(z))[..., None] * h
+    grad += rho * w
+    return grad
 
 
 def finite_difference_gradient(f, point, eps: float = 1e-6) -> np.ndarray:
@@ -70,6 +72,10 @@ class CostModel(ABC):
 
     @abstractmethod
     def hessian(self, w: np.ndarray) -> np.ndarray: ...
+
+    def gradient_and_hessian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(true_gradient(w), hessian(w))``; sampled models share one pass."""
+        return self.true_gradient(w), self.hessian(w)
 
     @abstractmethod
     def true_loss(self, w: np.ndarray) -> float: ...
@@ -223,7 +229,14 @@ class TwoClassGaussianSampler(FeatureSampler):
 def quadratic_features(points: np.ndarray) -> np.ndarray:
     """Map 2-D points to the feature vector (5, x, y, x^2, y^2, x y)."""
     x, y = points[:, 0], points[:, 1]
-    return np.column_stack([np.full_like(x, 5.0), x, y, x * x, y * y, x * y])
+    out = np.empty((x.shape[0], 6))
+    out[:, 0] = 5.0
+    out[:, 1] = x
+    out[:, 2] = y
+    np.multiply(x, x, out=out[:, 3])
+    np.multiply(y, y, out=out[:, 4])
+    np.multiply(x, y, out=out[:, 5])
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,7 +267,9 @@ class EllipseSampler(FeatureSampler):
             0.9 * np.sqrt(rng.random(n)),
             rng.uniform(*self.outside_band, n),
         )
-        pts = np.column_stack([a * radius * np.cos(theta), b * radius * np.sin(theta)])
+        pts = np.empty((n, 2))
+        np.multiply(a * radius, np.cos(theta), out=pts[:, 0])
+        np.multiply(b * radius, np.sin(theta), out=pts[:, 1])
         if self.outlier_fraction > 0.0:
             hit = (gamma > 0) & (rng.random(n) < self.outlier_fraction)
             cluster = np.asarray(self.outlier_center) + self.outlier_std * rng.standard_normal((int(hit.sum()), 2))
@@ -288,17 +303,31 @@ class LogisticCost(CostModel):
         rng = np.random.default_rng(self.eval_seed)
         return self.sampler.draw(rng, self.eval_samples)
 
-    def true_gradient(self, w):
+    def _design_sigmoid(self, w):
+        """1 / (1 + exp(gamma h.w)) over the evaluation design: one product with h."""
         gamma, h = self._eval_batch
-        w = np.asarray(w, dtype=float)
-        sig = inv_one_plus_exp(gamma * (h @ w))
+        return inv_one_plus_exp(gamma * (h @ w))
+
+    def _gradient(self, w, sig):
+        gamma, h = self._eval_batch
         return self.rho * w - (gamma * sig) @ h / gamma.shape[0]
 
-    def hessian(self, w):
-        gamma, h = self._eval_batch
-        sig = inv_one_plus_exp(gamma * (h @ np.asarray(w, dtype=float)))
+    def _hessian(self, sig):
+        _, h = self._eval_batch
         weights = sig * (1.0 - sig)
-        return self.rho * np.eye(self.dimension) + (h * weights[:, None]).T @ h / gamma.shape[0]
+        return self.rho * np.eye(self.dimension) + (h * weights[:, None]).T @ h / h.shape[0]
+
+    def true_gradient(self, w):
+        w = np.asarray(w, dtype=float)
+        return self._gradient(w, self._design_sigmoid(w))
+
+    def hessian(self, w):
+        return self._hessian(self._design_sigmoid(np.asarray(w, dtype=float)))
+
+    def gradient_and_hessian(self, w):
+        w = np.asarray(w, dtype=float)
+        sig = self._design_sigmoid(w)
+        return self._gradient(w, sig), self._hessian(sig)
 
     def true_loss(self, w):
         gamma, h = self._eval_batch
@@ -344,6 +373,9 @@ class ZeroedObservations(CostModel):
     def hessian(self, w):
         return self.inner.hessian(w)
 
+    def gradient_and_hessian(self, w):
+        return self.inner.gradient_and_hessian(w)
+
     def true_loss(self, w):
         return self.inner.true_loss(w)
 
@@ -371,7 +403,8 @@ def noise_covariance_at(
         raise ValueError("covariance estimation needs n_samples >= 1000")
     point = np.asarray(point, dtype=float)
     batch = model.draw_batch(rng, n_samples)
-    noise = model.gradient_rows(point, batch) - model.true_gradient(point)
+    noise = model.gradient_rows(point, batch)
+    noise -= model.true_gradient(point)
     return NoiseCovariance(g=noise.T @ noise / n_samples)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NonPositive,
     SingularAggregateHessian,
 )
-from .influence import influence_matrix, influence_vector
+from .influence import InfluenceMatrix, influence_matrix, influence_vector
 from .topology import NetworkPartition, _frozen
 
 MSD_NOISE_SAMPLES = 1_000_000
@@ -50,8 +50,9 @@ def _aggregate(models, q, point):
     grad = np.zeros(models[0].dimension)
     hess = np.zeros((models[0].dimension,) * 2)
     for qk, model in zip(q, models):
-        grad += qk * model.true_gradient(point)
-        hess += qk * model.hessian(point)
+        g, h = model.gradient_and_hessian(point)
+        grad += qk * g
+        hess += qk * h
     return grad, hess
 
 
@@ -67,6 +68,8 @@ def pareto_solve(
     run on the weighted aggregate gradient (sampled models keep their fixed
     evaluation designs, so the target is deterministic), falling back to
     gradient descent with backtracking when a Newton step fails to help.
+    An accepted point's gradient and Hessian serve the next iteration, so K
+    Newton steps evaluate the models K + 1 times.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[0] != len(models):
@@ -84,8 +87,8 @@ def pareto_solve(
         return np.linalg.solve(lhs, rhs)
 
     w = np.zeros(m)
+    grad, hess = _aggregate(models, q, w)
     for _ in range(max_iter):
-        grad, hess = _aggregate(models, q, w)
         if np.abs(grad).max() < tol:
             return w
         try:
@@ -93,9 +96,9 @@ def pareto_solve(
         except np.linalg.LinAlgError as exc:
             raise SingularAggregateHessian(str(exc)) from exc
         candidate = w - step
-        cand_grad, _ = _aggregate(models, q, candidate)
+        cand_grad, cand_hess = _aggregate(models, q, candidate)
         if np.abs(cand_grad).max() < np.abs(grad).max():
-            w = candidate
+            w, grad, hess = candidate, cand_grad, cand_hess
             continue
         # Backtracking descent on the weighted aggregate cost.
         cost = lambda v: sum(qk * mod.true_loss(v) for qk, mod in zip(q, models))
@@ -109,7 +112,7 @@ def pareto_solve(
             t *= 0.5
         else:
             raise NoConvergence(max_iter, what="Pareto solve line search")
-    grad, _ = _aggregate(models, q, w)
+        grad, hess = _aggregate(models, q, w)
     if np.abs(grad).max() < tol:
         return w
     raise NoConvergence(max_iter, what="Pareto solve")
@@ -185,12 +188,14 @@ def theoretical_msd(
     w_stars: list[np.ndarray] | None = None,
     noise_samples: int = MSD_NOISE_SAMPLES,
     noise_seed: int = 0,
+    im: InfluenceMatrix | None = None,
 ) -> MsdReport:
     """Closed-form MSD report for the whole network.
 
     Hessians and gradient-noise covariances are evaluated at each sending
     sub-network's Pareto point; models without an analytic covariance are
-    estimated empirically with ``noise_samples`` draws.
+    estimated empirically with ``noise_samples`` draws. ``im`` is the
+    partition's influence matrix, solved for here when not given.
     """
     qw = q_weights(partition, step_sizes)
     subnetworks = []
@@ -226,7 +231,7 @@ def theoretical_msd(
 
     r_entries = []
     if partition.n_gr:
-        w = influence_matrix(partition).w
+        w = (im if im is not None else influence_matrix(partition)).w
         for agent in partition.r_agents:
             c = influence_vector(w, partition, agent).entries
             msd = msd_receiving(c, msd_values)

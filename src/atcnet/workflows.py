@@ -62,16 +62,12 @@ def pareto_points(
     ]
 
 
-def _limit_points(partition: NetworkPartition, stars):
-    w = influence.influence_matrix(partition).w
-    return influence.receiving_limit_points(w, stars, partition)
-
-
 def limit_points_for(config: ExperimentConfig):
     """Partition, limit points and Pareto solutions for a full config."""
     partition = classify(config.matrix)
     stars = pareto_points(partition, config.require_models(), config.require_step_sizes())
-    return partition, _limit_points(partition, stars), stars
+    w = influence.influence_matrix(partition).w
+    return partition, influence.receiving_limit_points(w, stars, partition), stars
 
 
 def analyze(config: ExperimentConfig) -> dict:
@@ -158,14 +154,17 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
     if step_sizes.n != config.n:
         raise ConfigError("step sizes and matrix disagree on agent count")
     partition = classify(config.matrix)
-    return _simulate(config, partition, pareto_points(partition, models, step_sizes))
+    stars = pareto_points(partition, models, step_sizes)
+    return _simulate(config, partition, stars, influence.influence_matrix(partition).w)
 
 
-def _simulate(config: ExperimentConfig, partition: NetworkPartition, stars) -> SimulationResult:
-    """Monte-Carlo diffusion on the partition and Pareto solutions of ``config``."""
+def _simulate(
+    config: ExperimentConfig, partition: NetworkPartition, stars, w: np.ndarray
+) -> SimulationResult:
+    """Monte-Carlo diffusion on the partition, Pareto solutions and W of ``config``."""
     iterations = config.require_iterations()
     step_sizes = config.require_step_sizes()
-    lp = _limit_points(partition, stars).by_original_agent()
+    lp = influence.receiving_limit_points(w, stars, partition).by_original_agent()
     trajectories = engine.run_ensemble(
         config.matrix,
         list(config.require_models()),
@@ -223,8 +222,9 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     step_sizes = config.require_step_sizes()
     partition = classify(config.matrix)
     stars = pareto_points(partition, list(models), step_sizes)
+    im = influence.influence_matrix(partition)
     report = performance.theoretical_msd(
-        partition, list(models), step_sizes, w_stars=stars
+        partition, list(models), step_sizes, w_stars=stars, im=im
     )
     payload: dict = {
         "name": config.name,
@@ -249,7 +249,7 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
-        result = _simulate(config, partition, stars)
+        result = _simulate(config, partition, stars, im.w)
         if result.estimate is None:
             raise ConfigError("comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs")
         rows = performance.compare(report, result.estimate)
@@ -281,8 +281,8 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _encode(value, pad: str) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a value indented by ``pad``.
+def _chunks(value, pad: str):
+    """Pieces of ``json.dumps(value, indent=2, sort_keys=True)`` for a value indented by ``pad``.
 
     That call encodes every number in Python. Here each list without a nested
     list or dict goes through the C encoder in one call, its items separated
@@ -290,28 +290,42 @@ def _encode(value, pad: str) -> str:
     """
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            yield "{}"
+            return
         inner = pad + "  "
-        items = (
-            f"{json.dumps(_json_key(k))}: {_encode(v, inner)}" for k, v in sorted(value.items())
-        )
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
+        sep = "{\n" + inner
+        for k, v in sorted(value.items()):
+            yield f"{sep}{json.dumps(_json_key(k))}: "
+            yield from _chunks(v, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            yield "[]"
+            return
         inner = pad + "  "
         if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, value))):
-            body = (",\n" + inner).join(_encode(v, inner) for v in value)
+            sep = "[\n" + inner
+            for v in value:
+                yield sep
+                yield from _chunks(v, inner)
+                sep = ",\n" + inner
         else:
-            body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(value)
+            yield "[\n" + inner + json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        yield "\n" + pad + "]"
+    else:
+        yield json.dumps(value)
 
 
 def write_json(payload: dict, path: Path) -> None:
-    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+
+    The text is written as it is encoded, so it is never held whole.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_encode(payload, "") + "\n")
+    with path.open("w") as fh:
+        fh.writelines(_chunks(payload, ""))
+        fh.write("\n")
 
 
 def _write_rows(path: Path, header: str, prefixes: list[str], flat: list[float]) -> None:

@@ -13,6 +13,7 @@ from atcnet.config import PRESET_NAMES, _YAML_LOADER, load_config, load_preset, 
 from atcnet.errors import ConfigError
 
 from conftest import EIGHT_AGENT
+from test_analysis_output import count_calls
 from test_influence import W_REFERENCE
 
 RUN_0_CSV = """iteration,agent_id,sq_error
@@ -31,6 +32,14 @@ LEARNING_CURVE_CSV = """iteration,agent_id,mean_sq_error_db
 30,0,-inf
 30,1,37.90731125052567
 """
+
+LOGISTIC_1D = {
+    "kind": "logistic",
+    "rho": 0.1,
+    "sampler": {"kind": "two_class_gaussian", "mean_pos": [1.0], "mean_neg": [-1.0]},
+}
+QUADRATIC_1D = {"kind": "quadratic", "w_o": 1.0, "sigma_v2": 0.01}
+QUADRATIC_2D = {"kind": "quadratic", "w_o": [1.0, 1.0], "sigma_v2": 0.01}
 
 
 def eight_agent_config(**run_overrides):
@@ -115,6 +124,16 @@ class TestParseConfig:
             ("run", "burn_in_fraction", "a", "run.burn_in_fraction"),
             ("run", "burn_in_fraction", None, "run.burn_in_fraction"),
             ("run", "seed", True, "run.seed"),
+            ("models", 2, {**LOGISTIC_1D, "eval_samples": "x"}, "models[2].eval_samples"),
+            ("models", 2, {**LOGISTIC_1D, "eval_samples": 0}, "models[2].eval_samples"),
+            ("models", 2, {**LOGISTIC_1D, "eval_samples": 1000.0}, "models[2].eval_samples"),
+            ("models", 2, {**LOGISTIC_1D, "eval_seed": True}, "models[2].eval_seed"),
+            ("models", 2, {**LOGISTIC_1D, "eval_seed": -1}, "models[2].eval_seed"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": -1.0}, "models[2].r_u"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": 0.0}, "models[2].r_u"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": float("nan")}, "models[2].r_u"),
+            ("models", 2, {**QUADRATIC_2D, "r_u": [[1.0, 2.0], [2.0, 1.0]]}, "models[2].r_u"),
+            ("models", 2, {**QUADRATIC_2D, "r_u": [[1.0, 0.5], [0.2, 1.0]]}, "models[2].r_u"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -127,6 +146,23 @@ class TestParseConfig:
         path.write_text(yaml.safe_dump(data))
         assert cli.main(["analyze", "--config", str(path)]) == 1
         assert f"{field}:" in capsys.readouterr().err
+
+    def test_logistic_eval_fields_accepted(self):
+        data = eight_agent_config()
+        data["models"][2] = {**LOGISTIC_1D, "eval_samples": 1000, "eval_seed": 3}
+        model = parse_config(data).models[2]
+        assert (model.eval_samples, model.eval_seed) == (1000, 3)
+
+    def test_empty_matrix_file_rejected(self, tmp_path, capsys):
+        (tmp_path / "weights.csv").write_text("")
+        data = {"name": "t", "matrix": {"file": "weights.csv"}, "run": {"seed": 1}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data, base_dir=tmp_path)
+        assert exc.value.field == "matrix.file"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "matrix.file:" in capsys.readouterr().err
 
     def test_structure_only_config(self):
         config = parse_config(
@@ -309,6 +345,14 @@ class TestMsdWorkflow:
         assert len(payload["comparison"]) == 8
         for entry in payload["r_agents"]:
             assert "sim_db" in entry and "delta_db" in entry
+
+    def test_with_sim_solves_for_w_once(self, monkeypatch):
+        from atcnet import influence
+
+        influence_matrix = count_calls(monkeypatch, influence, "influence_matrix")
+        payload = workflows.msd(parse_config(eight_agent_config()), with_sim=True)
+        assert "comparison" in payload
+        assert len(influence_matrix) == 1
 
     def test_zero_noise_guarded(self):
         data = eight_agent_config()

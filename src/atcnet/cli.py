@@ -7,8 +7,8 @@ Subcommands::
     atcnet msd      --config <path|preset> [--out DIR] [--with-sim]
     atcnet verify   [--filter NAME]
 
-Exit codes: 0 success, 1 configuration error, 2 divergence, 3 verification
-failure.
+Exit codes: 0 success, 1 configuration or I/O error, 2 divergence, 3
+verification failure.
 """
 from __future__ import annotations
 
@@ -91,16 +91,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    result = workflows.simulate(config)
     out = _out_dir(args, config)
-    written = workflows.write_simulation_outputs(result, out)
+    result = workflows.simulate(config, out_dir=out)
     if result.estimate is not None:
         for k, (est, hw) in enumerate(
             zip(result.estimate.per_agent, result.estimate.halfwidth)
         ):
             db = 10.0 * math.log10(est) if est > 0 else float("-inf")
             print(f"agent {k}: MSD estimate {db:.2f} dB (+/- {hw:.2e} linear)")
-    print(f"wrote {len(written)} files under {out}")
+    print(f"wrote {len(result.written)} files under {out}")
     return EXIT_OK
 
 
@@ -148,6 +147,9 @@ def main(argv=None) -> int:
         if config_path:
             print(f"config: {config_path}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

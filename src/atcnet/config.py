@@ -111,8 +111,8 @@ def _load_matrix(section, base_dir: Path) -> CombinationMatrix:
         if not path.exists():
             raise ConfigError(f"matrix file not found: {path}", field="matrix.file")
         try:
-            with path.open() as fh:
-                first = fh.readline()
+            with path.open() as fh:  # the first line with data, as np.loadtxt sees lines
+                first = next((line for line in fh if line.partition("#")[0].strip()), "")
             if not first:
                 raise ConfigError(f"matrix file is empty: {path}", field="matrix.file")
             raw = np.loadtxt(path, delimiter="," if "," in first else None)

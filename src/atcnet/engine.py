@@ -99,6 +99,11 @@ class LongTermState:
     iteration: int = 0
 
 
+def recorded_iterations(iterations: int, stride: int) -> np.ndarray:
+    """Completed-iteration counts after which a run records its squared errors."""
+    return np.arange(stride, iterations + 1, stride)
+
+
 def _adapt_combine(weights_t, mu, x, grads):
     """All agents step along ``grads`` (adapt), then all average (combine)."""
     return np.matmul(weights_t, x - mu * grads)
@@ -174,13 +179,15 @@ class _Kernel:
     def run(
         self, limit_points, iterations, n_runs, seed, stride, *, w_init=None,
         record_iterates=False, burn_in_fraction=None, noise_at=None,
-        threshold=DIVERGENCE_THRESHOLD,
+        threshold=DIVERGENCE_THRESHOLD, records=None,
     ) -> dict:
         """Iterate from ``w_init`` over independent (seed, run, agent) streams.
 
         Returns read-only records with runs on the first axis. With
         ``noise_at`` set, the linear model of ``run_paired_long_term`` runs
-        alongside.
+        alongside. ``records``, when given, is called at each sample-block
+        boundary and once at the end with the (runs, records, N) squared
+        errors recorded since its previous call.
         """
         n, m, wt, mu = self.n, self.m, self.weights_t, self.mu
         if iterations < 1:
@@ -191,7 +198,7 @@ class _Kernel:
                 f"limit points have shape {limit_points.shape}, expected {(n, m)}"
             )
         rngs = [[np.random.default_rng([seed, r, k]) for k in range(n)] for r in range(n_runs)]
-        rec_iters = np.arange(stride, iterations + 1, stride)
+        rec_iters = recorded_iterations(iterations, stride)
         n_rec = rec_iters.shape[0]
         sq_error = np.empty((n_runs, n_rec, n))
         iterates = np.empty((n_runs, n_rec, n, m)) if record_iterates else None
@@ -208,9 +215,13 @@ class _Kernel:
             max_gap = np.zeros(n_runs)
             at_limit = np.broadcast_to(limit_points, x.shape)
 
+        sent = 0  # records handed to ``records`` so far
         for i in range(iterations):
             j = i % _BLOCK
             if j == 0:
+                if records is not None and i // stride > sent:
+                    records(sq_error[:, sent : i // stride])
+                    sent = i // stride
                 self.draw(rngs, _BLOCK)
             grads = noisy = self.gradients(x, j)
             if noise_at == "limit_point":
@@ -238,6 +249,8 @@ class _Kernel:
                     tail += x
                 if noise_at is not None:
                     sq_model[:, rec_at] = np.einsum("rkm,rkm->rk", err, err)
+        if records is not None and n_rec > sent:
+            records(sq_error[:, sent:])
         out = {"iterations": rec_iters, "sq_error": sq_error, "iterates": iterates}
         if burn_in_fraction is not None:
             out["mean_iterate_tail"] = tail / (n_rec - tail_from)
@@ -281,6 +294,7 @@ def run_ensemble(
     record_iterates: bool = False,
     divergence_threshold: float = DIVERGENCE_THRESHOLD,
     burn_in_fraction: float | None = None,
+    records=None,
 ) -> list[Trajectory]:
     """Monte-Carlo ensemble of diffusion runs with independent streams.
 
@@ -297,12 +311,16 @@ def run_ensemble(
         When given, each Trajectory carries ``mean_iterate_tail``: the mean
         of the recorded iterates after this fraction of the records,
         accumulated without storing them.
+    records : callable, optional
+        Called at each 1024-sample block boundary, and once at the end, with
+        a (runs, records, N) view of the squared errors recorded since its
+        previous call; lets a caller write them out while the runs go on.
 
     Returns one Trajectory per run. Deterministic in (master_seed, config).
     """
     rec = _Kernel(a, models, step_sizes).run(
         limit_points, iterations, n_runs, master_seed, stride, record_iterates=record_iterates,
-        burn_in_fraction=burn_in_fraction, threshold=divergence_threshold,
+        burn_in_fraction=burn_in_fraction, threshold=divergence_threshold, records=records,
     )
     tail = rec.get("mean_iterate_tail")
     return [

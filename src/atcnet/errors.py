@@ -1,8 +1,21 @@
 """Exception types raised across the package."""
 
 
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class AtcnetError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Subclasses build their message from their own arguments, so unpickling
+    restores the message and attributes instead of calling ``__init__`` again.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class NonSquare(AtcnetError):

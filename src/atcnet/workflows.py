@@ -10,9 +10,13 @@ artifacts, keeping file layout and schemas in one place:
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass
+import os
+import shutil
+import tempfile
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -144,24 +148,52 @@ class SimulationResult:
     trajectories: list[engine.Trajectory]
     estimate: engine.MsdEstimate | None
     payload: dict
+    written: list[Path] = field(default_factory=list)  # files ``simulate`` wrote
 
 
-def simulate(config: ExperimentConfig) -> SimulationResult:
-    """Monte-Carlo diffusion per the config's run controls."""
-    config.require_iterations()
+def simulate(config: ExperimentConfig, out_dir: Path | None = None) -> SimulationResult:
+    """Monte-Carlo diffusion per the config's run controls.
+
+    With ``out_dir``, the files of ``write_simulation_outputs`` are written
+    too: the run CSVs and the learning curve by a spawned writer process
+    while the runs go on (see ``_OutputWriter``), then summary.json. If the
+    simulation fails, ``out_dir`` is left as it was. The writer is started
+    with ``spawn``, so a script calling this with ``out_dir`` needs the
+    ``if __name__ == "__main__":`` guard.
+    """
+    iterations = config.require_iterations()
     models = config.require_models()
     step_sizes = config.require_step_sizes()
     if step_sizes.n != config.n:
         raise ConfigError("step sizes and matrix disagree on agent count")
+    if out_dir is None:
+        return _simulate_config(config, models, step_sizes)
+    out_dir = Path(out_dir)
+    sizes = (config.run.monte_carlo_runs, config.n, iterations, config.run.stride)
+    with _OutputWriter(out_dir, *sizes) as writer:
+        result = _simulate_config(config, models, step_sizes, records=writer.send)
+        result.written = writer.commit()
+    summary_path = out_dir / "summary.json"
+    write_json(result.payload, summary_path)
+    result.written.append(summary_path)
+    return result
+
+
+def _simulate_config(config, models, step_sizes, records=None) -> SimulationResult:
+    """Structure, Pareto solutions and W of ``config``, then ``_simulate``."""
     partition = classify(config.matrix)
     stars = pareto_points(partition, models, step_sizes)
-    return _simulate(config, partition, stars, influence.influence_matrix(partition).w)
+    w = influence.influence_matrix(partition).w
+    return _simulate(config, partition, stars, w, records=records)
 
 
 def _simulate(
-    config: ExperimentConfig, partition: NetworkPartition, stars, w: np.ndarray
+    config: ExperimentConfig, partition: NetworkPartition, stars, w: np.ndarray, records=None
 ) -> SimulationResult:
-    """Monte-Carlo diffusion on the partition, Pareto solutions and W of ``config``."""
+    """Monte-Carlo diffusion on the partition, Pareto solutions and W of ``config``.
+
+    ``records`` is handed to ``engine.run_ensemble``.
+    """
     iterations = config.require_iterations()
     step_sizes = config.require_step_sizes()
     lp = influence.receiving_limit_points(w, stars, partition).by_original_agent()
@@ -175,6 +207,7 @@ def _simulate(
         master_seed=config.run.seed,
         stride=config.run.stride,
         burn_in_fraction=config.run.burn_in_fraction if config.run.record_iterates else None,
+        records=records,
     )
     estimate = (
         engine.estimate_msd(trajectories, config.run.burn_in_fraction)
@@ -208,12 +241,6 @@ def _simulate(
         estimate=estimate,
         payload=_jsonable(payload),
     )
-
-
-def learning_curve(trajectories: list[engine.Trajectory]) -> tuple[np.ndarray, np.ndarray]:
-    """Across-run mean squared error per recorded iteration; (iters, (T, N))."""
-    mean = np.mean([traj.sq_error for traj in trajectories], axis=0)
-    return trajectories[0].iterations, mean
 
 
 def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
@@ -328,41 +355,158 @@ def write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_rows(path: Path, header: str, prefixes: list[str], flat: list[float]) -> None:
-    """Write ``header``, then one row ``prefix + repr(value)`` per value.
+def _append_rows(path: Path, prefixes: list[str], flat: list[float]) -> None:
+    """Append one row ``prefix + repr(value)`` per value to ``path``.
 
     ``prefixes`` holds the ``iteration,agent_id,`` of each row, in the
     row-major order of ``flat``; rows are joined and written in bounded chunks.
     """
-    with path.open("w") as fh:
-        fh.write(header + "\n")
+    with path.open("a") as fh:
         for at in range(0, len(flat), _CSV_CHUNK_ROWS):
             chunk = slice(at, at + _CSV_CHUNK_ROWS)
-            fh.write("".join(map("{}{!r}\n".format, prefixes[chunk], flat[chunk])))
+            fh.write("".join([f"{p}{v!r}\n" for p, v in zip(prefixes[chunk], flat[chunk])]))
+
+
+class _CsvWriter:
+    """Writes ``runs/run_<r>.csv`` and ``learning_curve.csv`` under ``out_dir``, a block at a time.
+
+    Each ``write`` appends the next records of every run and their across-run
+    mean in dB. The mean adds the runs in order and divides by their count,
+    as ``np.mean(..., axis=0)`` does, so blocks of any size give the same bytes.
+    """
+
+    def __init__(self, out_dir: Path, n_runs: int, iterations: np.ndarray):
+        (out_dir / "runs").mkdir(parents=True, exist_ok=True)
+        self.runs = [out_dir / "runs" / f"run_{r}.csv" for r in range(n_runs)]
+        self.curve = out_dir / "learning_curve.csv"
+        self.iterations = iterations.tolist()
+        self.done = 0
+        for path in self.runs:
+            path.write_text("iteration,agent_id,sq_error\n")
+        self.curve.write_text("iteration,agent_id,mean_sq_error_db\n")
+
+    @property
+    def paths(self) -> list[Path]:
+        return [*self.runs, self.curve]
+
+    def write(self, rows) -> None:
+        """Append the next records: one (records, N) array per run."""
+        count, n = rows[0].shape
+        iters = self.iterations[self.done : self.done + count]
+        self.done += count
+        prefixes = [f"{it},{k}," for it in iters for k in range(n)]
+        for path, values in zip(self.runs, rows):
+            _append_rows(path, prefixes, values.ravel().tolist())
+        mean = rows[0].copy()
+        for values in rows[1:]:
+            mean += values
+        mean /= len(rows)
+        db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in mean.ravel().tolist()]
+        _append_rows(self.curve, prefixes, db)
 
 
 def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Path]:
     """Write per-run CSVs, the aggregate learning curve and summary.json."""
     out_dir = Path(out_dir)
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    iters, mean = learning_curve(result.trajectories)
-    prefixes = [f"{it},{k}," for it in iters.tolist() for k in range(mean.shape[1])]
-    written = []
-    for traj in result.trajectories:
-        path = runs_dir / f"run_{traj.run_index}.csv"
-        _write_rows(path, "iteration,agent_id,sq_error", prefixes, traj.sq_error.ravel().tolist())
-        written.append(path)
-
-    db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in mean.ravel().tolist()]
-    curve_path = out_dir / "learning_curve.csv"
-    _write_rows(curve_path, "iteration,agent_id,mean_sq_error_db", prefixes, db)
-    written.append(curve_path)
-
+    writer = _CsvWriter(out_dir, len(result.trajectories), result.trajectories[0].iterations)
+    writer.write([traj.sq_error for traj in result.trajectories])
     summary_path = out_dir / "summary.json"
     write_json(result.payload, summary_path)
-    written.append(summary_path)
-    return written
+    return [*writer.paths, summary_path]
+
+
+def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: int, stride: int):
+    """Body of ``_OutputWriter``'s process.
+
+    Stages the CSVs in a new directory under ``out_dir`` from the record
+    blocks received on ``conn``. An empty message moves them into place and
+    answers with their paths; an error is answered with the exception. If
+    the pipe closes first, everything this process created is removed.
+    """
+    out = Path(out_dir)
+    runs_dir = out / "runs"
+    created = [d for d in (runs_dir, *runs_dir.parents) if not d.exists()]
+    staging, reply = None, None
+    try:
+        runs_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        writer = _CsvWriter(staging, n_runs, engine.recorded_iterations(iterations, stride))
+        while data := conn.recv_bytes():
+            writer.write(np.frombuffer(data).reshape(n_runs, -1, n_agents))
+        reply = [out / path.relative_to(staging) for path in writer.paths]
+        for path, target in zip(writer.paths, reply):
+            os.replace(path, target)
+    except EOFError:
+        pass
+    except Exception as exc:
+        reply = exc
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        if not isinstance(reply, list):
+            for d in created:  # deepest first; a directory that is not empty stays
+                with contextlib.suppress(OSError):
+                    d.rmdir()
+    if reply is not None:
+        with contextlib.suppress(OSError):
+            conn.send(reply)
+
+
+class _OutputWriter:
+    """A spawned process that writes a simulation's CSVs while its runs go on.
+
+    ``send`` is the ``records`` callback of ``engine.run_ensemble``: it sends
+    each block of squared errors as raw float64 bytes. ``commit`` moves the
+    files into ``out_dir`` and returns their paths. Leaving the ``with``
+    block closes the pipe and waits for the process; before ``commit`` that
+    makes the writer remove what it wrote. An error in the writer is raised
+    here at the next ``send`` or at ``commit``.
+    """
+
+    def __init__(self, out_dir: Path, n_runs: int, n_agents: int, iterations: int, stride: int):
+        import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
+
+        ctx = multiprocessing.get_context("spawn")
+        self.conn, child = ctx.Pipe()
+        # Only sizes go as arguments: once pickled arguments outgrow the OS pipe
+        # buffer, ``start`` blocks until the new process has imported atcnet.
+        self.process = ctx.Process(
+            target=_write_streamed,
+            args=(child, str(out_dir), n_runs, n_agents, iterations, stride),
+            name="atcnet-writer", daemon=True,
+        )
+        self.process.start()
+        child.close()
+
+    def __enter__(self) -> "_OutputWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.conn.close()
+        self.process.join()
+
+    def _reply(self):
+        """The writer's answer: its paths, its error, or an error saying it exited."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self.process.join()
+            return OSError(f"output writer exited with code {self.process.exitcode}")
+
+    def send(self, rows: np.ndarray) -> None:
+        if self.conn.poll():  # before commit, the writer only speaks to report a failure
+            raise self._reply()
+        try:
+            self.conn.send_bytes(rows.tobytes())
+        except OSError:
+            raise self._reply() from None
+
+    def commit(self) -> list[Path]:
+        self.send(np.empty(0))  # an empty message: the writer moves its files into place
+        reply = self._reply()
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
 
 def human_summary(payload: dict) -> str:

@@ -1,5 +1,11 @@
 import importlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -164,6 +170,19 @@ class TestParseConfig:
         assert cli.main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "matrix.file:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["\n\n", "  \n# no data, only a comment\n\t\n"])
+    def test_blank_matrix_file_rejected(self, tmp_path, capsys, text):
+        # numpy would warn "input contained no data" and return an empty array
+        (tmp_path / "weights.csv").write_text(text)
+        data = {"name": "t", "matrix": {"file": "weights.csv"}, "run": {"seed": 1}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data, base_dir=tmp_path)
+        assert exc.value.field == "matrix.file"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "matrix.file: matrix file is empty" in capsys.readouterr().err
+
     def test_structure_only_config(self):
         config = parse_config(
             {"name": "s", "matrix": {"inline": [[1.0]]}, "run": {"seed": 2}}
@@ -320,6 +339,47 @@ class TestSimulateWorkflow:
         with pytest.raises(ConfigError):
             workflows.simulate(config)
 
+    def test_writer_exits_when_its_parent_dies(self, tmp_path):
+        # the parent starts a writer, sends one block and is killed before commit
+        out = tmp_path / "out"
+        script = (
+            "import os, signal, numpy as np\n"
+            "from atcnet import workflows\n"
+            "if __name__ == '__main__':\n"
+            f"    w = workflows._OutputWriter(__import__('pathlib').Path({str(out)!r}), 2, 3, 10, 1)\n"
+            "    w.send(np.ones((2, 4, 3)))\n"
+            "    print(w.process.pid, flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == -signal.SIGKILL
+        writer = int(proc.stdout)
+        deadline = time.monotonic() + 60
+        while _running(writer) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(writer)
+        assert not out.exists()
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _tree(root: Path) -> dict:
+    """Every file (with its bytes) and directory under ``root``."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in sorted(root.rglob("*"))
+    }
+
 
 class TestMsdWorkflow:
     def test_schema(self):
@@ -441,6 +501,65 @@ class TestCli:
         code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "divergence" in capsys.readouterr().err
+
+    def test_streamed_outputs_match_in_process_writer(self, tmp_path, capsys):
+        # 2500 iterations with stride 7: neither the last sample block nor the
+        # last stride is complete, so the writer gets uneven blocks
+        data = eight_agent_config(iterations=2500, stride=7, monte_carlo_runs=3)
+        path = self.write_config(tmp_path, data)
+        streamed, direct = tmp_path / "streamed", tmp_path / "direct"
+        assert cli.main(["simulate", "--config", path, "--out", str(streamed)]) == 0
+        assert f"wrote 5 files under {streamed}" in capsys.readouterr().out
+        written = workflows.write_simulation_outputs(
+            workflows.simulate(parse_config(data)), direct
+        )
+        assert _tree(streamed).keys() == _tree(direct).keys() == {
+            "runs", "runs/run_0.csv", "runs/run_1.csv", "runs/run_2.csv",
+            "learning_curve.csv", "summary.json",
+        }
+        for p in written:
+            name = p.relative_to(direct)
+            if p.suffix == ".csv":
+                assert (streamed / name).read_bytes() == p.read_bytes(), name
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (streamed, direct)]
+        assert workflows.comparison_payload(summaries[0]) == workflows.comparison_payload(
+            summaries[1]
+        )
+        assert len((streamed / "runs" / "run_0.csv").read_text().splitlines()) == 1 + 357 * 8
+        assert multiprocessing.active_children() == []
+
+    def test_failed_simulate_leaves_outputs_as_they_were(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = self.write_config(tmp_path, eight_agent_config(monte_carlo_runs=3))
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        before = _tree(out)
+
+        data = eight_agent_config(iterations=4000, stride=7, monte_carlo_runs=3)
+        data["step_sizes"]["mu_max"] = 1.05
+        with pytest.raises(an.errors.Diverged) as exc:
+            workflows.simulate(parse_config(data))
+        assert exc.value.iteration > 1024  # after the writer got its first block
+        path = self.write_config(tmp_path, data)
+        capsys.readouterr()
+        fresh = tmp_path / "fresh" / "deeper"
+        for target in (out, fresh):
+            assert cli.main(["simulate", "--config", path, "--out", str(target)]) == 2
+            assert f"divergence: {exc.value}\n" in capsys.readouterr().err
+            assert multiprocessing.active_children() == []
+        assert _tree(out) == before
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_unwritable_output_path_exit_code(self, tmp_path, capsys, command):
+        (tmp_path / "some_file").write_text("")
+        path = self.write_config(tmp_path, eight_agent_config())
+        out = tmp_path / "some_file" / "x"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "Not a directory" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_seed_override(self, tmp_path):
         path = self.write_config(tmp_path, eight_agent_config())

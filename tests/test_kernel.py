@@ -137,6 +137,16 @@ class TestBatchedKernel:
             start = int(np.floor(0.4 * traj.iterates.shape[0]))
             assert np.array_equal(traj.mean_iterate_tail, traj.iterates[start:].mean(axis=0))
 
+    def test_records_callback_hands_over_each_record_once_per_block(self):
+        # stride 7: blocks end after records 1024 // 7 = 146 and 2048 // 7 = 292;
+        # the last call hands over the 357 - 292 records of the partial block
+        blocks = []
+        runs = engine.run_ensemble(*preset_network(), iterations=2500, n_runs=2, master_seed=3,
+                                   stride=7, records=lambda rows: blocks.append(rows.copy()))
+        assert [b.shape for b in blocks] == [(2, 146, 8), (2, 146, 8), (2, 65, 8)]
+        stacked = np.stack([t.sq_error for t in runs])
+        assert np.array_equal(np.concatenate(blocks, axis=1), stacked)
+
     @pytest.mark.parametrize("noise_at", ["iterate", "limit_point"])
     def test_linear_companion_leaves_the_run_unchanged(self, noise_at):
         args = preset_network()

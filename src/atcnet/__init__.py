@@ -59,7 +59,6 @@ from .topology import (
     CombinationMatrix,
     Condensation,
     NetworkPartition,
-    PerronVector,
     classify,
     condense,
     perron,

@@ -22,7 +22,7 @@ from .costs import (
     ZeroedObservations,
     finite_difference_gradient,
 )
-from .topology import classify, spectral_radius, validate
+from .topology import classify, validate
 
 # Influence matrix of the three-subnetwork preset, rounded to 4 decimals.
 W_REFERENCE = np.array(
@@ -137,7 +137,7 @@ def _check_structural_properties() -> tuple[bool, str]:
     power_err = np.abs(a2000 - lim.original).max()
     checks.append(("limiting power", power_err < 1e-8, f"{power_err:.2e} < 1e-8"))
 
-    rho = spectral_radius(partition.t_rr)
+    rho = partition.rho_t_rr
     exact = im.w
     errors = [
         np.abs(influence.neumann_w(partition, n) - exact).max() for n in range(30, 47)

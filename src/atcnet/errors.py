@@ -63,16 +63,6 @@ class NonPrimitiveSource(AtcnetError):
         self.members = tuple(members)
 
 
-class IsolatedRAgent(AtcnetError):
-    def __init__(self, scc_id, members):
-        super().__init__(
-            f"receiving sub-network {scc_id} (agents {sorted(members)}) has "
-            "spectral radius 1: it receives no outside weight"
-        )
-        self.scc_id = scc_id
-        self.members = tuple(members)
-
-
 class NoConvergence(AtcnetError):
     def __init__(self, max_iter, what="iteration"):
         super().__init__(f"{what} did not converge within {max_iter} iterations")

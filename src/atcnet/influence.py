@@ -5,6 +5,12 @@ W = T_SR (I - T_RR)^(-1) tells each receiving agent how much weight every
 sending agent's limit point carries in its own limit. These routines build
 W, the limiting power of the combination matrix, all agent limit points and
 the per-receiver influence summaries.
+
+W comes from one linear solve against I - T_RR whose diagonal is rebuilt
+from each receiving column's off-diagonal mass. A receiver that keeps
+1 - eps of its own weight therefore puts eps on that diagonal, not the
+cancelled 1 - (1 - eps), and a single receiver gets W = eps / eps = 1
+exactly however small eps is.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAnRAgent, SingularSystem
-from .topology import CombinationMatrix, NetworkPartition, _frozen
+from .topology import CombinationMatrix, NetworkPartition, _frozen, _identity_minus
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,21 +67,21 @@ class InfluenceVector:
 def influence_matrix(partition: NetworkPartition) -> InfluenceMatrix:
     """Compute W by a linear solve against (I - T_RR) and assemble Theta.
 
-    Solves (I - T_RR)^T X = T_SR^T instead of forming the inverse; the
-    receiving block is stable so the system is nonsingular, but it can be
-    badly conditioned when receiving agents assign almost no weight outside.
+    Solves (I - T_RR)^T X = T_SR^T instead of forming the inverse. The
+    receiving block is stable, so the system is nonsingular in exact
+    arithmetic, but it can be badly conditioned when several receiving
+    agents assign almost no weight outside.
     """
-    t_rr = partition.t_rr
     t_sr = partition.t_sr
-    eye = np.eye(t_rr.shape[0])
+    system = _identity_minus(partition.t_rr, t_sr.sum(axis=0))
     try:
-        w = np.linalg.solve((eye - t_rr).T, t_sr.T).T
+        w = np.linalg.solve(system.T, t_sr.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             "I - T_RR is numerically singular; the receiving block has "
             "spectral radius at 1"
         ) from exc
-    cond = float(np.linalg.cond(eye - t_rr)) if t_rr.shape[0] else 1.0
+    cond = float(np.linalg.cond(system)) if system.size else 1.0
 
     theta = np.zeros((partition.n_gs, partition.n_gs))
     for sl, p in zip(partition.s_slices, partition.perron_vectors):

@@ -7,6 +7,13 @@ the agents into sending sub-networks (strongly connected, primitive, no
 inbound edges) and receiving sub-networks (everything else) and extracts the
 canonical block-triangular form obtained by renumbering agents so senders
 come first.
+
+Everything here is decided combinatorially or solved directly. A receiving
+sub-network has an inbound edge, so by Perron-Frobenius its block has
+spectral radius below 1 however small that edge's weight is; the spectral
+radius is only reported. The Perron vector of a sending block is one linear
+solve whose diagonal is rebuilt from each column's off-diagonal mass, so a
+weight 1 - eps on the diagonal never turns into the cancelled 1 - (1 - eps).
 """
 from __future__ import annotations
 
@@ -19,9 +26,7 @@ import numpy as np
 
 from .errors import (
     ColumnSumViolation,
-    IsolatedRAgent,
     NegativeWeight,
-    NoConvergence,
     NonFiniteWeight,
     NonPrimitiveSource,
     NonSquare,
@@ -34,6 +39,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _identity_minus(block: np.ndarray, outside_mass=0.0) -> np.ndarray:
+    """I - block, with each diagonal entry rebuilt as its column's other mass.
+
+    That mass is the column's off-diagonal sum plus ``outside_mass`` (the
+    column's weight outside the block), never 1 minus the diagonal entry.
+    """
+    system = -np.asarray(block, dtype=float)
+    np.fill_diagonal(system, 0.0)
+    np.fill_diagonal(system, outside_mass - system.sum(axis=0))
+    return system
 
 
 def _slices(sizes) -> tuple[slice, ...]:
@@ -67,10 +84,9 @@ class NetworkPartition:
     """Canonical sending/receiving decomposition of a combination matrix.
 
     ``order`` lists original agent ids in canonical order (senders first);
-    the blocks are taken from weights[order][:, order]. ``rho_t_rr`` is the
-    spectral radius of t_rr, the largest over its diagonal blocks since t_rr
-    is block upper-triangular. What is derived from the partition (slices,
-    agent ids, Perron vectors) is computed on first use and kept.
+    the blocks are taken from weights[order][:, order]. What is derived from
+    the partition (slices, agent ids, Perron vectors, the spectral radius of
+    t_rr) is computed on first use and kept.
     """
 
     scc_list: tuple[tuple[int, ...], ...]
@@ -84,7 +100,6 @@ class NetworkPartition:
     n_gr: int
     s_sizes: tuple[int, ...]
     r_sizes: tuple[int, ...]
-    rho_t_rr: float
 
     @property
     def n(self) -> int:
@@ -108,7 +123,17 @@ class NetworkPartition:
     @cached_property
     def perron_vectors(self) -> tuple[np.ndarray, ...]:
         """Perron vector of each sending sub-network's diagonal block."""
-        return tuple(perron(block).entries for block in self.s_blocks())
+        return tuple(perron(block) for block in self.s_blocks())
+
+    @cached_property
+    def rho_t_rr(self) -> float:
+        """Spectral radius of t_rr, reported only; below 1 in exact arithmetic.
+
+        It is the largest over the diagonal blocks, since t_rr is block
+        upper-triangular; 0 when there are no receiving agents.
+        """
+        blocks = (self.t_rr[sl, sl] for sl in _slices(self.r_sizes))
+        return max(map(spectral_radius, blocks), default=0.0)
 
     @cached_property
     def _r_columns(self) -> dict[int, int]:
@@ -121,17 +146,6 @@ class NetworkPartition:
     def r_column(self, agent_id: int) -> int:
         """Canonical receiving-side column index for an original agent id."""
         return self._r_columns[agent_id]
-
-    def permute(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply the canonical symmetric permutation to an (n, n) matrix."""
-        return matrix[np.ix_(self.order, self.order)]
-
-
-@dataclass(frozen=True, eq=False)
-class PerronVector:
-    """Positive, sum-one eigenvector of a primitive left-stochastic block."""
-
-    entries: np.ndarray
 
 
 def validate(matrix) -> CombinationMatrix:
@@ -285,14 +299,12 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
     out block upper-triangular.
     """
     cond = condense(a)
-    has_inbound = [False] * len(cond.sccs)
-    for _, v in cond.edges:
-        has_inbound[v] = True
+    has_inbound = {v for _, v in cond.edges}
 
     w = a.weights
     s_ids, r_ids = [], []
     for ci, members in enumerate(cond.sccs):
-        if has_inbound[ci]:
+        if ci in has_inbound:
             r_ids.append(ci)
             continue
         ids = np.array(members)
@@ -314,17 +326,6 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
     t_sr = permuted[:n_gs, n_gs:]
     t_rr = permuted[n_gs:, n_gs:]
 
-    # A receiving SCC whose own block keeps all its column weight would never
-    # settle; with a valid left-stochastic matrix this cannot happen, but a
-    # block spectral radius at 1 is rejected explicitly.
-    r_sizes = tuple(len(cond.sccs[ci]) for ci in r_ids)
-    rho_t_rr = 0.0
-    for ci, sl in zip(r_ids, _slices(r_sizes)):
-        rho = spectral_radius(t_rr[sl, sl])
-        if rho >= 1.0 - 1e-12:
-            raise IsolatedRAgent(ci, cond.sccs[ci])
-        rho_t_rr = max(rho_t_rr, rho)
-
     return NetworkPartition(
         scc_list=cond.sccs,
         s_type_ids=tuple(s_ids),
@@ -336,57 +337,23 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
         n_gs=n_gs,
         n_gr=n_gr,
         s_sizes=tuple(len(cond.sccs[ci]) for ci in s_ids),
-        r_sizes=r_sizes,
-        rho_t_rr=rho_t_rr,
+        r_sizes=tuple(len(cond.sccs[ci]) for ci in r_ids),
     )
 
 
-def perron(block: np.ndarray, tol: float = 1e-12, max_iter: int = 100000) -> PerronVector:
-    """Power iteration for the positive sum-one eigenvector at eigenvalue 1.
+def perron(block: np.ndarray) -> np.ndarray:
+    """Positive, sum-one eigenvector of a primitive left-stochastic block.
 
-    Seeded with the uniform vector, which has nonzero overlap with the
-    (positive) target for any primitive left-stochastic block. Stops once
-    the returned iterate itself satisfies ||A p - p||_inf < tol.
+    Solves (I - A) p = 0 with its last row replaced by sum(p) = 1.
     """
-    b = np.asarray(block, dtype=float)
-    n = b.shape[0]
-    p = np.full(n, 1.0 / n)
-    bp = b @ p
-    for _ in range(max_iter):
-        if np.abs(bp - p).max() < tol:
-            return PerronVector(entries=_frozen(p))
-        p = bp / bp.sum()
-        bp = b @ p
-    raise NoConvergence(max_iter, what="Perron power iteration")
+    system = _identity_minus(block)
+    system[-1] = 1.0
+    rhs = np.zeros(system.shape[0])
+    rhs[-1] = 1.0
+    return _frozen(np.linalg.solve(system, rhs))
 
 
-def spectral_radius(t: np.ndarray, tol: float = 1e-10, max_squarings: int = 200) -> float:
-    """Dominant eigenvalue magnitude via normalized repeated squaring.
-
-    Tracks ||T^(2^j)||_inf with per-step rescaling; the 2^j-th root of the
-    accumulated scale converges to the spectral radius from above and is
-    insensitive to complex eigenvalue pairs, unlike plain vector iteration.
-    """
+def spectral_radius(t: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a square matrix; 0 for an empty one."""
     b = np.asarray(t, dtype=float)
-    if b.size == 0:
-        return 0.0
-    scale = float(np.abs(b).sum(axis=1).max())
-    if scale == 0.0:
-        return 0.0
-    b = b / scale
-    log_acc = math.log(scale)
-    power = 1
-    estimate = scale
-    for _ in range(max_squarings):
-        b = b @ b
-        power *= 2
-        s = float(np.abs(b).sum(axis=1).max())
-        if s == 0.0:
-            return 0.0
-        b = b / s
-        log_acc = 2.0 * log_acc + math.log(s)
-        new_estimate = math.exp(log_acc / power)
-        if abs(new_estimate - estimate) <= tol * max(1.0, abs(new_estimate)):
-            return new_estimate
-        estimate = new_estimate
-    raise NoConvergence(max_squarings, what="spectral radius estimate")
+    return float(np.abs(np.linalg.eigvals(b)).max()) if b.size else 0.0

@@ -66,14 +66,6 @@ def pareto_points(
     ]
 
 
-def limit_points_for(config: ExperimentConfig):
-    """Partition, limit points and Pareto solutions for a full config."""
-    partition = classify(config.matrix)
-    stars = pareto_points(partition, config.require_models(), config.require_step_sizes())
-    w = influence.influence_matrix(partition).w
-    return partition, influence.receiving_limit_points(w, stars, partition), stars
-
-
 def analyze(config: ExperimentConfig) -> dict:
     """Structure report: partition, W, limiting power, influence, limit points.
 

@@ -12,8 +12,7 @@ SAMPLE_ARGS = {
     errors.NonFiniteWeight: (0, 1, float("inf")),
     errors.ColumnSumViolation: (2, 0.9),
     errors.NonPrimitiveSource: (0, [3, 1]),
-    errors.IsolatedRAgent: (1, [4]),
-    errors.NoConvergence: (100, "power iteration"),
+    errors.NoConvergence: (100, "Pareto solve"),
     errors.SingularSystem: ("singular",),
     errors.NotAnRAgent: (3,),
     errors.DimensionMismatch: ("3 models for 2 agents",),

@@ -4,6 +4,8 @@ The digests were computed when ``EllipseSampler.draw`` and
 ``quadratic_features`` built their arrays with ``np.column_stack``, the
 logistic gradient and Hessian each made their own pass over the evaluation
 design, and ``pareto_solve`` evaluated every accepted Newton point twice.
+The two-agent MSD report was taken again when that preset's W became exactly
+1 (it was 0.9999999999999991, from the cancelled 1 - 0.97).
 """
 import hashlib
 
@@ -29,7 +31,7 @@ SHA256 = {
     "quadratic_features": "0a644e71510687bc96b29f3eb7350bbb5d55f883426c57ce12c6b0e72396ddb6",
     "noise_covariance": "8891aa0f1d004f30e3db95c3b081757a2596a3fbfc10d069d1e35c945f3a1415",
     "pareto": "2c1240b65794b87c4cb7782324a0a085cd5b0543eeef2c0a414d3b313dcb02b2",
-    "msd_two_agent_logistic": "3898975da3de414f96a63bd155109ba2109cf487a80e8d00a922535eb2a6e7e0",
+    "msd_two_agent_logistic": "27d0d658ec4fd764f71c235316983b1d6189851952d8635d0b219077151f8f42",
 }
 
 

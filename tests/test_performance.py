@@ -21,7 +21,7 @@ class TestQWeights:
         steps = an.StepSizeProfile(0.0005, np.ones(8))
         qw = an.q_weights(eight_partition, steps)
         for block, group in zip(eight_partition.s_blocks(), qw.per_subnetwork):
-            p = an.perron(block).entries
+            p = an.perron(block)
             assert np.array_equal(group, 0.0005 * p)
         assert all(group.min() > 0 for group in qw.per_subnetwork)
 
@@ -144,7 +144,7 @@ class TestTheoreticalMsd:
         report = an.theoretical_msd(eight_partition, models, steps)
         # independent scalar evaluation: MSD_s = mu * sigma_v2 * sum(p^2) / sum(p)
         for sub, block in zip(report.subnetworks, eight_partition.s_blocks()):
-            p = an.perron(block).entries
+            p = an.perron(block)
             expected = 0.0005 * 0.01 * (p**2).sum() / p.sum()
             assert sub.msd_linear == pytest.approx(expected, rel=1e-10)
         # receiving identity: MSD_R(k) = sum_s c_k(s)^2 MSD_s, recomputable

@@ -1,10 +1,14 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import yaml
 
 import atcnet as an
+from atcnet import cli
 from atcnet.errors import (
     ColumnSumViolation,
-    IsolatedRAgent,
     NegativeWeight,
     NonFiniteWeight,
     NonPrimitiveSource,
@@ -112,15 +116,24 @@ class TestClassify:
         with pytest.raises(NonPrimitiveSource):
             an.classify(an.validate([[0.0, 1.0], [1.0, 0.0]]))
 
-    def test_effectively_isolated_receiver_rejected(self):
-        # receiver keeps all but 1e-13 of its own weight: spectral radius
-        # of its block collides with 1 and the split is meaningless
-        with pytest.raises(IsolatedRAgent):
-            an.classify(an.validate([[1.0, 1e-13], [0.0, 1.0 - 1e-13]]))
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13, 1e-15])
+    def test_barely_listening_receiver_follows_sender(self, eps, tmp_path):
+        # the receiver keeps all but eps of its own weight: it still has an
+        # inbound edge, so it is a receiver and its limit is the sender's
+        matrix = [[1.0, eps], [0.0, 1.0 - eps]]
+        p = an.classify(an.validate(matrix))
+        assert (p.s_agents, p.r_agents) == ((0,), (1,))
+        assert an.influence_matrix(p).w.tolist() == [[1.0]]
+        path = tmp_path / "config.yaml"
+        data = {"name": "eps", "matrix": {"inline": matrix}, "run": {"seed": 1}}
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert payload["w"]["values"] == [[1.0]]
 
     def test_permutation_zeroes_lower_left(self, eight_agent, eight_partition):
         p = eight_partition
-        permuted = p.permute(eight_agent.weights)
+        permuted = eight_agent.weights[np.ix_(p.order, p.order)]
         assert np.all(permuted[p.n_gs :, : p.n_gs] == 0.0)
 
     def test_diagonal_blocks_left_stochastic_and_primitive(self, eight_partition):
@@ -146,7 +159,8 @@ class TestClassify:
             got_r = {frozenset(p.scc_list[i]) for i in p.r_type_ids}
             assert got_s == s_groups
             assert got_r == r_groups
-            permuted = p.permute(np.asarray(raw) / np.asarray(raw).sum(axis=0))
+            weights = np.asarray(raw) / np.asarray(raw).sum(axis=0)
+            permuted = weights[np.ix_(p.order, p.order)]
             assert np.abs(permuted[p.n_gs :, : p.n_gs]).max() == 0.0
             assert an.spectral_radius(p.t_rr) < 1.0
             assert p.n_gs + p.n_gr == sum(s_sizes) + sum(r_sizes)
@@ -163,15 +177,33 @@ class TestClassify:
                 assert np.all(block == 0.0)
 
 
+def exact_null_vector(block):
+    """Sum-one solution of (I - A) p = 0 for a matrix of Fractions, by exact elimination."""
+    n = len(block)
+    rows = [[int(i == j) - block[i][j] for j in range(n)] for i in range(n - 1)]
+    rows.append([Fraction(1)] * n)
+    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rhs[c], rhs[pivot] = rhs[pivot], rhs[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+                rhs[r] -= f * rhs[c]
+    return [rhs[i] / rows[i][i] for i in range(n)]
+
+
 class TestPerron:
     def test_symmetric_two_agent_block(self):
         p = an.perron(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert p.entries == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert p == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_second_block_by_hand(self):
         # (I - A) p = 0 with unit sum gives p = (1/3, 2/3)
         p = an.perron(np.array([[0.4, 0.3], [0.6, 0.7]]))
-        assert p.entries == pytest.approx([1 / 3, 2 / 3], abs=1e-11)
+        assert p == pytest.approx([1 / 3, 2 / 3], abs=1e-11)
 
     def test_first_block_against_nullspace_solve(self):
         block = EIGHT_AGENT[:3, :3]
@@ -179,13 +211,31 @@ class TestPerron:
         rhs = np.array([0.0, 0.0, 0.0, 1.0])
         oracle, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         p = an.perron(block)
-        assert p.entries == pytest.approx(oracle, abs=1e-10)
+        assert p == pytest.approx(oracle, abs=1e-10)
 
-    def test_no_convergence_reported(self):
-        from atcnet.errors import NoConvergence
+    @pytest.mark.parametrize("gap", [3e-4, 3e-5, 3e-8])
+    def test_slowly_mixing_two_agent_block(self, gap):
+        # second eigenvalue 1 - gap; the Perron vector is (b, a) / (a + b)
+        a, b = gap / 3, 2 * gap / 3
+        p = an.perron(np.array([[1.0 - a, b], [a, 1.0 - b]]))
+        expected = np.array([b / (a + b), a / (a + b)])
+        assert np.all(np.abs(p - expected) <= 4 * np.spacing(expected))
 
-        with pytest.raises(NoConvergence):
-            an.perron(np.array([[0.9, 0.2], [0.1, 0.8]]), tol=1e-12, max_iter=1)
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12])
+    def test_weakly_coupled_clusters(self, delta):
+        # clusters {0, 1} and {2, 3} coupled only through weights delta
+        half, d = Fraction(1, 2), Fraction(delta)
+        exact = [
+            [half, half - d, 0, 0],
+            [half - d, half, d, 0],
+            [d, 0, half, half - d],
+            [0, d, half - d, half + d],
+        ]
+        block = np.array([[float(x) for x in row] for row in exact])
+        p = an.perron(block)
+        expected = np.array([float(x) for x in exact_null_vector(exact)])
+        assert np.abs(p / expected - 1.0).max() <= 1e-6
+        assert np.abs(block @ p - p).max() <= 1e-15
 
     def test_invariants_on_random_networks(self):
         rng = np.random.default_rng(11)
@@ -194,9 +244,9 @@ class TestPerron:
             part = an.classify(an.validate(raw))
             for block in part.s_blocks():
                 p = an.perron(block)
-                assert np.abs(block @ p.entries - p.entries).max() < 1e-10
-                assert p.entries.min() > 0
-                assert p.entries.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(block @ p - p).max() < 1e-10
+                assert p.min() > 0
+                assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSpectralRadius:

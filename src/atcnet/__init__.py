@@ -10,31 +10,25 @@ from .costs import (
     CostModel,
     EllipseSampler,
     LogisticCost,
-    NoiseCovariance,
     QuadraticCost,
     TwoClassGaussianSampler,
     ZeroedObservations,
     finite_difference_gradient,
-    hessian_at,
     noise_covariance_at,
 )
 from .engine import (
     LongTermState,
     MsdEstimate,
-    NetworkState,
     StepSizeProfile,
     Trajectory,
-    atc_step,
     estimate_msd,
     long_term_state,
     long_term_step,
-    run,
     run_ensemble,
     run_paired_long_term,
 )
 from .influence import (
     InfluenceMatrix,
-    InfluenceVector,
     LimitPoints,
     LimitingPower,
     fixed_point_residual,
@@ -46,7 +40,6 @@ from .influence import (
 )
 from .performance import (
     MsdReport,
-    QWeights,
     compare,
     msd_receiving,
     msd_subnetwork,

@@ -102,7 +102,7 @@ def _check_limit_points() -> tuple[bool, str]:
 def _check_influence_vectors() -> tuple[bool, str]:
     _, partition = _three_subnetwork()
     w = influence.influence_matrix(partition).w
-    c = influence.influence_vector(w, partition, 6).entries
+    c = influence.influence_vector(w, partition, 6)
     err = np.abs(c - C_AGENT6_REFERENCE).max()
     return err <= 5e-4, (
         f"c(agent 6) = {np.round(c, 4).tolist()} vs {C_AGENT6_REFERENCE.tolist()}, "
@@ -265,10 +265,10 @@ def _check_gradient_oracles() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(20):
         point = rng.normal(0.0, 2.0, 2)
-        qs = quad.draw_sample(rng)
-        ls = logi.draw_sample(rng)
+        qs = tuple(f[0] for f in quad.draw_batch(rng, 1))
+        ls = tuple(f[0] for f in logi.draw_batch(rng, 1))
         for model, sample in ((quad, qs), (logi, ls)):
-            analytic = model.stochastic_gradient(point, sample)
+            analytic = model.gradient_rows(point, sample)
             numeric = finite_difference_gradient(
                 lambda v: model.sample_loss(v, sample), point
             )

@@ -7,8 +7,8 @@ Subcommands::
     atcnet msd      --config <path|preset> [--out DIR] [--with-sim]
     atcnet verify   [--filter NAME]
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 divergence, 3
-verification failure.
+Exit codes: 0 success, 1 configuration, I/O or other input error (any
+``AtcnetError`` but divergence), 2 divergence, 3 verification failure.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import acceptance, workflows
 from .config import PRESET_NAMES, load_config
-from .errors import ConfigError, Diverged
+from .errors import AtcnetError, ConfigError, Diverged
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -147,6 +147,9 @@ def main(argv=None) -> int:
         if config_path:
             print(f"config: {config_path}", file=sys.stderr)
         return EXIT_DIVERGED
+    except AtcnetError as exc:  # e.g. a Pareto solve that does not converge
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:  # an output path that cannot be created or written
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -45,7 +45,6 @@ class RunControls:
     monte_carlo_runs: int = 20
     burn_in_fraction: float = DEFAULT_BURN_IN
     stride: int = DEFAULT_STRIDE
-    record_iterates: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +91,17 @@ def _expect(mapping, key, field, kind=None, required=True, default=None):
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         expected = " or ".join(k.__name__ for k in kinds)
         raise ConfigError(f"expected {expected}, got {type(value).__name__}", field=field)
+    return value
+
+
+def _finite(value, field):
+    """``value`` if it is a finite number or an array of them; else a ConfigError on ``field``."""
+    try:
+        finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError("expected finite numbers", field=field)
     return value
 
 
@@ -152,8 +162,10 @@ def _build_model(spec, index: int) -> CostModel:
         if kind == "quadratic":
             model = QuadraticCost(
                 r_u=_expect(spec, "r_u", f"{field}.r_u"),
-                sigma_v2=_expect(spec, "sigma_v2", f"{field}.sigma_v2", (int, float)),
-                w_o=_expect(spec, "w_o", f"{field}.w_o"),
+                sigma_v2=_finite(
+                    _expect(spec, "sigma_v2", f"{field}.sigma_v2", (int, float)), f"{field}.sigma_v2"
+                ),
+                w_o=_finite(_expect(spec, "w_o", f"{field}.w_o"), f"{field}.w_o"),
             )
             r = model.r_u
             if not (np.all(np.isfinite(r)) and np.array_equal(r, r.T)):
@@ -170,8 +182,11 @@ def _build_model(spec, index: int) -> CostModel:
             eval_seed = _expect(spec, "eval_seed", f"{field}.eval_seed", int, False, 0)
             if eval_seed < 0:
                 raise ConfigError("eval_seed must be >= 0", field=f"{field}.eval_seed")
+            rho = _finite(_expect(spec, "rho", f"{field}.rho", (int, float)), f"{field}.rho")
+            if rho < 0:
+                raise ConfigError("rho must be >= 0", field=f"{field}.rho")
             return LogisticCost(
-                rho=_expect(spec, "rho", f"{field}.rho", (int, float)),
+                rho=rho,
                 sampler=_build_sampler(_expect(spec, "sampler", f"{field}.sampler", dict), f"{field}.sampler"),
                 eval_samples=eval_samples,
                 eval_seed=eval_seed,
@@ -207,7 +222,9 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     step_sizes = None
     if "step_sizes" in data:
         section = data["step_sizes"]
-        mu_max = _expect(section, "mu_max", "step_sizes.mu_max", (int, float))
+        mu_max = _finite(
+            _expect(section, "mu_max", "step_sizes.mu_max", (int, float)), "step_sizes.mu_max"
+        )
         tau = _expect(section, "tau", "step_sizes.tau", list, required=False, default=[1.0] * n)
         if len(tau) != n:
             raise ConfigError(f"tau has {len(tau)} entries for {n} agents", field="step_sizes.tau")
@@ -218,8 +235,8 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 
     run_section = _expect(data, "run", "run", dict)
     seed = _expect(run_section, "seed", "run.seed", int)
-    iterations = run_section.get("iterations")
-    if iterations is not None and (not isinstance(iterations, int) or iterations < 1):
+    iterations = _expect(run_section, "iterations", "run.iterations", int, required=False)
+    if iterations is not None and iterations < 1:
         raise ConfigError("iterations must be an integer >= 1", field="run.iterations")
     burn_in = _expect(
         run_section, "burn_in_fraction", "run.burn_in_fraction", (int, float),
@@ -227,11 +244,15 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     )
     if not 0.0 <= burn_in < 1.0:
         raise ConfigError("burn_in_fraction must lie in [0, 1)", field="run.burn_in_fraction")
-    stride = run_section.get("stride", DEFAULT_STRIDE)
-    if not isinstance(stride, int) or stride < 1:
+    stride = _expect(
+        run_section, "stride", "run.stride", int, required=False, default=DEFAULT_STRIDE
+    )
+    if stride < 1:
         raise ConfigError("stride must be an integer >= 1", field="run.stride")
-    runs = run_section.get("monte_carlo_runs", 20)
-    if not isinstance(runs, int) or runs < 1:
+    runs = _expect(
+        run_section, "monte_carlo_runs", "run.monte_carlo_runs", int, required=False, default=20
+    )
+    if runs < 1:
         raise ConfigError("monte_carlo_runs must be an integer >= 1", field="run.monte_carlo_runs")
     run = RunControls(
         seed=seed,
@@ -239,7 +260,6 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         monte_carlo_runs=runs,
         burn_in_fraction=float(burn_in),
         stride=stride,
-        record_iterates=bool(run_section.get("record_iterates", True)),
     )
     return ExperimentConfig(
         name=name,
@@ -247,7 +267,7 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         models=models,
         step_sizes=step_sizes,
         run=run,
-        output_dir=data.get("output_dir"),
+        output_dir=_expect(data, "output_dir", "output_dir", str, required=False),
     )
 
 

@@ -10,7 +10,7 @@ noise).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,19 +24,6 @@ def inv_one_plus_exp(z):
     return np.exp(-np.maximum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
-def logistic_stochastic_gradient(w, gamma, h, rho):
-    """Instantaneous gradient of the regularized logistic loss at one sample.
-
-    The data term is -gamma * h / (1 + exp(gamma h.w)); the regularizer
-    contributes rho * w. Points (..., M) broadcast against labels (...) and
-    features (..., M), one sample per point.
-    """
-    z = gamma * np.einsum("...m,...m->...", h, w)
-    grad = -(gamma * inv_one_plus_exp(z))[..., None] * h
-    grad += rho * w
-    return grad
-
-
 def finite_difference_gradient(f, point, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function; validation oracle."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -46,13 +33,6 @@ def finite_difference_gradient(f, point, eps: float = 1e-6) -> np.ndarray:
         step[i] = eps
         grad[i] = (f(point + step) - f(point - step)) / (2.0 * eps)
     return grad
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseCovariance:
-    """Gradient-noise covariance evaluated at one point."""
-
-    g: np.ndarray  # (M, M), symmetric PSD
 
 
 class CostModel(ABC):
@@ -94,13 +74,6 @@ class CostModel(ABC):
         ``params`` override the attributes named in ``gradient_params``, for
         instance with one value per agent that broadcasts like the points.
         """
-
-    def stochastic_gradient(self, w: np.ndarray, sample: tuple) -> np.ndarray:
-        """Gradient at one point on one sample."""
-        return self.gradient_rows(np.asarray(w, dtype=float), sample)
-
-    def draw_sample(self, rng: np.random.Generator) -> tuple:
-        return tuple(f[0] for f in self.draw_batch(rng, 1))
 
     def noise_covariance(self, at: np.ndarray) -> np.ndarray | None:
         """Closed-form gradient-noise covariance, if the model has one."""
@@ -344,8 +317,12 @@ class LogisticCost(CostModel):
         return float(0.5 * self.rho * (w @ w) + np.logaddexp(0.0, -gamma * (h @ w)))
 
     def gradient_rows(self, w_rows, fields, rho=None):
+        """Data term -gamma h / (1 + exp(gamma h.w)) plus the regularizer rho w."""
         gamma, h = fields
-        return logistic_stochastic_gradient(w_rows, gamma, h, self.rho if rho is None else rho)
+        z = gamma * np.einsum("...m,...m->...", h, w_rows)
+        grad = -(gamma * inv_one_plus_exp(z))[..., None] * h
+        grad += (self.rho if rho is None else rho) * w_rows
+        return grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,23 +374,12 @@ def noise_covariance_at(
     point: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
-) -> NoiseCovariance:
-    """Empirical covariance of the gradient noise at one point."""
+) -> np.ndarray:
+    """Empirical (M, M) covariance of the gradient noise at one point."""
     if n_samples < 1000:
         raise ValueError("covariance estimation needs n_samples >= 1000")
     point = np.asarray(point, dtype=float)
     batch = model.draw_batch(rng, n_samples)
     noise = model.gradient_rows(point, batch)
     noise -= model.true_gradient(point)
-    return NoiseCovariance(g=noise.T @ noise / n_samples)
-
-
-def hessian_at(model: CostModel, point: np.ndarray, n_samples: int | None = None) -> np.ndarray:
-    """Hessian of the expected loss; closed form when the model has one.
-
-    For sampled models an ``n_samples`` override re-estimates on a fresh
-    design of that size instead of the model's fixed evaluation set.
-    """
-    if n_samples is not None and isinstance(model, LogisticCost):
-        return replace(model, eval_samples=n_samples).hessian(point)
-    return model.hessian(point)
+    return noise.T @ noise / n_samples

@@ -53,14 +53,6 @@ class StepSizeProfile:
         return StepSizeProfile(self.mu_max * factor, self.tau)
 
 
-@dataclass
-class NetworkState:
-    """Current iterates of all agents, one row per agent."""
-
-    iterates: np.ndarray  # (N, M)
-    iteration: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Strided per-agent squared-error record of one run."""
@@ -68,10 +60,6 @@ class Trajectory:
     iterations: np.ndarray        # (T,), 1-based completed-iteration counts
     sq_error: np.ndarray          # (T, N)
     iterates: np.ndarray | None   # (T, N, M) when recorded
-    seed: int
-    run_index: int
-    mu_max: float
-    stride: int
     mean_iterate_tail: np.ndarray | None = None  # (N, M) when a burn-in was given
 
 
@@ -109,12 +97,12 @@ def _adapt_combine(weights_t, mu, x, grads):
     return np.matmul(weights_t, x - mu * grads)
 
 
-def _check_bounded(x, iteration, threshold):
-    """Raise Diverged for the first agent of (runs, N, M) or (N, M) ``x`` beyond ``threshold``."""
-    if np.abs(x).max() <= threshold:
+def _check_bounded(x, iteration):
+    """Raise Diverged for the first agent of (runs, N, M) ``x`` beyond DIVERGENCE_THRESHOLD."""
+    if np.abs(x).max() <= DIVERGENCE_THRESHOLD:
         return
-    *run, agent, _ = np.argwhere(~(np.abs(x) <= threshold))[0]
-    raise Diverged(int(agent), iteration, *map(int, run))
+    run, agent, _ = np.argwhere(~(np.abs(x) <= DIVERGENCE_THRESHOLD))[0]
+    raise Diverged(int(agent), iteration, int(run))
 
 
 class _Kernel:
@@ -178,8 +166,7 @@ class _Kernel:
 
     def run(
         self, limit_points, iterations, n_runs, seed, stride, *, w_init=None,
-        record_iterates=False, burn_in_fraction=None, noise_at=None,
-        threshold=DIVERGENCE_THRESHOLD, records=None,
+        record_iterates=False, burn_in_fraction=None, noise_at=None, records=None,
     ) -> dict:
         """Iterate from ``w_init`` over independent (seed, run, agent) streams.
 
@@ -235,7 +222,7 @@ class _Kernel:
                 linear = np.einsum("kmn,rkn->rkm", lt.hessians, err) - noisy
                 err = _adapt_combine(wt, mu, err, linear)
             x = _adapt_combine(wt, mu, x, grads)
-            _check_bounded(x, i + 1, threshold)
+            _check_bounded(x, i + 1)
             if noise_at is not None:
                 gap = np.abs((limit_points - x) - err).max(axis=(1, 2))
                 np.maximum(max_gap, gap, out=max_gap)
@@ -262,26 +249,6 @@ class _Kernel:
         return out
 
 
-def atc_step(
-    state: NetworkState,
-    a: CombinationMatrix,
-    models: list[CostModel],
-    step_sizes: StepSizeProfile,
-    rng: np.random.Generator,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-) -> NetworkState:
-    """One synchronous diffusion round: all agents adapt, then all combine.
-
-    Each agent draws one sample from ``rng``, in agent order.
-    """
-    kernel = _Kernel(a, models, step_sizes)
-    kernel.draw([[rng] * kernel.n], size=1)
-    x = np.asarray(state.iterates, dtype=float)[None]
-    nxt = _adapt_combine(kernel.weights_t, kernel.mu, x, kernel.gradients(x, 0))[0]
-    _check_bounded(nxt, state.iteration + 1, divergence_threshold)
-    return NetworkState(iterates=nxt, iteration=state.iteration + 1)
-
-
 def run_ensemble(
     a: CombinationMatrix,
     models: list[CostModel],
@@ -292,7 +259,6 @@ def run_ensemble(
     master_seed: int,
     stride: int = DEFAULT_STRIDE,
     record_iterates: bool = False,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
     burn_in_fraction: float | None = None,
     records=None,
 ) -> list[Trajectory]:
@@ -320,7 +286,7 @@ def run_ensemble(
     """
     rec = _Kernel(a, models, step_sizes).run(
         limit_points, iterations, n_runs, master_seed, stride, record_iterates=record_iterates,
-        burn_in_fraction=burn_in_fraction, threshold=divergence_threshold, records=records,
+        burn_in_fraction=burn_in_fraction, records=records,
     )
     tail = rec.get("mean_iterate_tail")
     return [
@@ -328,29 +294,10 @@ def run_ensemble(
             iterations=rec["iterations"],
             sq_error=rec["sq_error"][r],
             iterates=rec["iterates"][r] if record_iterates else None,
-            seed=master_seed,
-            run_index=r,
-            mu_max=step_sizes.mu_max,
-            stride=stride,
             mean_iterate_tail=None if tail is None else tail[r],
         )
         for r in range(n_runs)
     ]
-
-
-def run(
-    a: CombinationMatrix,
-    models: list[CostModel],
-    step_sizes: StepSizeProfile,
-    limit_points: np.ndarray,
-    iterations: int,
-    seed: int,
-    stride: int = DEFAULT_STRIDE,
-    record_iterates: bool = False,
-) -> Trajectory:
-    """Single diffusion run; equivalent to run 0 of a one-run ensemble."""
-    return run_ensemble(a, models, step_sizes, limit_points, iterations, n_runs=1,
-                        master_seed=seed, stride=stride, record_iterates=record_iterates)[0]
 
 
 def long_term_state(models: list[CostModel], limit_points: np.ndarray) -> LongTermState:

@@ -84,11 +84,8 @@ class DimensionMismatch(AtcnetError):
 
 
 class Diverged(AtcnetError):
-    def __init__(self, agent, iteration, run=None):
-        where = f"agent {agent} at iteration {iteration}"
-        if run is not None:
-            where += f" (run {run})"
-        super().__init__(f"iterates diverged: {where}")
+    def __init__(self, agent, iteration, run):
+        super().__init__(f"iterates diverged: agent {agent} at iteration {iteration} (run {run})")
         self.agent = agent
         self.iteration = iteration
         self.run = run

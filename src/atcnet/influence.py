@@ -56,14 +56,6 @@ class LimitPoints:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class InfluenceVector:
-    """Per-sending-sub-network column sums of W for one receiving agent."""
-
-    agent_id: int
-    entries: np.ndarray  # (S,)
-
-
 def influence_matrix(partition: NetworkPartition) -> InfluenceMatrix:
     """Compute W by a linear solve against (I - T_RR) and assemble Theta.
 
@@ -169,12 +161,12 @@ def fixed_point_residual(a: CombinationMatrix, limit_points: LimitPoints) -> flo
 
 def influence_vector(
     w: np.ndarray, partition: NetworkPartition, agent_id: int
-) -> InfluenceVector:
-    """Sum W's column for one receiving agent over each sending sub-network."""
+) -> np.ndarray:
+    """(S,) sums of W's column for one receiving agent over each sending sub-network."""
     try:
         column = partition.r_column(agent_id)
     except KeyError:
         raise NotAnRAgent(agent_id) from None
     col = np.asarray(w, dtype=float)[:, column]
     entries = np.array([col[sl].sum() for sl in partition.s_slices])
-    return InfluenceVector(agent_id=agent_id, entries=_frozen(entries))
+    return _frozen(entries)

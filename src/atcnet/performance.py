@@ -26,23 +26,16 @@ from .influence import InfluenceMatrix, influence_matrix, influence_vector
 from .topology import NetworkPartition, _frozen
 
 MSD_NOISE_SAMPLES = 1_000_000
+PARETO_TOL = 1e-10
+PARETO_MAX_ITER = 100
 
 
-@dataclass(frozen=True, eq=False)
-class QWeights:
-    """Step-size-scaled Perron weights q_{s,k}, grouped by sub-network."""
-
-    per_subnetwork: tuple[np.ndarray, ...]
-
-
-def q_weights(partition: NetworkPartition, step_sizes: StepSizeProfile) -> QWeights:
-    """q_{s,k} = mu_{s,k} * p_{s,k} for every sending agent."""
+def q_weights(partition: NetworkPartition, step_sizes: StepSizeProfile) -> tuple[np.ndarray, ...]:
+    """q_{s,k} = mu_{s,k} * p_{s,k} for every sending agent, one array per sub-network."""
     mu = step_sizes.mu
-    return QWeights(
-        per_subnetwork=tuple(
-            _frozen(mu[partition.order[sl]] * p)
-            for sl, p in zip(partition.s_slices, partition.perron_vectors)
-        )
+    return tuple(
+        _frozen(mu[partition.order[sl]] * p)
+        for sl, p in zip(partition.s_slices, partition.perron_vectors)
     )
 
 
@@ -56,12 +49,7 @@ def _aggregate(models, q, point):
     return grad, hess
 
 
-def pareto_solve(
-    models: list[CostModel],
-    q: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> np.ndarray:
+def pareto_solve(models: list[CostModel], q: np.ndarray) -> np.ndarray:
     """Zero of the q-weighted aggregate gradient of one sub-network.
 
     Quadratic costs are solved in closed form. Otherwise Newton iterations
@@ -88,8 +76,8 @@ def pareto_solve(
 
     w = np.zeros(m)
     grad, hess = _aggregate(models, q, w)
-    for _ in range(max_iter):
-        if np.abs(grad).max() < tol:
+    for _ in range(PARETO_MAX_ITER):
+        if np.abs(grad).max() < PARETO_TOL:
             return w
         try:
             step = np.linalg.solve(hess, grad)
@@ -111,11 +99,11 @@ def pareto_solve(
                 break
             t *= 0.5
         else:
-            raise NoConvergence(max_iter, what="Pareto solve line search")
+            raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve line search")
         grad, hess = _aggregate(models, q, w)
-    if np.abs(grad).max() < tol:
+    if np.abs(grad).max() < PARETO_TOL:
         return w
-    raise NoConvergence(max_iter, what="Pareto solve")
+    raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve")
 
 
 def msd_subnetwork(q, hessians, covariances) -> float:
@@ -186,24 +174,21 @@ def theoretical_msd(
     models: list[CostModel],
     step_sizes: StepSizeProfile,
     w_stars: list[np.ndarray] | None = None,
-    noise_samples: int = MSD_NOISE_SAMPLES,
-    noise_seed: int = 0,
     im: InfluenceMatrix | None = None,
 ) -> MsdReport:
     """Closed-form MSD report for the whole network.
 
     Hessians and gradient-noise covariances are evaluated at each sending
     sub-network's Pareto point; models without an analytic covariance are
-    estimated empirically with ``noise_samples`` draws. ``im`` is the
-    partition's influence matrix, solved for here when not given.
+    estimated empirically from ``MSD_NOISE_SAMPLES`` draws of the stream
+    seeded by (0, agent). ``im`` is the partition's influence matrix,
+    solved for here when not given.
     """
-    qw = q_weights(partition, step_sizes)
     subnetworks = []
     msd_values = []
-    for s, sl in enumerate(partition.s_slices):
+    for s, (sl, q) in enumerate(zip(partition.s_slices, q_weights(partition, step_sizes))):
         members = partition.order[sl].tolist()
         sub_models = [models[k] for k in members]
-        q = qw.per_subnetwork[s]
         star = (
             np.atleast_1d(np.asarray(w_stars[s], dtype=float))
             if w_stars is not None
@@ -214,8 +199,8 @@ def theoretical_msd(
         for k, model in zip(members, sub_models):
             g = model.noise_covariance(star)
             if g is None:
-                rng = np.random.default_rng([noise_seed, k])
-                g = noise_covariance_at(model, star, noise_samples, rng).g
+                rng = np.random.default_rng([0, k])
+                g = noise_covariance_at(model, star, MSD_NOISE_SAMPLES, rng)
             covariances.append(g)
         msd = msd_subnetwork(q, hessians, covariances)
         msd_values.append(msd)
@@ -233,7 +218,7 @@ def theoretical_msd(
     if partition.n_gr:
         w = (im if im is not None else influence_matrix(partition)).w
         for agent in partition.r_agents:
-            c = influence_vector(w, partition, agent).entries
+            c = influence_vector(w, partition, agent)
             msd = msd_receiving(c, msd_values)
             r_entries.append(
                 RAgentMsd(agent_id=agent, c=c, msd_linear=msd, msd_db=_maybe_db(msd))

@@ -59,10 +59,10 @@ def pareto_points(
     partition: NetworkPartition, models, step_sizes
 ) -> list[np.ndarray]:
     """One Pareto solution per sending sub-network."""
-    qw = performance.q_weights(partition, step_sizes)
+    qs = performance.q_weights(partition, step_sizes)
     return [
         performance.pareto_solve([models[k] for k in partition.order[sl].tolist()], q)
-        for sl, q in zip(partition.s_slices, qw.per_subnetwork)
+        for sl, q in zip(partition.s_slices, qs)
     ]
 
 
@@ -111,7 +111,7 @@ def analyze(config: ExperimentConfig) -> dict:
         payload["influence"] = [
             {
                 "agent": agent,
-                "c": influence.influence_vector(im.w, partition, agent).entries,
+                "c": influence.influence_vector(im.w, partition, agent),
             }
             for agent in partition.r_agents
         ]
@@ -198,7 +198,7 @@ def _simulate(
         n_runs=config.run.monte_carlo_runs,
         master_seed=config.run.seed,
         stride=config.run.stride,
-        burn_in_fraction=config.run.burn_in_fraction if config.run.record_iterates else None,
+        burn_in_fraction=config.run.burn_in_fraction,
         records=records,
     )
     estimate = (
@@ -223,9 +223,8 @@ def _simulate(
             "halfwidth": _jsonable(estimate.halfwidth),
             "burn_in_fraction": config.run.burn_in_fraction,
         }
-    if config.run.record_iterates:
-        tails = [traj.mean_iterate_tail for traj in trajectories]
-        payload["mean_iterate_tail"] = _jsonable(np.mean(tails, axis=0))
+    tails = [traj.mean_iterate_tail for traj in trajectories]
+    payload["mean_iterate_tail"] = _jsonable(np.mean(tails, axis=0))
     return SimulationResult(
         partition=partition,
         limit_points=lp,

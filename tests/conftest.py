@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import atcnet as an
 
@@ -74,3 +75,8 @@ def random_weak_matrix(rng, s_sizes=(3, 2), r_sizes=(2, 2), shuffle=True):
     s_groups = set(groups[: len(s_sizes)])
     r_groups = set(groups[len(s_sizes) :])
     return shuffled, s_groups, r_groups
+
+
+# Property tests draw the same examples on every run, and keep no example database.
+settings.register_profile("atcnet", derandomize=True, database=None, deadline=None)
+settings.load_profile("atcnet")

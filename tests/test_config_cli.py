@@ -140,6 +140,12 @@ class TestParseConfig:
             ("models", 2, {**QUADRATIC_1D, "r_u": float("nan")}, "models[2].r_u"),
             ("models", 2, {**QUADRATIC_2D, "r_u": [[1.0, 2.0], [2.0, 1.0]]}, "models[2].r_u"),
             ("models", 2, {**QUADRATIC_2D, "r_u": [[1.0, 0.5], [0.2, 1.0]]}, "models[2].r_u"),
+            ("step_sizes", "mu_max", float("inf"), "step_sizes.mu_max"),
+            ("run", "iterations", True, "run.iterations"),
+            ("run", "stride", True, "run.stride"),
+            ("run", "monte_carlo_runs", True, "run.monte_carlo_runs"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "sigma_v2": float("nan")}, "models[2].sigma_v2"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "w_o": [float("nan")]}, "models[2].w_o"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -152,6 +158,16 @@ class TestParseConfig:
         path.write_text(yaml.safe_dump(data))
         assert cli.main(["analyze", "--config", str(path)]) == 1
         assert f"{field}:" in capsys.readouterr().err
+
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys):
+        data = {**eight_agent_config(), "output_dir": 5}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.field == "output_dir"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["analyze", "--config", str(path)]) == 1
+        assert "output_dir: expected str, got int" in capsys.readouterr().err
 
     def test_logistic_eval_fields_accepted(self):
         data = eight_agent_config()
@@ -320,9 +336,8 @@ class TestSimulateWorkflow:
             np.array([[0.0, 1.0 / 3.0], [0.0, 2.5e-05], [0.0, 7.0]]),
         ]
         trajectories = [
-            an.Trajectory(iterations=np.array([10, 20, 30]), sq_error=values, iterates=None,
-                          seed=0, run_index=r, mu_max=0.1, stride=10)
-            for r, values in enumerate(sq_error)
+            an.Trajectory(iterations=np.array([10, 20, 30]), sq_error=values, iterates=None)
+            for values in sq_error
         ]
         result = workflows.SimulationResult(
             partition=None, limit_points=None, trajectories=trajectories, estimate=None,
@@ -488,6 +503,28 @@ class TestCli:
         path = self.write_config(tmp_path, data)
         assert cli.main(["analyze", "--config", path]) == 1
         assert "matrix: weight from agent 6 to agent 2 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", [-1, float("nan")])
+    def test_bad_rho_exit_code(self, tmp_path, capsys, rho):
+        # a negative or NaN regularizer once ended the Pareto solve with a traceback
+        data = yaml.safe_load(resources.files("atcnet").joinpath(
+            "presets/two-agent-logistic.yaml").read_text())
+        data["models"][0]["rho"] = rho
+        path = self.write_config(tmp_path, data)
+        assert cli.main(["msd", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "models[0].rho:" in err and "Traceback" not in err
+
+    def test_other_package_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(models, q):
+            raise an.errors.NoConvergence(100, what="Pareto solve")
+
+        monkeypatch.setattr(an.performance, "pareto_solve", no_convergence)
+        path = self.write_config(tmp_path, eight_agent_config())
+        assert cli.main(["msd", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "NoConvergence: Pareto solve did not converge within 100 iterations" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["analyze", "--config", str(tmp_path / "nope.yaml")]) == 1

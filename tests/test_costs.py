@@ -8,9 +8,7 @@ from atcnet.costs import (
     TwoClassGaussianSampler,
     ZeroedObservations,
     finite_difference_gradient,
-    hessian_at,
     inv_one_plus_exp,
-    logistic_stochastic_gradient,
     noise_covariance_at,
     quadratic_features,
 )
@@ -24,12 +22,12 @@ def make_logistic(rho=0.1, eval_samples=200000):
 class TestLogisticGradient:
     def test_midpoint_at_origin(self):
         h = np.array([1.0, 0.0])
-        g = logistic_stochastic_gradient(np.zeros(2), 1.0, h, rho=0.0)
+        g = make_logistic(rho=0.0).gradient_rows(np.zeros(2), (1.0, h))
         assert g == pytest.approx([-0.5, 0.0], abs=1e-15)
 
     def test_regularizer_vanishes_at_origin(self):
         h = np.array([0.3, -2.0])
-        g = logistic_stochastic_gradient(np.zeros(2), -1.0, h, rho=1.0)
+        g = make_logistic(rho=1.0).gradient_rows(np.zeros(2), (-1.0, h))
         assert g == pytest.approx(0.5 * h, abs=1e-15)
 
     def test_saturated_sample_matches_finite_differences(self):
@@ -38,14 +36,15 @@ class TestLogisticGradient:
         h = np.array([1.0, 0.0])
         model = make_logistic(rho=0.0)
         sample = (1.0, h)
-        analytic = model.stochastic_gradient(w, sample)
+        analytic = model.gradient_rows(w, sample)
         numeric = finite_difference_gradient(lambda v: model.sample_loss(v, sample), w)
         assert np.abs(analytic - numeric).max() <= 1e-6 * max(np.abs(numeric).max(), 1e-9)
 
     def test_no_overflow_for_huge_margins(self):
-        g = logistic_stochastic_gradient(np.array([1000.0]), 1.0, np.array([1.0]), 0.0)
+        model = make_logistic(rho=0.0)
+        g = model.gradient_rows(np.array([1000.0]), (1.0, np.array([1.0])))
         assert np.isfinite(g).all()
-        g = logistic_stochastic_gradient(np.array([-1000.0]), 1.0, np.array([1.0]), 0.0)
+        g = model.gradient_rows(np.array([-1000.0]), (1.0, np.array([1.0])))
         assert np.isfinite(g).all()
 
     def test_stable_sigmoid_extremes(self):
@@ -71,8 +70,8 @@ class TestFiniteDifferenceGradient:
         for _ in range(20):
             point = rng.normal(0.0, 2.0, 2)
             for model in (quad, logi):
-                sample = model.draw_sample(rng)
-                analytic = model.stochastic_gradient(point, sample)
+                sample = tuple(f[0] for f in model.draw_batch(rng, 1))
+                analytic = model.gradient_rows(point, sample)
                 numeric = finite_difference_gradient(
                     lambda v: model.sample_loss(v, sample), point
                 )
@@ -109,7 +108,7 @@ class TestQuadraticCost:
         w_rows = rng.normal(size=(6, 2))
         rows = model.gradient_rows(w_rows, (u, d))
         for i in range(6):
-            single = model.stochastic_gradient(w_rows[i], (u[i], d[i]))
+            single = model.gradient_rows(w_rows[i], (u[i], d[i]))
             assert np.allclose(rows[i], single, atol=1e-15)
 
 
@@ -120,12 +119,12 @@ class TestNoiseCovariance:
         model = QuadraticCost(r_u=su2, sigma_v2=sv2, w_o=[0.7])
         est = noise_covariance_at(model, model.w_o, 10**6, np.random.default_rng(2))
         expected = 4.0 * su2 * sv2
-        assert abs(est.g[0, 0] - expected) / expected < 0.05
+        assert abs(est[0, 0] - expected) / expected < 0.05
 
     def test_zero_noise_model(self):
         model = QuadraticCost(r_u=1.0, sigma_v2=0.0, w_o=[1.0])
         est = noise_covariance_at(model, model.w_o, 1000, np.random.default_rng(3))
-        assert np.all(est.g == 0.0)
+        assert np.all(est == 0.0)
 
     def test_rejects_small_sample_counts(self):
         model = QuadraticCost(r_u=1.0, sigma_v2=0.1, w_o=[1.0])
@@ -136,14 +135,14 @@ class TestNoiseCovariance:
         model = QuadraticCost(r_u=[[1.0, 0.2], [0.2, 0.8]], sigma_v2=0.05, w_o=[1.0, -0.5])
         est = noise_covariance_at(model, [0.2, 0.2], 300000, np.random.default_rng(4))
         floor = 4.0 * model.sigma_v2 * model.r_u
-        assert np.linalg.eigvalsh(est.g - floor).min() > 0
+        assert np.linalg.eigvalsh(est - floor).min() > 0
 
     def test_gaussian_closed_form_matches_sampling(self):
         model = QuadraticCost(r_u=[[1.0, 0.2], [0.2, 0.8]], sigma_v2=0.05, w_o=[1.0, -0.5])
         point = np.array([0.3, 0.2])
         est = noise_covariance_at(model, point, 10**6, np.random.default_rng(5))
         exact = model.noise_covariance(point)
-        assert np.abs(est.g - exact).max() / np.abs(exact).max() < 0.02
+        assert np.abs(est - exact).max() / np.abs(exact).max() < 0.02
 
     def test_zero_mean_noise_within_clt_bound(self):
         n = 100000
@@ -163,7 +162,7 @@ class TestNoiseCovariance:
 class TestHessians:
     def test_quadratic_identity_covariance(self):
         model = QuadraticCost(r_u=2.0, sigma_v2=0.0, w_o=[0.0, 0.0])
-        assert np.array_equal(hessian_at(model, [0.0, 0.0]), 4.0 * np.eye(2))
+        assert np.array_equal(model.hessian([0.0, 0.0]), 4.0 * np.eye(2))
 
     def test_logistic_quarter_curvature_at_origin(self):
         model = make_logistic(rho=0.1)
@@ -188,13 +187,6 @@ class TestHessians:
         for model, point in ((quad, [0.7, -0.2]), (logi, [0.5, 0.5])):
             h = model.hessian(np.asarray(point))
             assert np.abs(h - h.T).max() <= 1e-10
-
-    def test_sample_count_override(self):
-        model = make_logistic(eval_samples=50000)
-        small = hessian_at(model, np.zeros(2), n_samples=1000)
-        default = hessian_at(model, np.zeros(2))
-        assert small.shape == default.shape
-        assert not np.array_equal(small, default)
 
 
 class TestSamplers:
@@ -244,4 +236,4 @@ class TestZeroedObservations:
         model = ZeroedObservations(inner)
         sample = tuple(f[0] for f in model.draw_batch(np.random.default_rng(1), 1))
         w = np.array([1.0, -2.0])
-        assert model.stochastic_gradient(w, sample) == pytest.approx(0.2 * w)
+        assert model.gradient_rows(w, sample) == pytest.approx(0.2 * w)

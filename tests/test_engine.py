@@ -35,57 +35,32 @@ class TestStepSizeProfile:
         assert profile.scaled(0.5).mu_max == pytest.approx(0.0005)
 
 
-class TestAtcStep:
+class TestFixedPoints:
     def test_zero_gradient_identity_matrix_is_fixed_point(self):
+        # without mixing, each noise-free agent settles where its own gradient vanishes
         a = an.validate(np.eye(3))
-        models = quad_models([[2.0]] * 3, sigma_v2=0.0)
-        state = an.NetworkState(iterates=np.full((3, 1), 2.0))
+        w_os = np.array([[2.0], [-1.0], [0.5]])
+        models = quad_models(w_os, sigma_v2=0.0)
         steps = an.StepSizeProfile(0.1, np.ones(3))
-        nxt = an.atc_step(state, a, models, steps, np.random.default_rng(0))
-        assert np.array_equal(nxt.iterates, state.iterates)
-        assert nxt.iteration == 1
+        [traj] = an.run_ensemble(a, models, steps, w_os, iterations=2000, n_runs=1,
+                                 master_seed=0, record_iterates=True)
+        assert np.allclose(traj.iterates[-10:], w_os, atol=1e-12)
 
     def test_equal_iterates_stay_under_any_mixing(self, eight_agent):
         models = quad_models([[0.7]] * 8, sigma_v2=0.0)
-        state = an.NetworkState(iterates=np.full((8, 1), 0.7))
         steps = an.StepSizeProfile(0.05, np.ones(8))
-        nxt = an.atc_step(state, a=eight_agent, models=models, step_sizes=steps,
-                          rng=np.random.default_rng(0))
-        assert np.allclose(nxt.iterates, 0.7, atol=1e-12)
-
-    def test_single_step_hand_computed(self, two_agent_setup):
-        a, models, steps = two_agent_setup
-        rng = np.random.default_rng(42)
-        # replay the same draws the step will consume (one sample per agent)
-        expected_psi = np.empty((2, 1))
-        replay = np.random.default_rng(42)
-        for k, model in enumerate(models):
-            u, d = model.draw_batch(replay, 1)
-            expected_psi[k] = steps.mu[k] * 2.0 * u[0] * d[0]  # from w = 0
-        expected = a.weights.T @ expected_psi
-
-        state = an.NetworkState(iterates=np.zeros((2, 1)))
-        nxt = an.atc_step(state, a, models, steps, rng)
-        assert np.allclose(nxt.iterates, expected, atol=1e-15)
-
-    def test_divergence_detected(self, two_agent):
-        models = quad_models([[1.0], [1.0]], sigma_v2=0.0, r_u=100.0)
-        steps = an.StepSizeProfile(1.0, [1.0, 1.0])  # wildly unstable
-        state = an.NetworkState(iterates=np.zeros((2, 1)))
-        rng = np.random.default_rng(0)
-        with pytest.raises(Diverged) as exc:
-            for _ in range(2000):
-                state = an.atc_step(state, two_agent, models, steps, rng)
-        assert exc.value.iteration >= 1
+        [traj] = an.run_ensemble(eight_agent, models, steps, np.full((8, 1), 0.7),
+                                 iterations=2000, n_runs=1, master_seed=0, record_iterates=True)
+        assert np.allclose(traj.iterates[-10:], 0.7, atol=1e-12)
 
 
 class TestRun:
     def test_deterministic_given_seed(self, two_agent_setup):
         a, models, steps = two_agent_setup
         lp = np.array([[1.0], [1.0]])
-        kwargs = dict(iterations=500, seed=3, stride=10, record_iterates=True)
-        t1 = an.run(a, models, steps, lp, **kwargs)
-        t2 = an.run(a, models, steps, lp, **kwargs)
+        kwargs = dict(iterations=500, n_runs=1, master_seed=3, stride=10, record_iterates=True)
+        [t1] = an.run_ensemble(a, models, steps, lp, **kwargs)
+        [t2] = an.run_ensemble(a, models, steps, lp, **kwargs)
         assert np.array_equal(t1.sq_error, t2.sq_error)
         assert np.array_equal(t1.iterates, t2.iterates)
 
@@ -93,12 +68,13 @@ class TestRun:
         a, models, _ = two_agent_setup
         steps = an.StepSizeProfile(0.0, [1.0, 1.0])
         lp = np.array([[1.0], [0.25]])
-        traj = an.run(a, models, steps, lp, iterations=200, seed=0)
+        [traj] = an.run_ensemble(a, models, steps, lp, iterations=200, n_runs=1, master_seed=0)
         assert np.allclose(traj.sq_error, (lp**2).sum(axis=1), atol=1e-15)
 
     def test_recorded_iterations_follow_stride(self, two_agent_setup):
         a, models, steps = two_agent_setup
-        traj = an.run(a, models, steps, np.zeros((2, 1)), iterations=55, seed=0, stride=10)
+        [traj] = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=55, n_runs=1,
+                                 master_seed=0, stride=10)
         assert traj.iterations.tolist() == [10, 20, 30, 40, 50]
 
     def test_ensemble_runs_have_independent_streams(self, two_agent_setup):
@@ -150,12 +126,12 @@ class TestLongTerm:
         w = an.influence_matrix(eight_partition).w
         points = an.receiving_limit_points(w, [[1.0], [1.5]], eight_partition)
         state = an.long_term_state(models, points.by_original_agent())
-        qw = an.q_weights(eight_partition, an.StepSizeProfile(0.0005, np.ones(8)))
+        qs = an.q_weights(eight_partition, an.StepSizeProfile(0.0005, np.ones(8)))
         at = 0
         for s, size in enumerate(eight_partition.s_sizes):
             members = eight_partition.order[at : at + size]
             weighted = sum(
-                q * (-state.bias[k]) for q, k in zip(qw.per_subnetwork[s], members)
+                q * (-state.bias[k]) for q, k in zip(qs[s], members)
             )
             assert np.abs(weighted).max() < 1e-12
             at += size
@@ -207,7 +183,7 @@ class TestEstimateMsd:
             return engine.Trajectory(
                 iterations=np.arange(10, 110, 10),
                 sq_error=np.full((10, 3), 2.5),
-                iterates=None, seed=0, run_index=run, mu_max=0.1, stride=10,
+                iterates=None,
             )
         est = an.estimate_msd([traj(0), traj(1)], burn_in_fraction=0.5)
         assert np.array_equal(est.per_agent, [2.5, 2.5, 2.5])
@@ -215,8 +191,7 @@ class TestEstimateMsd:
 
     def test_requires_two_runs(self):
         traj = engine.Trajectory(
-            iterations=np.array([10]), sq_error=np.ones((1, 1)),
-            iterates=None, seed=0, run_index=0, mu_max=0.1, stride=10,
+            iterations=np.array([10]), sq_error=np.ones((1, 1)), iterates=None,
         )
         with pytest.raises(InsufficientData):
             an.estimate_msd([traj])
@@ -225,8 +200,7 @@ class TestEstimateMsd:
         values = np.arange(100, dtype=float).reshape(100, 1)
         def traj(run):
             return engine.Trajectory(
-                iterations=np.arange(1, 101), sq_error=values.copy(),
-                iterates=None, seed=0, run_index=run, mu_max=0.1, stride=1,
+                iterations=np.arange(1, 101), sq_error=values.copy(), iterates=None,
             )
         est = an.estimate_msd([traj(0), traj(1)], burn_in_fraction=0.99)
         assert est.per_agent[0] == 99.0
@@ -246,7 +220,8 @@ class TestEstimateMsd:
 class TestTrajectoryCsv:
     def test_format(self, two_agent_setup, tmp_path):
         a, models, steps = two_agent_setup
-        traj = an.run(a, models, steps, np.zeros((2, 1)), iterations=20, seed=1, stride=10)
+        [traj] = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=1,
+                                 master_seed=1, stride=10)
         result = workflows.SimulationResult(
             partition=None, limit_points=None, trajectories=[traj], estimate=None, payload={}
         )

@@ -99,7 +99,8 @@ class TestFrozenOutputs:
         args = preset_network()
         ensemble = engine.run_ensemble(*args, iterations=1100, n_runs=5, master_seed=5,
                                        record_iterates=True)
-        alone = engine.run(*args, iterations=1100, seed=5, record_iterates=True)
+        [alone] = engine.run_ensemble(*args, iterations=1100, n_runs=1, master_seed=5,
+                                      record_iterates=True)
         assert np.array_equal(ensemble[0].sq_error, alone.sq_error)
         assert np.array_equal(ensemble[0].iterates, alone.iterates)
 
@@ -118,7 +119,7 @@ def per_agent_reference(a, models, steps, limit_points, iterations, n_runs, seed
             psi = np.empty_like(x)
             for k, model in enumerate(models):
                 sample = tuple(field[j] for field in blocks[k])
-                psi[k] = x[k] - steps.mu[k] * model.stochastic_gradient(x[k], sample)
+                psi[k] = x[k] - steps.mu[k] * model.gradient_rows(x[k], sample)
             x = a.weights.T @ psi
             if (i + 1) % stride == 0:
                 sq_error[(i + 1) // stride - 1, r] = ((x - limit_points) ** 2).sum(axis=1)
@@ -173,7 +174,7 @@ class TestBatchedKernel:
         state = engine.long_term_state(models, lp)
         state = engine.LongTermState(error=lp - x, hessians=state.hessians, bias=state.bias)
         for i in range(20):
-            ghat = np.array([model.stochastic_gradient(x[k], tuple(f[i] for f in blocks[k]))
+            ghat = np.array([model.gradient_rows(x[k], tuple(f[i] for f in blocks[k]))
                              for k, model in enumerate(models)])
             noise = ghat - np.array([model.true_gradient(x[k]) for k, model in enumerate(models)])
             x = a.weights.T @ (x - steps.mu[:, None] * ghat)

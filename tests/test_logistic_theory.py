@@ -71,7 +71,7 @@ def test_quadratic_features_bits(layout):
 def test_noise_covariance_bits():
     model = ellipse_models()[1]
     est = noise_covariance_at(model, np.linspace(-0.5, 0.5, 6), 50000, np.random.default_rng(8))
-    assert digest(est.g) == SHA256["noise_covariance"]
+    assert digest(est) == SHA256["noise_covariance"]
 
 
 def test_pareto_solve_bits():

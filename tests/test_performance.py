@@ -19,11 +19,11 @@ def quad(w_o, r_u=1.0, sv2=0.01):
 class TestQWeights:
     def test_exact_products(self, eight_partition):
         steps = an.StepSizeProfile(0.0005, np.ones(8))
-        qw = an.q_weights(eight_partition, steps)
-        for block, group in zip(eight_partition.s_blocks(), qw.per_subnetwork):
+        qs = an.q_weights(eight_partition, steps)
+        for block, group in zip(eight_partition.s_blocks(), qs):
             p = an.perron(block)
             assert np.array_equal(group, 0.0005 * p)
-        assert all(group.min() > 0 for group in qw.per_subnetwork)
+        assert all(group.min() > 0 for group in qs)
 
 
 class TestParetoSolve:
@@ -194,8 +194,8 @@ class TestVectorHeterogeneousNetwork:
             quad([0.0, 0.0], sv2=0.01),
         ]
         steps = an.StepSizeProfile(0.002, np.ones(3))
-        qw = an.q_weights(part, steps)
-        star = an.pareto_solve(models[:2], qw.per_subnetwork[0])
+        qs = an.q_weights(part, steps)
+        star = an.pareto_solve(models[:2], qs[0])
         assert 0.2 < star[0] < 1.0  # a genuine mix of the two models
         report = an.theoretical_msd(part, models, steps, w_stars=[star])
         points = an.receiving_limit_points(

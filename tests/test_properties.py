@@ -1,0 +1,81 @@
+"""Invariants of the structure layer over generated weakly-connected networks.
+
+Each example draws sending and receiving sub-network sizes, the seed of the
+weights that ``random_weak_matrix`` fills in, per-agent models and step
+sizes, and a relabelling of the agents.
+"""
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+import atcnet as an
+from atcnet import workflows
+from atcnet.costs import QuadraticCost
+
+from conftest import random_weak_matrix
+
+ROUND_OFF = 1e-13
+
+block_sizes = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+
+
+@st.composite
+def networks(draw):
+    """(raw matrix, per-agent w_o, per-agent tau, relabelling) of one network."""
+    s_sizes, r_sizes = draw(block_sizes), draw(block_sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw, _, _ = random_weak_matrix(rng, s_sizes, r_sizes)
+    n = raw.shape[0]
+    perm = np.array(draw(st.permutations(range(n))))
+    return raw, rng.normal(size=n), rng.uniform(0.1, 1.0, n), perm
+
+
+def structure(raw):
+    a = an.validate(raw)
+    partition = an.classify(a)
+    return a, partition, an.influence_matrix(partition)
+
+
+@given(networks())
+def test_w_columns_sum_to_one(net):
+    _, _, im = structure(net[0])
+    assert np.abs(im.w.sum(axis=0) - 1.0).max() <= ROUND_OFF
+
+
+@given(networks())
+def test_limiting_power_is_a_fixed_point_of_a(net):
+    a, partition, im = structure(net[0])
+    a_inf = an.limiting_power(partition, im).original
+    assert np.abs(a.weights @ a_inf - a_inf).max() <= ROUND_OFF
+
+
+def outputs(raw, w_os, tau, labels):
+    """A^∞, limit points and influence vectors, keyed by the agents' ``labels``."""
+    _, partition, im = structure(raw)
+    models = [QuadraticCost(r_u=1.0, sigma_v2=0.01, w_o=[w]) for w in w_os]
+    stars = workflows.pareto_points(partition, models, an.StepSizeProfile(0.01, tau))
+    points = an.receiving_limit_points(im.w, stars, partition).by_original_agent()
+    a_inf = np.empty((labels.size, labels.size))
+    a_inf[np.ix_(labels, labels)] = an.limiting_power(partition, im).original
+    limit_points = np.empty_like(points)
+    limit_points[labels] = points
+    groups = [frozenset(labels[partition.order[sl]].tolist()) for sl in partition.s_slices]
+    influence = {
+        int(labels[agent]): dict(zip(groups, an.influence_vector(im.w, partition, agent)))
+        for agent in partition.r_agents
+    }
+    return a_inf, limit_points, influence
+
+
+@given(networks())
+def test_relabelling_only_permutes_outputs(net):
+    raw, w_os, tau, perm = net
+    base = outputs(raw, w_os, tau, np.arange(perm.size))
+    moved = outputs(raw[np.ix_(perm, perm)], w_os[perm], tau[perm], perm)
+    assert np.abs(moved[0] - base[0]).max() <= ROUND_OFF
+    assert np.abs(moved[1] - base[1]).max() <= ROUND_OFF
+    assert moved[2].keys() == base[2].keys()
+    for agent, entries in base[2].items():
+        assert moved[2][agent].keys() == entries.keys()
+        for group, value in entries.items():
+            assert abs(moved[2][agent][group] - value) <= ROUND_OFF

@@ -28,9 +28,6 @@ from .engine import (
     run_paired_long_term,
 )
 from .influence import (
-    InfluenceMatrix,
-    LimitPoints,
-    LimitingPower,
     fixed_point_residual,
     influence_matrix,
     influence_vector,

@@ -63,13 +63,11 @@ def _regression_run(mu_scale: float):
     step_sizes = config.step_sizes.scaled(mu_scale)
     models = list(config.models)
     stars = workflows.pareto_points(partition, models, step_sizes)
-    w = influence.influence_matrix(partition).w
-    points = influence.receiving_limit_points(w, stars, partition)
     trajectories = engine.run_ensemble(
         config.matrix,
         models,
         step_sizes,
-        points.by_original_agent(),
+        influence.receiving_limit_points(stars, partition),
         iterations=config.run.iterations,
         n_runs=config.run.monte_carlo_runs,
         master_seed=config.run.seed,
@@ -82,16 +80,14 @@ def _regression_run(mu_scale: float):
 
 def _check_influence_matrix() -> tuple[bool, str]:
     _, partition = _three_subnetwork()
-    w = influence.influence_matrix(partition).w
-    err = np.abs(w - W_REFERENCE).max()
+    err = np.abs(partition.w - W_REFERENCE).max()
     return err <= 5e-4, f"max |W - reference| = {err:.2e} (tol 5e-4)"
 
 
 def _check_limit_points() -> tuple[bool, str]:
     _, partition = _three_subnetwork()
-    w = influence.influence_matrix(partition).w
-    points = influence.receiving_limit_points(w, [np.array([1.0]), np.array([1.5])], partition)
-    got = points.w_bullet[:, 0]
+    points = influence.receiving_limit_points([np.array([1.0]), np.array([1.5])], partition)
+    got = points[list(partition.r_agents), 0]
     err = np.abs(got - W_BULLET_REFERENCE).max()
     return err <= 5e-4, (
         f"receiving limit points {np.round(got, 4).tolist()} vs "
@@ -101,8 +97,7 @@ def _check_limit_points() -> tuple[bool, str]:
 
 def _check_influence_vectors() -> tuple[bool, str]:
     _, partition = _three_subnetwork()
-    w = influence.influence_matrix(partition).w
-    c = influence.influence_vector(w, partition, 6)
+    c = influence.influence_vector(partition, 6)
     err = np.abs(c - C_AGENT6_REFERENCE).max()
     return err <= 5e-4, (
         f"c(agent 6) = {np.round(c, 4).tolist()} vs {C_AGENT6_REFERENCE.tolist()}, "
@@ -112,35 +107,30 @@ def _check_influence_vectors() -> tuple[bool, str]:
 
 def _check_two_agent_collapse() -> tuple[bool, str]:
     a = validate([[1.0, 0.03], [0.0, 0.97]])
-    partition = classify(a)
-    w = influence.influence_matrix(partition).w
-    err = abs(float(w[0, 0]) - 1.0)
-    return err <= 1e-12, f"W = {float(w[0, 0])!r}, |W - 1| = {err:.2e} (tol 1e-12)"
+    w = float(classify(a).w[0, 0])
+    err = abs(w - 1.0)
+    return err <= 1e-12, f"W = {w!r}, |W - 1| = {err:.2e} (tol 1e-12)"
 
 
 def _check_structural_properties() -> tuple[bool, str]:
     config, partition = _three_subnetwork()
-    im = influence.influence_matrix(partition)
     checks = []
 
-    col_err = np.abs(im.w.sum(axis=0) - 1.0).max()
+    col_err = np.abs(partition.w.sum(axis=0) - 1.0).max()
     checks.append(("W column sums", col_err <= 1e-10, f"{col_err:.2e} <= 1e-10"))
 
-    points = influence.receiving_limit_points(
-        im.w, [np.array([1.0]), np.array([1.5])], partition
-    )
+    points = influence.receiving_limit_points([np.array([1.0]), np.array([1.5])], partition)
     residual = influence.fixed_point_residual(config.matrix, points)
     checks.append(("fixed-point residual", residual < 1e-9, f"{residual:.2e} < 1e-9"))
 
-    lim = influence.limiting_power(partition, im)
+    lim = influence.limiting_power(partition)
     a2000 = np.linalg.matrix_power(config.matrix.weights, 2000)
-    power_err = np.abs(a2000 - lim.original).max()
+    power_err = np.abs(a2000 - lim).max()
     checks.append(("limiting power", power_err < 1e-8, f"{power_err:.2e} < 1e-8"))
 
     rho = partition.rho_t_rr
-    exact = im.w
     errors = [
-        np.abs(influence.neumann_w(partition, n) - exact).max() for n in range(30, 47)
+        np.abs(influence.neumann_w(partition, n) - partition.w).max() for n in range(30, 47)
     ]
     ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
     ratio_ok = max(ratios) <= rho + 0.05
@@ -178,13 +168,11 @@ def _check_leader_follower() -> tuple[bool, str]:
     partition = classify(config.matrix)
     models = list(config.models)
     stars = workflows.pareto_points(partition, models, config.step_sizes)
-    w = influence.influence_matrix(partition).w
-    points = influence.receiving_limit_points(w, stars, partition)
     trajectories = engine.run_ensemble(
         config.matrix,
         models,
         config.step_sizes,
-        points.by_original_agent(),
+        influence.receiving_limit_points(stars, partition),
         iterations=config.run.iterations,
         n_runs=config.run.monte_carlo_runs,
         master_seed=config.run.seed,
@@ -209,13 +197,11 @@ def _check_long_term_model() -> tuple[bool, str]:
     config, partition = _three_subnetwork()
     models = list(config.models)
     stars = workflows.pareto_points(partition, models, config.step_sizes)
-    w = influence.influence_matrix(partition).w
-    points = influence.receiving_limit_points(w, stars, partition)
     [paired] = engine.run_paired_long_term(
         config.matrix,
         models,
         config.step_sizes,
-        points.by_original_agent(),
+        influence.receiving_limit_points(stars, partition),
         iterations=2000,
         seed=19,
         noise_at="iterate",
@@ -229,19 +215,18 @@ def _check_long_term_model() -> tuple[bool, str]:
     for mu_max, iterations in ((1e-3, 20000), (5e-4, 40000), (2.5e-4, 80000)):
         steps = engine.StepSizeProfile(mu_max, logi.step_sizes.tau)
         lstars = workflows.pareto_points(lpartition, lmodels, steps)
-        lw = influence.influence_matrix(lpartition).w
-        lpoints = influence.receiving_limit_points(lw, lstars, lpartition)
+        lpoints = influence.receiving_limit_points(lstars, lpartition)
         gap_runs = []
         for pr in engine.run_paired_long_term(
             logi.matrix,
             lmodels,
             steps,
-            lpoints.by_original_agent(),
+            lpoints,
             iterations=iterations,
             seed=23,
             n_runs=4,
             noise_at="limit_point",
-            w_init=lpoints.by_original_agent(),
+            w_init=lpoints,
         ):
             half = pr.sq_error.shape[0] // 2
             nl = pr.sq_error[half:].sum(axis=1).mean()
@@ -296,9 +281,7 @@ def _check_structural_isolation() -> tuple[bool, str]:
     config, partition = _three_subnetwork()
     models = list(config.models)
     stars = workflows.pareto_points(partition, models, config.step_sizes)
-    w = influence.influence_matrix(partition).w
-    points = influence.receiving_limit_points(w, stars, partition)
-    lp = points.by_original_agent()
+    lp = influence.receiving_limit_points(stars, partition)
     zeroed = [
         ZeroedObservations(m) if k in partition.r_agents else m
         for k, m in enumerate(models)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance, workflows
-from .config import PRESET_NAMES, load_config
+from .config import PRESET_NAMES, check_seed, load_config
 from .errors import AtcnetError, ConfigError, Diverged
 
 EXIT_OK = 0
@@ -66,7 +66,7 @@ def _load(args):
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(
-            config, run=dataclasses.replace(config.run, seed=args.seed)
+            config, run=dataclasses.replace(config.run, seed=check_seed(args.seed))
         )
     return config
 

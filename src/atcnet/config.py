@@ -105,6 +105,23 @@ def _finite(value, field):
     return value
 
 
+def _check_spd(matrix: np.ndarray, field: str, name: str) -> None:
+    """A ConfigError on ``field`` unless ``matrix`` is finite, symmetric and positive definite."""
+    if not (np.all(np.isfinite(matrix)) and np.array_equal(matrix, matrix.T)):
+        raise ConfigError(f"{name} must be a finite symmetric matrix", field=field)
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise ConfigError(f"{name} must be positive definite", field=field)
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if it is >= 0, as numpy's generators need; else a ConfigError on run.seed."""
+    if seed < 0:
+        raise ConfigError("seed must be an integer >= 0", field="run.seed")
+    return seed
+
+
 def _load_matrix(section, base_dir: Path) -> CombinationMatrix:
     if not isinstance(section, dict):
         raise ConfigError("expected a mapping with 'inline' or 'file'", field="matrix")
@@ -136,18 +153,23 @@ def _load_matrix(section, base_dir: Path) -> CombinationMatrix:
 
 def _build_sampler(spec, field):
     kind = _expect(spec, "kind", f"{field}.kind", str)
+    p_pos = _expect(spec, "p_pos", f"{field}.p_pos", (int, float), False, 0.5)
+    if not 0.0 <= p_pos <= 1.0:
+        raise ConfigError("p_pos must lie in [0, 1]", field=f"{field}.p_pos")
     if kind == "two_class_gaussian":
-        return TwoClassGaussianSampler(
-            mean_pos=_expect(spec, "mean_pos", f"{field}.mean_pos"),
-            mean_neg=_expect(spec, "mean_neg", f"{field}.mean_neg"),
+        sampler = TwoClassGaussianSampler(
+            mean_pos=_finite(_expect(spec, "mean_pos", f"{field}.mean_pos"), f"{field}.mean_pos"),
+            mean_neg=_finite(_expect(spec, "mean_neg", f"{field}.mean_neg"), f"{field}.mean_neg"),
             cov=spec.get("cov", 1.0),
-            p_pos=spec.get("p_pos", 0.5),
+            p_pos=p_pos,
         )
+        _check_spd(sampler.cov, f"{field}.cov", "cov")
+        return sampler
     if kind == "ellipse":
         return EllipseSampler(
             semi_axes=tuple(spec.get("semi_axes", (2.0, 1.0))),
             outside_band=tuple(spec.get("outside_band", (1.3, 2.2))),
-            p_pos=spec.get("p_pos", 0.5),
+            p_pos=p_pos,
             outlier_fraction=spec.get("outlier_fraction", 0.0),
             outlier_center=tuple(spec.get("outlier_center", (6.0, 6.0))),
             outlier_std=spec.get("outlier_std", 0.5),
@@ -167,13 +189,7 @@ def _build_model(spec, index: int) -> CostModel:
                 ),
                 w_o=_finite(_expect(spec, "w_o", f"{field}.w_o"), f"{field}.w_o"),
             )
-            r = model.r_u
-            if not (np.all(np.isfinite(r)) and np.array_equal(r, r.T)):
-                raise ConfigError("r_u must be a finite symmetric matrix", field=f"{field}.r_u")
-            try:
-                np.linalg.cholesky(r)
-            except np.linalg.LinAlgError:
-                raise ConfigError("r_u must be positive definite", field=f"{field}.r_u")
+            _check_spd(model.r_u, f"{field}.r_u", "r_u")
             return model
         if kind == "logistic":
             eval_samples = _expect(spec, "eval_samples", f"{field}.eval_samples", int, False, 200000)
@@ -228,13 +244,15 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         tau = _expect(section, "tau", "step_sizes.tau", list, required=False, default=[1.0] * n)
         if len(tau) != n:
             raise ConfigError(f"tau has {len(tau)} entries for {n} agents", field="step_sizes.tau")
+        if any(isinstance(t, bool) for t in tau):
+            raise ConfigError("tau entries must be numbers, not booleans", field="step_sizes.tau")
         try:
             step_sizes = StepSizeProfile(mu_max=mu_max, tau=tau)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), field="step_sizes")
 
     run_section = _expect(data, "run", "run", dict)
-    seed = _expect(run_section, "seed", "run.seed", int)
+    seed = check_seed(_expect(run_section, "seed", "run.seed", int))
     iterations = _expect(run_section, "iterations", "run.iterations", int, required=False)
     if iterations is not None and iterations < 1:
         raise ConfigError("iterations must be an integer >= 1", field="run.iterations")
@@ -249,6 +267,8 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     )
     if stride < 1:
         raise ConfigError("stride must be an integer >= 1", field="run.stride")
+    if iterations is not None and stride > iterations:
+        raise ConfigError("stride must not exceed iterations", field="run.stride")
     runs = _expect(
         run_section, "monte_carlo_runs", "run.monte_carlo_runs", int, required=False, default=20
     )

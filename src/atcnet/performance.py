@@ -22,7 +22,7 @@ from .errors import (
     NonPositive,
     SingularAggregateHessian,
 )
-from .influence import InfluenceMatrix, influence_matrix, influence_vector
+from .influence import influence_vector
 from .topology import NetworkPartition, _frozen
 
 MSD_NOISE_SAMPLES = 1_000_000
@@ -174,15 +174,13 @@ def theoretical_msd(
     models: list[CostModel],
     step_sizes: StepSizeProfile,
     w_stars: list[np.ndarray] | None = None,
-    im: InfluenceMatrix | None = None,
 ) -> MsdReport:
     """Closed-form MSD report for the whole network.
 
     Hessians and gradient-noise covariances are evaluated at each sending
     sub-network's Pareto point; models without an analytic covariance are
     estimated empirically from ``MSD_NOISE_SAMPLES`` draws of the stream
-    seeded by (0, agent). ``im`` is the partition's influence matrix,
-    solved for here when not given.
+    seeded by (0, agent). Receiving agents read W from the partition.
     """
     subnetworks = []
     msd_values = []
@@ -215,14 +213,10 @@ def theoretical_msd(
         )
 
     r_entries = []
-    if partition.n_gr:
-        w = (im if im is not None else influence_matrix(partition)).w
-        for agent in partition.r_agents:
-            c = influence_vector(w, partition, agent)
-            msd = msd_receiving(c, msd_values)
-            r_entries.append(
-                RAgentMsd(agent_id=agent, c=c, msd_linear=msd, msd_db=_maybe_db(msd))
-            )
+    for agent in partition.r_agents:
+        c = influence_vector(partition, agent)
+        msd = msd_receiving(c, msd_values)
+        r_entries.append(RAgentMsd(agent_id=agent, c=c, msd_linear=msd, msd_db=_maybe_db(msd)))
     return MsdReport(subnetworks=tuple(subnetworks), r_agents=tuple(r_entries))
 
 

@@ -86,7 +86,8 @@ class NetworkPartition:
     ``order`` lists original agent ids in canonical order (senders first);
     the blocks are taken from weights[order][:, order]. What is derived from
     the partition (slices, agent ids, Perron vectors, the spectral radius of
-    t_rr) is computed on first use and kept.
+    t_rr, W and the condition number of I - t_rr) is computed on first use
+    and kept.
     """
 
     scc_list: tuple[tuple[int, ...], ...]
@@ -134,6 +135,20 @@ class NetworkPartition:
         """
         blocks = (self.t_rr[sl, sl] for sl in _slices(self.r_sizes))
         return max(map(spectral_radius, blocks), default=0.0)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """(n_gs, n_gr) influence matrix W = t_sr (I - t_rr)^(-1), read-only."""
+        # influence imports this module, so it is imported here, not at the top.
+        from . import influence
+
+        return influence.influence_matrix(self)
+
+    @cached_property
+    def cond_i_minus_t_rr(self) -> float:
+        """Condition number of I - t_rr, 1.0 without receivers; huge when receivers barely listen out."""
+        system = _identity_minus(self.t_rr, self.t_sr.sum(axis=0))
+        return float(np.linalg.cond(system)) if system.size else 1.0
 
     @cached_property
     def _r_columns(self) -> dict[int, int]:

@@ -73,7 +73,6 @@ def analyze(config: ExperimentConfig) -> dict:
     sizes; everything else needs the combination matrix alone.
     """
     partition = classify(config.matrix)
-    im = influence.influence_matrix(partition)
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -98,36 +97,35 @@ def analyze(config: ExperimentConfig) -> dict:
             entry["q"] = config.step_sizes.mu[members] * p
         payload["subnetworks"].append(entry)
 
-    payload["a_infinity"] = influence.limiting_power(partition, im).original
+    payload["a_infinity"] = influence.limiting_power(partition)
 
     if partition.n_gr:
         payload["spectral_radius_t_rr"] = partition.rho_t_rr
-        payload["condition_i_minus_t_rr"] = im.cond
+        payload["condition_i_minus_t_rr"] = partition.cond_i_minus_t_rr
         payload["w"] = {
             "rows": list(partition.s_agents),
             "cols": list(partition.r_agents),
-            "values": im.w,
+            "values": partition.w,
         }
         payload["influence"] = [
             {
                 "agent": agent,
-                "c": influence.influence_vector(im.w, partition, agent),
+                "c": influence.influence_vector(partition, agent),
             }
             for agent in partition.r_agents
         ]
 
     if config.models is not None and config.step_sizes is not None:
         stars = pareto_points(partition, config.models, config.step_sizes)
-        points = influence.receiving_limit_points(im.w, stars, partition)
+        points = influence.receiving_limit_points(stars, partition)
         payload["limit_points"] = {
             "w_star": [
                 {"subnetwork": s, "value": star} for s, star in enumerate(stars)
             ],
             "w_bullet": [
-                {"agent": agent, "value": points.w_bullet[i]}
-                for i, agent in enumerate(partition.r_agents)
+                {"agent": agent, "value": points[agent]} for agent in partition.r_agents
             ],
-            "by_agent": points.by_original_agent(),
+            "by_agent": points,
             "fixed_point_residual": influence.fixed_point_residual(config.matrix, points),
         }
     return _jsonable(payload)
@@ -172,23 +170,22 @@ def simulate(config: ExperimentConfig, out_dir: Path | None = None) -> Simulatio
 
 
 def _simulate_config(config, models, step_sizes, records=None) -> SimulationResult:
-    """Structure, Pareto solutions and W of ``config``, then ``_simulate``."""
+    """Structure and Pareto solutions of ``config``, then ``_simulate``."""
     partition = classify(config.matrix)
     stars = pareto_points(partition, models, step_sizes)
-    w = influence.influence_matrix(partition).w
-    return _simulate(config, partition, stars, w, records=records)
+    return _simulate(config, partition, stars, records=records)
 
 
 def _simulate(
-    config: ExperimentConfig, partition: NetworkPartition, stars, w: np.ndarray, records=None
+    config: ExperimentConfig, partition: NetworkPartition, stars, records=None
 ) -> SimulationResult:
-    """Monte-Carlo diffusion on the partition, Pareto solutions and W of ``config``.
+    """Monte-Carlo diffusion on the partition and Pareto solutions of ``config``.
 
     ``records`` is handed to ``engine.run_ensemble``.
     """
     iterations = config.require_iterations()
     step_sizes = config.require_step_sizes()
-    lp = influence.receiving_limit_points(w, stars, partition).by_original_agent()
+    lp = influence.receiving_limit_points(stars, partition)
     trajectories = engine.run_ensemble(
         config.matrix,
         list(config.require_models()),
@@ -240,10 +237,7 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     step_sizes = config.require_step_sizes()
     partition = classify(config.matrix)
     stars = pareto_points(partition, list(models), step_sizes)
-    im = influence.influence_matrix(partition)
-    report = performance.theoretical_msd(
-        partition, list(models), step_sizes, w_stars=stars, im=im
-    )
+    report = performance.theoretical_msd(partition, list(models), step_sizes, w_stars=stars)
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -267,7 +261,7 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
-        result = _simulate(config, partition, stars, im.w)
+        result = _simulate(config, partition, stars)
         if result.estimate is None:
             raise ConfigError("comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs")
         rows = performance.compare(report, result.estimate)

@@ -44,8 +44,14 @@ LOGISTIC_1D = {
     "rho": 0.1,
     "sampler": {"kind": "two_class_gaussian", "mean_pos": [1.0], "mean_neg": [-1.0]},
 }
+
 QUADRATIC_1D = {"kind": "quadratic", "w_o": 1.0, "sigma_v2": 0.01}
 QUADRATIC_2D = {"kind": "quadratic", "w_o": [1.0, 1.0], "sigma_v2": 0.01}
+
+
+def logistic_sampler(**sampler):
+    """LOGISTIC_1D with some of its sampler's fields replaced."""
+    return {**LOGISTIC_1D, "sampler": {**LOGISTIC_1D["sampler"], **sampler}}
 
 
 def eight_agent_config(**run_overrides):
@@ -146,6 +152,17 @@ class TestParseConfig:
             ("run", "monte_carlo_runs", True, "run.monte_carlo_runs"),
             ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "sigma_v2": float("nan")}, "models[2].sigma_v2"),
             ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "w_o": [float("nan")]}, "models[2].w_o"),
+            ("run", "seed", -1, "run.seed"),
+            ("run", "stride", 10**9, "run.stride"),
+            ("models", 2, logistic_sampler(mean_pos=[float("nan")]), "models[2].sampler.mean_pos"),
+            ("models", 2, logistic_sampler(p_pos=2.0), "models[2].sampler.p_pos"),
+            ("models", 2, logistic_sampler(p_pos=True), "models[2].sampler.p_pos"),
+            (
+                "models", 2,
+                logistic_sampler(mean_pos=[1.0, 0.5], mean_neg=[-1.0, -0.5], cov=[[1, 2], [2, 1]]),
+                "models[2].sampler.cov",
+            ),
+            ("step_sizes", "tau", [True] * 8, "step_sizes.tau"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -526,6 +543,22 @@ class TestCli:
         assert "NoConvergence: Pareto solve did not converge within 100 iterations" in err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["simulate", "--config", "two-agent-logistic", "--seed", "-1", "--out", str(out)]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "run.seed:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_stride_beyond_iterations_writes_nothing(self, tmp_path, capsys):
+        # no sample would be recorded: the summary was once all NaN
+        path = self.write_config(tmp_path, eight_agent_config(stride=10**9))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 1
+        assert "run.stride:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["analyze", "--config", str(tmp_path / "nope.yaml")]) == 1
 
@@ -619,10 +652,8 @@ class TestCli:
         from atcnet import influence as influence_module
 
         def tampered(partition):
-            real = an.influence_matrix(partition)
             t_rr, t_sr = partition.t_rr, partition.t_sr
-            wrong = np.linalg.solve(np.eye(t_rr.shape[0]) - t_rr, t_sr.T).T
-            return influence_module.InfluenceMatrix(w=wrong, theta=real.theta, cond=real.cond)
+            return np.linalg.solve(np.eye(t_rr.shape[0]) - t_rr, t_sr.T).T
 
         monkeypatch.setattr(influence_module, "influence_matrix", tampered)
         code = cli.main(["verify", "--filter", "influence-matrix"])

@@ -89,9 +89,7 @@ class TestRun:
         # sender solutions 1 and 1.5 pull the receivers to the W-mix
         models = quad_models([[1.0]] * 3 + [[1.5]] * 2 + [[1.25]] * 3)
         steps = an.StepSizeProfile(0.0005, np.ones(8))
-        w = an.influence_matrix(eight_partition).w
-        points = an.receiving_limit_points(w, [[1.0], [1.5]], eight_partition)
-        lp = points.by_original_agent()
+        lp = an.receiving_limit_points([[1.0], [1.5]], eight_partition)
         runs = an.run_ensemble(eight_agent, models, steps, lp, iterations=100000,
                                n_runs=3, master_seed=21, record_iterates=True)
         tail = np.mean([t.iterates[-1000:].mean(axis=0) for t in runs], axis=0)
@@ -123,9 +121,8 @@ class TestLongTerm:
 
     def test_bias_vanishes_at_sender_pareto_points(self, eight_partition):
         models = quad_models([[1.0]] * 3 + [[1.5]] * 2 + [[1.25]] * 3)
-        w = an.influence_matrix(eight_partition).w
-        points = an.receiving_limit_points(w, [[1.0], [1.5]], eight_partition)
-        state = an.long_term_state(models, points.by_original_agent())
+        points = an.receiving_limit_points([[1.0], [1.5]], eight_partition)
+        state = an.long_term_state(models, points)
         qs = an.q_weights(eight_partition, an.StepSizeProfile(0.0005, np.ones(8)))
         at = 0
         for s, size in enumerate(eight_partition.s_sizes):
@@ -139,10 +136,9 @@ class TestLongTerm:
     def test_quadratic_models_coincide_with_nonlinear_run(self, eight_agent, eight_partition):
         models = quad_models([[1.0]] * 3 + [[1.5]] * 2 + [[1.25]] * 3)
         steps = an.StepSizeProfile(0.0005, np.ones(8))
-        w = an.influence_matrix(eight_partition).w
-        points = an.receiving_limit_points(w, [[1.0], [1.5]], eight_partition)
+        points = an.receiving_limit_points([[1.0], [1.5]], eight_partition)
         [paired] = an.run_paired_long_term(
-            eight_agent, models, steps, points.by_original_agent(),
+            eight_agent, models, steps, points,
             iterations=500, seed=13, noise_at="iterate",
         )
         assert paired.max_state_gap < 1e-10
@@ -155,8 +151,7 @@ class TestErrorMomentTrends:
         # across-run average error is O(mu): fit the constant at two step
         # sizes, check the third; fourth moments must shrink like mu^2
         models = quad_models([[1.0]] * 3 + [[1.5]] * 2 + [[1.25]] * 3)
-        w = an.influence_matrix(eight_partition).w
-        lp = an.receiving_limit_points(w, [[1.0], [1.5]], eight_partition).by_original_agent()
+        lp = an.receiving_limit_points([[1.0], [1.5]], eight_partition)
         r_agents = list(eight_partition.r_agents)
         mean_err, fourth = {}, {}
         for mu, iters in ((0.02, 10000), (0.01, 20000), (0.005, 40000)):

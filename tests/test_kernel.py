@@ -58,9 +58,8 @@ def preset_network():
     config = load_preset("three-subnetwork-regression")
     partition = an.classify(config.matrix)
     stars = workflows.pareto_points(partition, config.models, config.step_sizes)
-    w = an.influence_matrix(partition).w
-    points = an.receiving_limit_points(w, stars, partition)
-    return config.matrix, list(config.models), config.step_sizes, points.by_original_agent()
+    points = an.receiving_limit_points(stars, partition)
+    return config.matrix, list(config.models), config.step_sizes, points
 
 
 def mixed_network():

@@ -198,11 +198,9 @@ class TestVectorHeterogeneousNetwork:
         star = an.pareto_solve(models[:2], qs[0])
         assert 0.2 < star[0] < 1.0  # a genuine mix of the two models
         report = an.theoretical_msd(part, models, steps, w_stars=[star])
-        points = an.receiving_limit_points(
-            an.influence_matrix(part).w, [star], part
-        )
+        points = an.receiving_limit_points([star], part)
         runs = an.run_ensemble(
-            a, models, steps, points.by_original_agent(),
+            a, models, steps, points,
             iterations=40000, n_runs=8, master_seed=17,
         )
         rows = an.compare(report, an.estimate_msd(runs, 0.5), threshold_db=1.0)

@@ -1,4 +1,4 @@
-"""Invariants of the structure layer over generated weakly-connected networks.
+"""Invariants of the structure and theory layers over generated weakly-connected networks.
 
 Each example draws sending and receiving sub-network sizes, the seed of the
 weights that ``random_weak_matrix`` fills in, per-agent models and step
@@ -33,38 +33,41 @@ def networks(draw):
 def structure(raw):
     a = an.validate(raw)
     partition = an.classify(a)
-    return a, partition, an.influence_matrix(partition)
+    return a, partition
 
 
 @given(networks())
 def test_w_columns_sum_to_one(net):
-    _, _, im = structure(net[0])
-    assert np.abs(im.w.sum(axis=0) - 1.0).max() <= ROUND_OFF
+    _, partition = structure(net[0])
+    assert np.abs(partition.w.sum(axis=0) - 1.0).max() <= ROUND_OFF
 
 
 @given(networks())
 def test_limiting_power_is_a_fixed_point_of_a(net):
-    a, partition, im = structure(net[0])
-    a_inf = an.limiting_power(partition, im).original
+    a, partition = structure(net[0])
+    a_inf = an.limiting_power(partition)
     assert np.abs(a.weights @ a_inf - a_inf).max() <= ROUND_OFF
 
 
 def outputs(raw, w_os, tau, labels):
-    """A^∞, limit points and influence vectors, keyed by the agents' ``labels``."""
-    _, partition, im = structure(raw)
+    """A^∞, limit points, influence vectors and MSDs, keyed by the agents' ``labels``."""
+    _, partition = structure(raw)
     models = [QuadraticCost(r_u=1.0, sigma_v2=0.01, w_o=[w]) for w in w_os]
-    stars = workflows.pareto_points(partition, models, an.StepSizeProfile(0.01, tau))
-    points = an.receiving_limit_points(im.w, stars, partition).by_original_agent()
+    steps = an.StepSizeProfile(0.01, tau)
+    stars = workflows.pareto_points(partition, models, steps)
+    points = an.receiving_limit_points(stars, partition)
     a_inf = np.empty((labels.size, labels.size))
-    a_inf[np.ix_(labels, labels)] = an.limiting_power(partition, im).original
+    a_inf[np.ix_(labels, labels)] = an.limiting_power(partition)
     limit_points = np.empty_like(points)
     limit_points[labels] = points
     groups = [frozenset(labels[partition.order[sl]].tolist()) for sl in partition.s_slices]
     influence = {
-        int(labels[agent]): dict(zip(groups, an.influence_vector(im.w, partition, agent)))
+        int(labels[agent]): dict(zip(groups, an.influence_vector(partition, agent)))
         for agent in partition.r_agents
     }
-    return a_inf, limit_points, influence
+    report = an.theoretical_msd(partition, models, steps, w_stars=stars)
+    msd = {int(labels[agent]): value for agent, value in report.linear_by_agent().items()}
+    return a_inf, limit_points, influence, msd
 
 
 @given(networks())
@@ -79,3 +82,6 @@ def test_relabelling_only_permutes_outputs(net):
         assert moved[2][agent].keys() == entries.keys()
         for group, value in entries.items():
             assert abs(moved[2][agent][group] - value) <= ROUND_OFF
+    assert moved[3].keys() == base[3].keys()
+    for agent, value in base[3].items():
+        assert abs(moved[3][agent] - value) <= ROUND_OFF * value

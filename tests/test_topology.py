@@ -123,7 +123,7 @@ class TestClassify:
         matrix = [[1.0, eps], [0.0, 1.0 - eps]]
         p = an.classify(an.validate(matrix))
         assert (p.s_agents, p.r_agents) == ((0,), (1,))
-        assert an.influence_matrix(p).w.tolist() == [[1.0]]
+        assert p.w.tolist() == [[1.0]]
         path = tmp_path / "config.yaml"
         data = {"name": "eps", "matrix": {"inline": matrix}, "run": {"seed": 1}}
         path.write_text(yaml.safe_dump(data))

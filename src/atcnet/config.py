@@ -105,6 +105,18 @@ def _finite(value, field):
     return value
 
 
+def _number_pair(spec, key, field, default):
+    """``spec[key]`` (or ``default``) as two finite floats; else a ConfigError on ``field``."""
+    value = spec.get(key, default)
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise ConfigError("expected a list of two numbers", field=field)
+    return tuple(float(v) for v in _finite(value, field))
+
+
 def _check_spd(matrix: np.ndarray, field: str, name: str) -> None:
     """A ConfigError on ``field`` unless ``matrix`` is finite, symmetric and positive definite."""
     if not (np.all(np.isfinite(matrix)) and np.array_equal(matrix, matrix.T)):
@@ -166,13 +178,30 @@ def _build_sampler(spec, field):
         _check_spd(sampler.cov, f"{field}.cov", "cov")
         return sampler
     if kind == "ellipse":
+        semi_axes = _number_pair(spec, "semi_axes", f"{field}.semi_axes", (2.0, 1.0))
+        if not min(semi_axes) > 0.0:
+            raise ConfigError("semi_axes must be > 0", field=f"{field}.semi_axes")
+        outside_band = _number_pair(spec, "outside_band", f"{field}.outside_band", (1.3, 2.2))
+        if not 0.0 <= outside_band[0] <= outside_band[1]:
+            raise ConfigError("outside_band must satisfy 0 <= low <= high", field=f"{field}.outside_band")
+        fraction = _expect(
+            spec, "outlier_fraction", f"{field}.outlier_fraction", (int, float), False, 0.0
+        )
+        if not 0.0 <= fraction <= 1.0:
+            raise ConfigError("outlier_fraction must lie in [0, 1]", field=f"{field}.outlier_fraction")
+        outlier_std = _finite(
+            _expect(spec, "outlier_std", f"{field}.outlier_std", (int, float), False, 0.5),
+            f"{field}.outlier_std",
+        )
+        if outlier_std < 0.0:
+            raise ConfigError("outlier_std must be >= 0", field=f"{field}.outlier_std")
         return EllipseSampler(
-            semi_axes=tuple(spec.get("semi_axes", (2.0, 1.0))),
-            outside_band=tuple(spec.get("outside_band", (1.3, 2.2))),
+            semi_axes=semi_axes,
+            outside_band=outside_band,
             p_pos=p_pos,
-            outlier_fraction=spec.get("outlier_fraction", 0.0),
-            outlier_center=tuple(spec.get("outlier_center", (6.0, 6.0))),
-            outlier_std=spec.get("outlier_std", 0.5),
+            outlier_fraction=fraction,
+            outlier_center=_number_pair(spec, "outlier_center", f"{field}.outlier_center", (6.0, 6.0)),
+            outlier_std=outlier_std,
         )
     raise ConfigError(f"unknown sampler kind '{kind}'", field=f"{field}.kind")
 

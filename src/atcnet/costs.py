@@ -369,17 +369,31 @@ class ZeroedObservations(CostModel):
         return self.inner.gradient_rows(w_rows, fields, **params)
 
 
+# samples per chunk of a streamed covariance estimate; fixed, so results are deterministic
+NOISE_CHUNK = 65536
+
+
 def noise_covariance_at(
     model: CostModel,
     point: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Empirical (M, M) covariance of the gradient noise at one point."""
+    """Empirical (M, M) covariance of the gradient noise at one point.
+
+    The ``n_samples`` draws come from ``rng`` in consecutive chunks of at most
+    ``NOISE_CHUNK`` samples, whose centred Gram matrices are summed, so memory
+    does not grow with the sample count. An estimate from at most one chunk
+    equals the one-shot ``noise.T @ noise / n_samples`` bit for bit.
+    """
     if n_samples < 1000:
         raise ValueError("covariance estimation needs n_samples >= 1000")
     point = np.asarray(point, dtype=float)
-    batch = model.draw_batch(rng, n_samples)
-    noise = model.gradient_rows(point, batch)
-    noise -= model.true_gradient(point)
-    return noise.T @ noise / n_samples
+    mean = model.true_gradient(point)
+    gram = np.zeros((mean.shape[0], mean.shape[0]))
+    for start in range(0, n_samples, NOISE_CHUNK):
+        batch = model.draw_batch(rng, min(NOISE_CHUNK, n_samples - start))
+        noise = model.gradient_rows(point, batch)
+        noise -= mean
+        gram += noise.T @ noise
+    return gram / n_samples

@@ -180,7 +180,8 @@ def theoretical_msd(
     Hessians and gradient-noise covariances are evaluated at each sending
     sub-network's Pareto point; models without an analytic covariance are
     estimated empirically from ``MSD_NOISE_SAMPLES`` draws of the stream
-    seeded by (0, agent). Receiving agents read W from the partition.
+    seeded by (0, agent), taken in fixed chunks (see ``noise_covariance_at``).
+    Receiving agents read W from the partition.
     """
     subnetworks = []
     msd_values = []

@@ -54,6 +54,11 @@ def logistic_sampler(**sampler):
     return {**LOGISTIC_1D, "sampler": {**LOGISTIC_1D["sampler"], **sampler}}
 
 
+def ellipse_sampler(**sampler):
+    """A logistic model on an ellipse sampler with the given fields."""
+    return {**LOGISTIC_1D, "sampler": {"kind": "ellipse", **sampler}}
+
+
 def eight_agent_config(**run_overrides):
     run = {"seed": 5, "iterations": 2000, "monte_carlo_runs": 2, "stride": 10}
     run.update(run_overrides)
@@ -163,6 +168,22 @@ class TestParseConfig:
                 "models[2].sampler.cov",
             ),
             ("step_sizes", "tau", [True] * 8, "step_sizes.tau"),
+            ("models", 2, ellipse_sampler(semi_axes=[1, 1, 1]), "models[2].sampler.semi_axes"),
+            ("models", 2, ellipse_sampler(semi_axes="ab"), "models[2].sampler.semi_axes"),
+            ("models", 2, ellipse_sampler(semi_axes=[float("nan"), 1]), "models[2].sampler.semi_axes"),
+            ("models", 2, ellipse_sampler(semi_axes=[-2, 1]), "models[2].sampler.semi_axes"),
+            ("models", 2, ellipse_sampler(outside_band=[2.2, 1.3]), "models[2].sampler.outside_band"),
+            ("models", 2, ellipse_sampler(outside_band=[2.0]), "models[2].sampler.outside_band"),
+            ("models", 2, ellipse_sampler(outlier_fraction=2.0), "models[2].sampler.outlier_fraction"),
+            ("models", 2, ellipse_sampler(outlier_fraction=True), "models[2].sampler.outlier_fraction"),
+            ("models", 2, ellipse_sampler(outlier_center=[1, 2, 3]), "models[2].sampler.outlier_center"),
+            (
+                "models", 2,
+                ellipse_sampler(outlier_std="x", outlier_fraction=0.1),
+                "models[2].sampler.outlier_std",
+            ),
+            ("models", 2, ellipse_sampler(outlier_std="x"), "models[2].sampler.outlier_std"),
+            ("models", 2, ellipse_sampler(outlier_std=float("nan")), "models[2].sampler.outlier_std"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -191,6 +212,26 @@ class TestParseConfig:
         data["models"][2] = {**LOGISTIC_1D, "eval_samples": 1000, "eval_seed": 3}
         model = parse_config(data).models[2]
         assert (model.eval_samples, model.eval_seed) == (1000, 3)
+
+    def test_ellipse_fields_accepted(self):
+        fields = {
+            "semi_axes": [3, 0.5],
+            "outside_band": [0, 0],
+            "outlier_fraction": 1,
+            "outlier_center": [-1.5, 2],
+            "outlier_std": 0,
+        }
+        data = {
+            "name": "one",
+            "matrix": {"inline": [[1.0]]},
+            "models": [ellipse_sampler(**fields)],
+            "run": {"seed": 1},
+        }
+        sampler = parse_config(data).models[0].sampler
+        assert sampler.semi_axes == (3.0, 0.5)
+        assert sampler.outside_band == (0.0, 0.0)
+        assert (sampler.outlier_fraction, sampler.outlier_std) == (1, 0)
+        assert sampler.outlier_center == (-1.5, 2.0)
 
     def test_empty_matrix_file_rejected(self, tmp_path, capsys):
         (tmp_path / "weights.csv").write_text("")

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from atcnet.costs import (
+    NOISE_CHUNK,
     EllipseSampler,
     LogisticCost,
     QuadraticCost,
@@ -143,6 +146,35 @@ class TestNoiseCovariance:
         est = noise_covariance_at(model, point, 10**6, np.random.default_rng(5))
         exact = model.noise_covariance(point)
         assert np.abs(est - exact).max() / np.abs(exact).max() < 0.02
+
+    def test_streams_chunks_from_the_callers_generator(self):
+        model = LogisticCost(rho=0.1, sampler=EllipseSampler(), eval_samples=2000)
+        point = np.linspace(-0.3, 0.3, 6)
+        n = 150000
+        sizes = (NOISE_CHUNK, NOISE_CHUNK, n - 2 * NOISE_CHUNK)
+        assert sizes[-1] == 18928
+        est = noise_covariance_at(model, point, n, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        mean = model.true_gradient(point)
+        gram = np.zeros((6, 6))
+        for size in sizes:
+            noise = model.gradient_rows(point, model.draw_batch(rng, size)) - mean
+            gram += noise.T @ noise
+        expected = gram / n
+        assert np.abs(est - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_memory_does_not_grow_with_sample_count(self):
+        model = LogisticCost(rho=0.1, sampler=EllipseSampler(), eval_samples=2000)
+        point = np.linspace(-0.3, 0.3, 6)
+        model.true_gradient(point)  # builds the cached evaluation design
+        tracemalloc.start()
+        try:
+            noise_covariance_at(model, point, 10**6, np.random.default_rng(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk needs about 12 MB; the whole 1M-sample batch at once needs about 115 MB
+        assert peak < 24 * 2**20
 
     def test_zero_mean_noise_within_clt_bound(self):
         n = 100000

@@ -5,7 +5,9 @@ The digests were computed when ``EllipseSampler.draw`` and
 logistic gradient and Hessian each made their own pass over the evaluation
 design, and ``pareto_solve`` evaluated every accepted Newton point twice.
 The two-agent MSD report was taken again when that preset's W became exactly
-1 (it was 0.9999999999999991, from the cancelled 1 - 0.97).
+1 (it was 0.9999999999999991, from the cancelled 1 - 0.97), and again when
+``noise_covariance_at`` began to stream its 1M samples in fixed chunks, which
+changes the draws behind any estimate from more than one chunk.
 """
 import hashlib
 
@@ -31,7 +33,7 @@ SHA256 = {
     "quadratic_features": "0a644e71510687bc96b29f3eb7350bbb5d55f883426c57ce12c6b0e72396ddb6",
     "noise_covariance": "8891aa0f1d004f30e3db95c3b081757a2596a3fbfc10d069d1e35c945f3a1415",
     "pareto": "2c1240b65794b87c4cb7782324a0a085cd5b0543eeef2c0a414d3b313dcb02b2",
-    "msd_two_agent_logistic": "27d0d658ec4fd764f71c235316983b1d6189851952d8635d0b219077151f8f42",
+    "msd_two_agent_logistic": "407701e2e045349c3affdd9841a21c4ddfb34f33b1b8e8d5bde8dce5a6cf1d41",
 }
 
 
@@ -78,11 +80,27 @@ def test_pareto_solve_bits():
     assert digest(pareto_solve(ellipse_models(), np.array([0.2, 0.5, 0.3]))) == SHA256["pareto"]
 
 
-def test_msd_payload_bits(tmp_path):
-    payload = workflows.comparison_payload(workflows.msd(load_preset("two-agent-logistic")))
+# the two-agent MSD from the one-shot (unchunked) 1M-sample covariance estimate
+ONE_SHOT_MSD_DB = -37.88375161635594
+
+
+@pytest.fixture(scope="module")
+def two_agent_msd_payload():
+    return workflows.comparison_payload(workflows.msd(load_preset("two-agent-logistic")))
+
+
+def test_msd_payload_bits(tmp_path, two_agent_msd_payload):
     path = tmp_path / "msd_report.json"
-    workflows.write_json(payload, path)
+    workflows.write_json(two_agent_msd_payload, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SHA256["msd_two_agent_logistic"]
+
+
+def test_msd_within_sampling_error_of_one_shot_estimate(two_agent_msd_payload):
+    """The re-pinned digest moved only by the Monte-Carlo error of the estimate."""
+    (sender,) = two_agent_msd_payload["subnetworks"]
+    (receiver,) = two_agent_msd_payload["r_agents"]
+    assert abs(sender["msd_db"] - ONE_SHOT_MSD_DB) < 0.05
+    assert receiver["msd_db"] == sender["msd_db"]
 
 
 @pytest.mark.parametrize(

@@ -94,10 +94,29 @@ def _expect(mapping, key, field, kind=None, required=True, default=None):
     return value
 
 
+def _numeric(value) -> bool:
+    """Whether ``value`` is a number or a nested list of numbers.
+
+    Booleans and numeric strings are not, although numpy turns them into floats.
+    """
+    if isinstance(value, (list, tuple)):
+        return set(map(type, value)) <= {int, float} or all(map(_numeric, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+
+
+def _numbers(value, field):
+    """``value`` if it is a number or a nested list of numbers; else a ConfigError on ``field``."""
+    if not _numeric(value):
+        raise ConfigError("expected numbers", field=field)
+    return value
+
+
 def _finite(value, field):
-    """``value`` if it is a finite number or an array of them; else a ConfigError on ``field``."""
+    """``value`` if it is a finite number or nested list of them; else a ConfigError on ``field``."""
     try:
-        finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+        finite = _numeric(value) and np.all(np.isfinite(np.asarray(value, dtype=float)))
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
@@ -140,7 +159,7 @@ def _load_matrix(section, base_dir: Path) -> CombinationMatrix:
     if ("inline" in section) == ("file" in section):
         raise ConfigError("give exactly one of 'inline' or 'file'", field="matrix")
     if "inline" in section:
-        rows = section["inline"]
+        rows = _numbers(section["inline"], "matrix.inline")
         try:
             raw = np.array(rows, dtype=float)
         except (ValueError, TypeError) as exc:
@@ -172,7 +191,7 @@ def _build_sampler(spec, field):
         sampler = TwoClassGaussianSampler(
             mean_pos=_finite(_expect(spec, "mean_pos", f"{field}.mean_pos"), f"{field}.mean_pos"),
             mean_neg=_finite(_expect(spec, "mean_neg", f"{field}.mean_neg"), f"{field}.mean_neg"),
-            cov=spec.get("cov", 1.0),
+            cov=_numbers(spec.get("cov", 1.0), f"{field}.cov"),
             p_pos=p_pos,
         )
         _check_spd(sampler.cov, f"{field}.cov", "cov")
@@ -212,7 +231,7 @@ def _build_model(spec, index: int) -> CostModel:
     try:
         if kind == "quadratic":
             model = QuadraticCost(
-                r_u=_expect(spec, "r_u", f"{field}.r_u"),
+                r_u=_numbers(_expect(spec, "r_u", f"{field}.r_u"), f"{field}.r_u"),
                 sigma_v2=_finite(
                     _expect(spec, "sigma_v2", f"{field}.sigma_v2", (int, float)), f"{field}.sigma_v2"
                 ),
@@ -273,8 +292,10 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         tau = _expect(section, "tau", "step_sizes.tau", list, required=False, default=[1.0] * n)
         if len(tau) != n:
             raise ConfigError(f"tau has {len(tau)} entries for {n} agents", field="step_sizes.tau")
-        if any(isinstance(t, bool) for t in tau):
-            raise ConfigError("tau entries must be numbers, not booleans", field="step_sizes.tau")
+        if any(isinstance(t, (bool, str)) for t in tau):
+            raise ConfigError(
+                "tau entries must be numbers, not booleans or strings", field="step_sizes.tau"
+            )
         try:
             step_sizes = StepSizeProfile(mu_max=mu_max, tau=tau)
         except (ValueError, TypeError) as exc:

@@ -276,6 +276,12 @@ class LogisticCost(CostModel):
         rng = np.random.default_rng(self.eval_seed)
         return self.sampler.draw(rng, self.eval_samples)
 
+    def __getstate__(self):
+        """Fields without the cached design: it is redrawn, bit for bit, where it is used."""
+        state = dict(self.__dict__)
+        state.pop("_eval_batch", None)
+        return state
+
     def _design_sigmoid(self, w):
         """1 / (1 + exp(gamma h.w)) over the evaluation design: one product with h."""
         gamma, h = self._eval_batch

@@ -183,31 +183,14 @@ def _simulate(
 
     ``records`` is handed to ``engine.run_ensemble``.
     """
-    iterations = config.require_iterations()
     step_sizes = config.require_step_sizes()
     lp = influence.receiving_limit_points(stars, partition)
-    trajectories = engine.run_ensemble(
-        config.matrix,
-        list(config.require_models()),
-        step_sizes,
-        lp,
-        iterations=iterations,
-        n_runs=config.run.monte_carlo_runs,
-        master_seed=config.run.seed,
-        stride=config.run.stride,
-        burn_in_fraction=config.run.burn_in_fraction,
-        records=records,
-    )
-    estimate = (
-        engine.estimate_msd(trajectories, config.run.burn_in_fraction)
-        if len(trajectories) >= 2
-        else None
-    )
+    trajectories, estimate = _ensemble(config, lp, records=records)
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
         "seed": config.run.seed,
-        "iterations": iterations,
+        "iterations": config.run.iterations,
         "monte_carlo_runs": config.run.monte_carlo_runs,
         "mu_max": step_sizes.mu_max,
         "limit_points": _jsonable(lp),
@@ -231,13 +214,52 @@ def _simulate(
     )
 
 
+def _ensemble(
+    config: ExperimentConfig, lp: np.ndarray, records=None
+) -> tuple[list[engine.Trajectory], engine.MsdEstimate | None]:
+    """The Monte-Carlo runs of ``config`` around limit points ``lp``, and their MSD estimate.
+
+    The estimate is None with fewer than two runs. ``records`` is handed to
+    ``engine.run_ensemble``.
+    """
+    trajectories = engine.run_ensemble(
+        config.matrix,
+        list(config.require_models()),
+        config.require_step_sizes(),
+        lp,
+        iterations=config.require_iterations(),
+        n_runs=config.run.monte_carlo_runs,
+        master_seed=config.run.seed,
+        stride=config.run.stride,
+        burn_in_fraction=config.run.burn_in_fraction,
+        records=records,
+    )
+    estimate = (
+        engine.estimate_msd(trajectories, config.run.burn_in_fraction)
+        if len(trajectories) >= 2
+        else None
+    )
+    return trajectories, estimate
+
+
 def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
-    """Theoretical MSD report; optionally attach Monte-Carlo comparisons."""
+    """Theoretical MSD report; optionally attach Monte-Carlo comparisons.
+
+    With ``with_sim``, a spawned worker process (see ``_EnsembleWorker``) runs
+    the Monte-Carlo ensemble while this process computes the theory, so a
+    script calling this with ``with_sim=True`` needs the
+    ``if __name__ == "__main__":`` guard.
+    """
     models = config.require_models()
     step_sizes = config.require_step_sizes()
-    partition = classify(config.matrix)
-    stars = pareto_points(partition, list(models), step_sizes)
-    report = performance.theoretical_msd(partition, list(models), step_sizes, w_stars=stars)
+    # started first, so the worker's start-up overlaps the structure and Pareto solves
+    with _EnsembleWorker() if with_sim else contextlib.nullcontext() as worker:
+        partition = classify(config.matrix)
+        stars = pareto_points(partition, list(models), step_sizes)
+        if worker is not None:
+            worker.start(config, influence.receiving_limit_points(stars, partition))
+        report = performance.theoretical_msd(partition, list(models), step_sizes, w_stars=stars)
+        estimate = worker.estimate() if worker is not None else None
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -261,10 +283,9 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
-        result = _simulate(config, partition, stars)
-        if result.estimate is None:
+        if estimate is None:
             raise ConfigError("comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs")
-        rows = performance.compare(report, result.estimate)
+        rows = performance.compare(report, estimate)
         by_agent = {row.agent_id: row for row in rows}
         payload["comparison"] = [
             {
@@ -400,6 +421,21 @@ def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Pa
     return [*writer.paths, summary_path]
 
 
+def _spawn(target, name: str, *args):
+    """Start ``target(conn, *args)`` in a spawned daemon process.
+
+    Returns the parent's end of the pipe ``conn`` and the process.
+    """
+    import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
+
+    ctx = multiprocessing.get_context("spawn")
+    conn, child = ctx.Pipe()
+    process = ctx.Process(target=target, args=(child, *args), name=name, daemon=True)
+    process.start()
+    child.close()
+    return conn, process
+
+
 def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: int, stride: int):
     """Body of ``_OutputWriter``'s process.
 
@@ -449,19 +485,11 @@ class _OutputWriter:
     """
 
     def __init__(self, out_dir: Path, n_runs: int, n_agents: int, iterations: int, stride: int):
-        import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
-
-        ctx = multiprocessing.get_context("spawn")
-        self.conn, child = ctx.Pipe()
         # Only sizes go as arguments: once pickled arguments outgrow the OS pipe
-        # buffer, ``start`` blocks until the new process has imported atcnet.
-        self.process = ctx.Process(
-            target=_write_streamed,
-            args=(child, str(out_dir), n_runs, n_agents, iterations, stride),
-            name="atcnet-writer", daemon=True,
+        # buffer, starting the process blocks until it has imported atcnet.
+        self.conn, self.process = _spawn(
+            _write_streamed, "atcnet-writer", str(out_dir), n_runs, n_agents, iterations, stride
         )
-        self.process.start()
-        child.close()
 
     def __enter__(self) -> "_OutputWriter":
         return self
@@ -489,6 +517,73 @@ class _OutputWriter:
     def commit(self) -> list[Path]:
         self.send(np.empty(0))  # an empty message: the writer moves its files into place
         reply = self._reply()
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+
+def _estimate_ensemble(conn) -> None:
+    """Body of ``_EnsembleWorker``'s process.
+
+    Receives a config and its limit points on ``conn`` and answers with the
+    ensemble's ``MsdEstimate`` (None with fewer than two runs) or with the
+    exception it raised. If the pipe closes first, it returns; the runs look
+    for that at every sample block, so a parent that dies leaves no worker.
+    """
+
+    def stop_if_closed(rows):
+        if conn.poll():  # the parent sends nothing more: the pipe is readable once it closes
+            raise EOFError
+
+    try:
+        config, lp = conn.recv()
+        reply = _ensemble(config, lp, records=stop_if_closed)[1]
+    except EOFError:
+        return
+    except Exception as exc:
+        reply = exc
+    with contextlib.suppress(OSError):
+        conn.send(reply)
+
+
+class _EnsembleWorker:
+    """A spawned process that runs ``msd``'s Monte-Carlo ensemble while the theory is computed.
+
+    ``start`` hands it the config and the limit points; ``estimate`` returns
+    its ``MsdEstimate`` or raises the error the ensemble raised. Leaving the
+    ``with`` block waits for the process after ``estimate`` has answered,
+    and stops it otherwise, so a failure here never waits for the runs.
+    """
+
+    def __init__(self):
+        self.conn, self.process = _spawn(_estimate_ensemble, "atcnet-ensemble")
+        self.answered = False
+
+    def __enter__(self) -> "_EnsembleWorker":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.conn.close()
+        if not self.answered:
+            self.process.terminate()
+        self.process.join()
+
+    def _exited(self) -> ChildProcessError:
+        self.process.join()
+        return ChildProcessError(f"Monte-Carlo worker exited with code {self.process.exitcode}")
+
+    def start(self, config: ExperimentConfig, lp: np.ndarray) -> None:
+        try:
+            self.conn.send((config, lp))
+        except OSError:
+            raise self._exited() from None
+
+    def estimate(self) -> engine.MsdEstimate | None:
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._exited() from None
+        self.answered = True
         if isinstance(reply, BaseException):
             raise reply
         return reply

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import importlib
 import json
 import multiprocessing
@@ -184,6 +186,19 @@ class TestParseConfig:
             ),
             ("models", 2, ellipse_sampler(outlier_std="x"), "models[2].sampler.outlier_std"),
             ("models", 2, ellipse_sampler(outlier_std=float("nan")), "models[2].sampler.outlier_std"),
+            # numpy would parse numeric strings and turn booleans into 1.0
+            ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "w_o": "1.5"}, "models[2].w_o"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": "2"}, "models[2].r_u"),
+            ("models", 2, logistic_sampler(mean_pos=["1"]), "models[2].sampler.mean_pos"),
+            ("models", 2, logistic_sampler(mean_neg="-1"), "models[2].sampler.mean_neg"),
+            ("models", 2, logistic_sampler(cov="1"), "models[2].sampler.cov"),
+            ("matrix", "inline", [["1.0"]], "matrix.inline"),
+            ("step_sizes", "tau", ["1"] * 8, "step_sizes.tau"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "w_o": [True]}, "models[2].w_o"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": True}, "models[2].r_u"),
+            ("matrix", "inline", [[True]], "matrix.inline"),
+            ("models", 2, logistic_sampler(mean_pos=[True]), "models[2].sampler.mean_pos"),
+            ("models", 2, logistic_sampler(cov=True), "models[2].sampler.cov"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -454,6 +469,24 @@ def _tree(root: Path) -> dict:
     }
 
 
+# SHA-256 of the JSON of ``comparison_payload(msd(config, with_sim=True))``,
+# from the ensemble run in the calling process
+MSD_WITH_SIM_SHA256 = {
+    "eight-agent": "4dae226561507dd71635ebfdda9a1f14e71f986df07ef4ceb04537bbd18105e0",
+    "two-agent-logistic": "873766f084329d449045afda3bef661a1e94f5f6b9c3404cfb14407ce9129f2d",
+}
+
+
+def with_sim_config(name):
+    """The config behind each of MSD_WITH_SIM_SHA256's digests."""
+    if name == "eight-agent":
+        return parse_config(eight_agent_config(iterations=4000, monte_carlo_runs=3))
+    preset = load_preset(name)
+    return dataclasses.replace(
+        preset, run=dataclasses.replace(preset.run, iterations=3000, monte_carlo_runs=3)
+    )
+
+
 class TestMsdWorkflow:
     def test_schema(self):
         payload = workflows.msd(parse_config(eight_agent_config()))
@@ -486,6 +519,62 @@ class TestMsdWorkflow:
         payload = workflows.msd(parse_config(eight_agent_config()), with_sim=True)
         assert "comparison" in payload
         assert len(influence_matrix) == 1
+
+    @pytest.mark.parametrize("name", sorted(MSD_WITH_SIM_SHA256))
+    def test_with_sim_payload_pinned(self, name):
+        payload = workflows.comparison_payload(workflows.msd(with_sim_config(name), with_sim=True))
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == MSD_WITH_SIM_SHA256[name]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [an.errors.NoConvergence(1), KeyboardInterrupt()])
+    def test_failed_theory_stops_the_ensemble(self, monkeypatch, error):
+        workers = []
+
+        class Recorded(workflows._EnsembleWorker):
+            def __init__(self):
+                super().__init__()
+                workers.append(self)
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(workflows, "_EnsembleWorker", Recorded)
+        monkeypatch.setattr(workflows.performance, "theoretical_msd", failing)
+        # an ensemble far too long to wait for
+        config = parse_config(eight_agent_config(iterations=10**6, stride=100))
+        with pytest.raises(type(error)):
+            workflows.msd(config, with_sim=True)
+        assert multiprocessing.active_children() == []
+        assert workers[0].process.exitcode == -signal.SIGTERM
+
+    def test_ensemble_worker_exits_when_its_parent_dies(self):
+        # the parent hands a long ensemble to the worker and is killed
+        script = (
+            "import dataclasses, os, signal\n"
+            "from atcnet import influence, workflows\n"
+            "from atcnet.config import load_preset\n"
+            "from atcnet.topology import classify\n"
+            "if __name__ == '__main__':\n"
+            "    c = load_preset('three-subnetwork-regression')\n"
+            "    c = dataclasses.replace(c, run=dataclasses.replace(c.run, iterations=10**7, stride=1000))\n"
+            "    p = classify(c.matrix)\n"
+            "    stars = workflows.pareto_points(p, c.models, c.step_sizes)\n"
+            "    w = workflows._EnsembleWorker()\n"
+            "    w.start(c, influence.receiving_limit_points(stars, p))\n"
+            "    print(w.process.pid, flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == -signal.SIGKILL
+        worker = int(proc.stdout)
+        deadline = time.monotonic() + 60
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(worker)
 
     def test_zero_noise_guarded(self):
         data = eight_agent_config()
@@ -536,6 +625,38 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "out" / "msd_report.json").read_text())
         assert len(payload["comparison"]) == 8
+        assert multiprocessing.active_children() == []
+
+    def test_msd_with_sim_divergence_exit_code(self, tmp_path, capsys):
+        data = eight_agent_config(iterations=4000, stride=7, monte_carlo_runs=3)
+        data["step_sizes"]["mu_max"] = 1.05
+        path = self.write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["msd", "--config", path, "--with-sim", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "divergence: iterates diverged: agent 4 at iteration 1082 (run 2)\n" in err
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_msd_worker_death_exit_code(self, tmp_path, capsys, monkeypatch, when):
+        start = workflows._EnsembleWorker.start
+
+        def start_and_kill(worker, *args):
+            if when == "after":
+                start(worker, *args)
+            worker.process.kill()
+            worker.process.join()
+            if when == "before":
+                start(worker, *args)
+
+        monkeypatch.setattr(workflows._EnsembleWorker, "start", start_and_kill)
+        path = self.write_config(tmp_path, eight_agent_config())
+        assert cli.main(["msd", "--config", path, "--with-sim", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"Monte-Carlo worker exited with code {-signal.SIGKILL}" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_analyze_logistic_preset(self, tmp_path):
         # limit points via Newton on the sampled aggregate gradient

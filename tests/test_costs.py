@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -269,3 +270,15 @@ class TestZeroedObservations:
         sample = tuple(f[0] for f in model.draw_batch(np.random.default_rng(1), 1))
         w = np.array([1.0, -2.0])
         assert model.gradient_rows(w, sample) == pytest.approx(0.2 * w)
+
+
+def test_logistic_pickles_without_its_design():
+    # with its cached 200k-sample design, the model pickled to 4.8 MB
+    model = make_logistic()
+    w = np.array([0.3, -0.2])
+    gradient, hessian = model.true_gradient(w), model.hessian(w)
+    data = pickle.dumps(model)
+    assert len(data) < 10_000
+    copy = pickle.loads(data)
+    assert np.array_equal(copy.true_gradient(w), gradient)
+    assert np.array_equal(copy.hessian(w), hessian)

@@ -14,7 +14,6 @@ from .costs import (
     TwoClassGaussianSampler,
     ZeroedObservations,
     finite_difference_gradient,
-    noise_covariance_at,
 )
 from .engine import (
     LongTermState,

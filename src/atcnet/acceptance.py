@@ -268,8 +268,6 @@ def _check_gradient_oracles() -> tuple[bool, str]:
         batch = model.draw_batch(np.random.default_rng(17), n)
         noise = model.gradient_rows(point, batch) - model.true_gradient(point)
         g = model.noise_covariance(point)
-        if g is None:
-            g = noise.T @ noise / n
         bound = 4.0 * np.sqrt(np.trace(g) / n)
         norm = float(np.linalg.norm(noise.mean(axis=0)))
         mean_ok = mean_ok and norm <= bound

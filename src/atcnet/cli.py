@@ -8,7 +8,8 @@ Subcommands::
     atcnet verify   [--filter NAME]
 
 Exit codes: 0 success, 1 configuration, I/O or other input error (any
-``AtcnetError`` but divergence), 2 divergence, 3 verification failure.
+``AtcnetError`` but divergence), 2 divergence, 3 verification failure,
+130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,6 +155,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path that cannot be created or written
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

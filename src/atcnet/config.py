@@ -124,6 +124,13 @@ def _finite(value, field):
     return value
 
 
+def _finite_vector(value, field):
+    """``value`` if it is a finite number or a flat list of them; else a ConfigError on ``field``."""
+    if np.ndim(_finite(value, field)) > 1:
+        raise ConfigError("expected a number or a list of numbers", field=field)
+    return value
+
+
 def _number_pair(spec, key, field, default):
     """``spec[key]`` (or ``default``) as two finite floats; else a ConfigError on ``field``."""
     value = spec.get(key, default)
@@ -189,8 +196,8 @@ def _build_sampler(spec, field):
         raise ConfigError("p_pos must lie in [0, 1]", field=f"{field}.p_pos")
     if kind == "two_class_gaussian":
         sampler = TwoClassGaussianSampler(
-            mean_pos=_finite(_expect(spec, "mean_pos", f"{field}.mean_pos"), f"{field}.mean_pos"),
-            mean_neg=_finite(_expect(spec, "mean_neg", f"{field}.mean_neg"), f"{field}.mean_neg"),
+            mean_pos=_finite_vector(_expect(spec, "mean_pos", f"{field}.mean_pos"), f"{field}.mean_pos"),
+            mean_neg=_finite_vector(_expect(spec, "mean_neg", f"{field}.mean_neg"), f"{field}.mean_neg"),
             cov=_numbers(spec.get("cov", 1.0), f"{field}.cov"),
             p_pos=p_pos,
         )
@@ -235,7 +242,7 @@ def _build_model(spec, index: int) -> CostModel:
                 sigma_v2=_finite(
                     _expect(spec, "sigma_v2", f"{field}.sigma_v2", (int, float)), f"{field}.sigma_v2"
                 ),
-                w_o=_finite(_expect(spec, "w_o", f"{field}.w_o"), f"{field}.w_o"),
+                w_o=_finite_vector(_expect(spec, "w_o", f"{field}.w_o"), f"{field}.w_o"),
             )
             _check_spd(model.r_u, f"{field}.r_u", "r_u")
             return model

@@ -1,11 +1,11 @@
 """Per-agent stochastic cost models.
 
-Each model exposes the true gradient and Hessian of its expected loss,
-instantaneous stochastic gradients computed from streaming samples (one
-broadcasting entry point, ``gradient_rows``), and batched sampling with
-caller-owned random generators so parallel runs keep disjoint streams. The
-expected stochastic gradient equals the true gradient (zero-mean gradient
-noise).
+Each model exposes the true gradient and Hessian of its expected loss and
+the covariance of its gradient noise, instantaneous stochastic gradients
+computed from streaming samples (one broadcasting entry point,
+``gradient_rows``), and batched sampling with caller-owned random
+generators so parallel runs keep disjoint streams. The expected stochastic
+gradient equals the true gradient (zero-mean gradient noise).
 """
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ class CostModel(ABC):
         instance with one value per agent that broadcasts like the points.
         """
 
-    def noise_covariance(self, at: np.ndarray) -> np.ndarray | None:
-        """Closed-form gradient-noise covariance, if the model has one."""
-        return None
+    @abstractmethod
+    def noise_covariance(self, at: np.ndarray) -> np.ndarray:
+        """(M, M) covariance of the stochastic gradient at ``at`` about ``true_gradient(at)``."""
 
 
 def _as_spd_matrix(spec, m: int, name: str) -> np.ndarray:
@@ -255,9 +255,10 @@ class LogisticCost(CostModel):
     """Regularized logistic loss over a streaming label/feature source.
 
     The expected loss (rho / 2) ||w||^2 + E ln(1 + exp(-gamma h.w)) has no
-    closed-form gradient, so ``true_gradient``, ``hessian`` and ``true_loss``
-    are sample averages over a fixed internal design of ``eval_samples``
-    draws (seeded by ``eval_seed``), which keeps them deterministic.
+    closed-form gradient, so ``true_gradient``, ``hessian``, ``true_loss``
+    and ``noise_covariance`` are sample averages over a fixed internal
+    design of ``eval_samples`` draws (seeded by ``eval_seed``), which keeps
+    them deterministic.
     """
 
     rho: float
@@ -276,12 +277,6 @@ class LogisticCost(CostModel):
         rng = np.random.default_rng(self.eval_seed)
         return self.sampler.draw(rng, self.eval_samples)
 
-    def __getstate__(self):
-        """Fields without the cached design: it is redrawn, bit for bit, where it is used."""
-        state = dict(self.__dict__)
-        state.pop("_eval_batch", None)
-        return state
-
     def _design_sigmoid(self, w):
         """1 / (1 + exp(gamma h.w)) over the evaluation design: one product with h."""
         gamma, h = self._eval_batch
@@ -291,10 +286,13 @@ class LogisticCost(CostModel):
         gamma, h = self._eval_batch
         return self.rho * w - (gamma * sig) @ h / gamma.shape[0]
 
-    def _hessian(self, sig):
+    def _weighted_gram(self, weights):
+        """(1/n) sum_i weights_i h_i h_i^T over the evaluation design."""
         _, h = self._eval_batch
-        weights = sig * (1.0 - sig)
-        return self.rho * np.eye(self.dimension) + (h * weights[:, None]).T @ h / h.shape[0]
+        return (h * weights[:, None]).T @ h / h.shape[0]
+
+    def _hessian(self, sig):
+        return self.rho * np.eye(self.dimension) + self._weighted_gram(sig * (1.0 - sig))
 
     def true_gradient(self, w):
         w = np.asarray(w, dtype=float)
@@ -307,6 +305,18 @@ class LogisticCost(CostModel):
         w = np.asarray(w, dtype=float)
         sig = self._design_sigmoid(w)
         return self._gradient(w, sig), self._hessian(sig)
+
+    def noise_covariance(self, at):
+        """Covariance of the sampled gradients over the evaluation design.
+
+        The gradient at sample i is rho w - a_i h_i with
+        a_i = gamma_i / (1 + exp(gamma_i h_i.w)), so with g = (1/n) sum_i a_i h_i
+        the covariance is (1/n) sum_i a_i^2 h_i h_i^T - g g^T.
+        """
+        gamma, h = self._eval_batch
+        a = gamma * self._design_sigmoid(np.asarray(at, dtype=float))
+        mean = a @ h / gamma.shape[0]
+        return self._weighted_gram(a * a) - np.outer(mean, mean)
 
     def true_loss(self, w):
         gamma, h = self._eval_batch
@@ -374,32 +384,10 @@ class ZeroedObservations(CostModel):
     def gradient_rows(self, w_rows, fields, **params):
         return self.inner.gradient_rows(w_rows, fields, **params)
 
+    def noise_covariance(self, at):
+        """outer(d, d): every sample gives the same zero-data gradient, d away from the true one."""
+        at = np.asarray(at, dtype=float)
+        blank = self.draw_batch(np.random.default_rng(0), 1)
+        d = self.gradient_rows(at, blank)[0] - self.true_gradient(at)
+        return np.outer(d, d)
 
-# samples per chunk of a streamed covariance estimate; fixed, so results are deterministic
-NOISE_CHUNK = 65536
-
-
-def noise_covariance_at(
-    model: CostModel,
-    point: np.ndarray,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Empirical (M, M) covariance of the gradient noise at one point.
-
-    The ``n_samples`` draws come from ``rng`` in consecutive chunks of at most
-    ``NOISE_CHUNK`` samples, whose centred Gram matrices are summed, so memory
-    does not grow with the sample count. An estimate from at most one chunk
-    equals the one-shot ``noise.T @ noise / n_samples`` bit for bit.
-    """
-    if n_samples < 1000:
-        raise ValueError("covariance estimation needs n_samples >= 1000")
-    point = np.asarray(point, dtype=float)
-    mean = model.true_gradient(point)
-    gram = np.zeros((mean.shape[0], mean.shape[0]))
-    for start in range(0, n_samples, NOISE_CHUNK):
-        batch = model.draw_batch(rng, min(NOISE_CHUNK, n_samples - start))
-        noise = model.gradient_rows(point, batch)
-        noise -= mean
-        gram += noise.T @ noise
-    return gram / n_samples

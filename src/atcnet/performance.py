@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, QuadraticCost, noise_covariance_at
+from .costs import CostModel, QuadraticCost
 from .engine import MsdEstimate, StepSizeProfile
 from .errors import (
     DimensionMismatch,
@@ -25,7 +25,6 @@ from .errors import (
 from .influence import influence_vector
 from .topology import NetworkPartition, _frozen
 
-MSD_NOISE_SAMPLES = 1_000_000
 PARETO_TOL = 1e-10
 PARETO_MAX_ITER = 100
 
@@ -178,10 +177,9 @@ def theoretical_msd(
     """Closed-form MSD report for the whole network.
 
     Hessians and gradient-noise covariances are evaluated at each sending
-    sub-network's Pareto point; models without an analytic covariance are
-    estimated empirically from ``MSD_NOISE_SAMPLES`` draws of the stream
-    seeded by (0, agent), taken in fixed chunks (see ``noise_covariance_at``).
-    Receiving agents read W from the partition.
+    sub-network's Pareto point, each from its model in closed form (a
+    logistic model's over its evaluation design, so the report draws no
+    random numbers). Receiving agents read W from the partition.
     """
     subnetworks = []
     msd_values = []
@@ -194,13 +192,7 @@ def theoretical_msd(
             else pareto_solve(sub_models, q)
         )
         hessians = [model.hessian(star) for model in sub_models]
-        covariances = []
-        for k, model in zip(members, sub_models):
-            g = model.noise_covariance(star)
-            if g is None:
-                rng = np.random.default_rng([0, k])
-                g = noise_covariance_at(model, star, MSD_NOISE_SAMPLES, rng)
-            covariances.append(g)
+        covariances = [model.noise_covariance(star) for model in sub_models]
         msd = msd_subnetwork(q, hessians, covariances)
         msd_values.append(msd)
         subnetworks.append(

@@ -245,21 +245,14 @@ def _ensemble(
 def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     """Theoretical MSD report; optionally attach Monte-Carlo comparisons.
 
-    With ``with_sim``, a spawned worker process (see ``_EnsembleWorker``) runs
-    the Monte-Carlo ensemble while this process computes the theory, so a
-    script calling this with ``with_sim=True`` needs the
-    ``if __name__ == "__main__":`` guard.
+    With ``with_sim``, the Monte-Carlo ensemble of ``simulate`` runs after
+    the theory, around the same Pareto and limit points.
     """
-    models = config.require_models()
+    models = list(config.require_models())
     step_sizes = config.require_step_sizes()
-    # started first, so the worker's start-up overlaps the structure and Pareto solves
-    with _EnsembleWorker() if with_sim else contextlib.nullcontext() as worker:
-        partition = classify(config.matrix)
-        stars = pareto_points(partition, list(models), step_sizes)
-        if worker is not None:
-            worker.start(config, influence.receiving_limit_points(stars, partition))
-        report = performance.theoretical_msd(partition, list(models), step_sizes, w_stars=stars)
-        estimate = worker.estimate() if worker is not None else None
+    partition = classify(config.matrix)
+    stars = pareto_points(partition, models, step_sizes)
+    report = performance.theoretical_msd(partition, models, step_sizes, w_stars=stars)
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -283,6 +276,7 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
+        estimate = _ensemble(config, influence.receiving_limit_points(stars, partition))[1]
         if estimate is None:
             raise ConfigError("comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs")
         rows = performance.compare(report, estimate)
@@ -442,7 +436,8 @@ def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: 
     Stages the CSVs in a new directory under ``out_dir`` from the record
     blocks received on ``conn``. An empty message moves them into place and
     answers with their paths; an error is answered with the exception. If
-    the pipe closes first, everything this process created is removed.
+    the pipe closes first, or an interrupt (Ctrl-C) arrives, everything this
+    process created is removed.
     """
     out = Path(out_dir)
     runs_dir = out / "runs"
@@ -457,7 +452,7 @@ def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: 
         reply = [out / path.relative_to(staging) for path in writer.paths]
         for path, target in zip(writer.paths, reply):
             os.replace(path, target)
-    except EOFError:
+    except (EOFError, KeyboardInterrupt):
         pass
     except Exception as exc:
         reply = exc
@@ -517,73 +512,6 @@ class _OutputWriter:
     def commit(self) -> list[Path]:
         self.send(np.empty(0))  # an empty message: the writer moves its files into place
         reply = self._reply()
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
-
-
-def _estimate_ensemble(conn) -> None:
-    """Body of ``_EnsembleWorker``'s process.
-
-    Receives a config and its limit points on ``conn`` and answers with the
-    ensemble's ``MsdEstimate`` (None with fewer than two runs) or with the
-    exception it raised. If the pipe closes first, it returns; the runs look
-    for that at every sample block, so a parent that dies leaves no worker.
-    """
-
-    def stop_if_closed(rows):
-        if conn.poll():  # the parent sends nothing more: the pipe is readable once it closes
-            raise EOFError
-
-    try:
-        config, lp = conn.recv()
-        reply = _ensemble(config, lp, records=stop_if_closed)[1]
-    except EOFError:
-        return
-    except Exception as exc:
-        reply = exc
-    with contextlib.suppress(OSError):
-        conn.send(reply)
-
-
-class _EnsembleWorker:
-    """A spawned process that runs ``msd``'s Monte-Carlo ensemble while the theory is computed.
-
-    ``start`` hands it the config and the limit points; ``estimate`` returns
-    its ``MsdEstimate`` or raises the error the ensemble raised. Leaving the
-    ``with`` block waits for the process after ``estimate`` has answered,
-    and stops it otherwise, so a failure here never waits for the runs.
-    """
-
-    def __init__(self):
-        self.conn, self.process = _spawn(_estimate_ensemble, "atcnet-ensemble")
-        self.answered = False
-
-    def __enter__(self) -> "_EnsembleWorker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.conn.close()
-        if not self.answered:
-            self.process.terminate()
-        self.process.join()
-
-    def _exited(self) -> ChildProcessError:
-        self.process.join()
-        return ChildProcessError(f"Monte-Carlo worker exited with code {self.process.exitcode}")
-
-    def start(self, config: ExperimentConfig, lp: np.ndarray) -> None:
-        try:
-            self.conn.send((config, lp))
-        except OSError:
-            raise self._exited() from None
-
-    def estimate(self) -> engine.MsdEstimate | None:
-        try:
-            reply = self.conn.recv()
-        except (EOFError, OSError):
-            raise self._exited() from None
-        self.answered = True
         if isinstance(reply, BaseException):
             raise reply
         return reply

@@ -1,11 +1,8 @@
-import pickle
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from atcnet.costs import (
-    NOISE_CHUNK,
+    CostModel,
     EllipseSampler,
     LogisticCost,
     QuadraticCost,
@@ -13,7 +10,6 @@ from atcnet.costs import (
     ZeroedObservations,
     finite_difference_gradient,
     inv_one_plus_exp,
-    noise_covariance_at,
     quadratic_features,
 )
 
@@ -116,66 +112,49 @@ class TestQuadraticCost:
             assert np.allclose(rows[i], single, atol=1e-15)
 
 
+def sampled_covariance(model, point, batch):
+    """One-shot covariance of the gradient noise over the samples in ``batch``: the oracle."""
+    noise = model.gradient_rows(point, batch) - model.true_gradient(point)
+    return noise.T @ noise / noise.shape[0]
+
+
+def fresh_covariance(model, point, n, seed):
+    return sampled_covariance(model, point, model.draw_batch(np.random.default_rng(seed), n))
+
+
+def test_every_model_must_give_its_noise_covariance():
+    assert "noise_covariance" in CostModel.__abstractmethods__
+
+
 class TestNoiseCovariance:
     def test_scalar_reference_value(self):
         # at the true model, G = 4 sigma_u^2 sigma_v^2
         su2, sv2 = 1.3, 0.05
         model = QuadraticCost(r_u=su2, sigma_v2=sv2, w_o=[0.7])
-        est = noise_covariance_at(model, model.w_o, 10**6, np.random.default_rng(2))
         expected = 4.0 * su2 * sv2
+        assert model.noise_covariance(model.w_o)[0, 0] == pytest.approx(expected, rel=1e-12)
+        est = fresh_covariance(model, model.w_o, 10**6, 2)
         assert abs(est[0, 0] - expected) / expected < 0.05
 
     def test_zero_noise_model(self):
         model = QuadraticCost(r_u=1.0, sigma_v2=0.0, w_o=[1.0])
-        est = noise_covariance_at(model, model.w_o, 1000, np.random.default_rng(3))
-        assert np.all(est == 0.0)
-
-    def test_rejects_small_sample_counts(self):
-        model = QuadraticCost(r_u=1.0, sigma_v2=0.1, w_o=[1.0])
-        with pytest.raises(ValueError):
-            noise_covariance_at(model, model.w_o, 999, np.random.default_rng(0))
+        assert np.all(model.noise_covariance(model.w_o) == 0.0)
+        assert np.all(fresh_covariance(model, model.w_o, 1000, 3) == 0.0)
 
     def test_offset_point_dominates_in_psd_order(self):
         model = QuadraticCost(r_u=[[1.0, 0.2], [0.2, 0.8]], sigma_v2=0.05, w_o=[1.0, -0.5])
-        est = noise_covariance_at(model, [0.2, 0.2], 300000, np.random.default_rng(4))
         floor = 4.0 * model.sigma_v2 * model.r_u
+        exact = model.noise_covariance([0.2, 0.2])
+        assert np.linalg.eigvalsh(exact - floor).min() > 0
+        est = fresh_covariance(model, [0.2, 0.2], 300000, 4)
         assert np.linalg.eigvalsh(est - floor).min() > 0
 
     def test_gaussian_closed_form_matches_sampling(self):
         model = QuadraticCost(r_u=[[1.0, 0.2], [0.2, 0.8]], sigma_v2=0.05, w_o=[1.0, -0.5])
         point = np.array([0.3, 0.2])
-        est = noise_covariance_at(model, point, 10**6, np.random.default_rng(5))
+        est = fresh_covariance(model, point, 10**6, 5)
         exact = model.noise_covariance(point)
         assert np.abs(est - exact).max() / np.abs(exact).max() < 0.02
-
-    def test_streams_chunks_from_the_callers_generator(self):
-        model = LogisticCost(rho=0.1, sampler=EllipseSampler(), eval_samples=2000)
-        point = np.linspace(-0.3, 0.3, 6)
-        n = 150000
-        sizes = (NOISE_CHUNK, NOISE_CHUNK, n - 2 * NOISE_CHUNK)
-        assert sizes[-1] == 18928
-        est = noise_covariance_at(model, point, n, np.random.default_rng(9))
-        rng = np.random.default_rng(9)
-        mean = model.true_gradient(point)
-        gram = np.zeros((6, 6))
-        for size in sizes:
-            noise = model.gradient_rows(point, model.draw_batch(rng, size)) - mean
-            gram += noise.T @ noise
-        expected = gram / n
-        assert np.abs(est - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    def test_memory_does_not_grow_with_sample_count(self):
-        model = LogisticCost(rho=0.1, sampler=EllipseSampler(), eval_samples=2000)
-        point = np.linspace(-0.3, 0.3, 6)
-        model.true_gradient(point)  # builds the cached evaluation design
-        tracemalloc.start()
-        try:
-            noise_covariance_at(model, point, 10**6, np.random.default_rng(10))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one chunk needs about 12 MB; the whole 1M-sample batch at once needs about 115 MB
-        assert peak < 24 * 2**20
 
     def test_zero_mean_noise_within_clt_bound(self):
         n = 100000
@@ -185,11 +164,32 @@ class TestNoiseCovariance:
         ):
             batch = model.draw_batch(np.random.default_rng(6), n)
             noise = model.gradient_rows(point, batch) - model.true_gradient(point)
-            g = model.noise_covariance(point)
-            if g is None:
-                g = noise.T @ noise / n
-            bound = 4.0 * np.sqrt(np.trace(g) / n)
+            bound = 4.0 * np.sqrt(np.trace(model.noise_covariance(point)) / n)
             assert np.linalg.norm(noise.mean(axis=0)) <= bound
+
+
+class TestLogisticNoiseCovariance:
+    point = np.linspace(-0.3, 0.3, 6)
+
+    def model(self):
+        return LogisticCost(rho=0.1, sampler=EllipseSampler(), eval_samples=20000)
+
+    def test_equals_the_one_shot_covariance_over_its_design(self):
+        model = self.model()
+        exact = sampled_covariance(model, self.point, model._eval_batch)
+        got = model.noise_covariance(self.point)
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_matches_fresh_draws_within_sampling_error(self):
+        model = self.model()
+        n_design, n = model.eval_samples, 100000
+        noise = model.gradient_rows(self.point, model.draw_batch(np.random.default_rng(11), n))
+        noise -= model.true_gradient(self.point)
+        products = noise[:, :, None] * noise[:, None, :]
+        # both the design and the fresh draws are samples of the same stream
+        se = products.std(axis=0) * np.sqrt(1.0 / n + 1.0 / n_design)
+        est = products.mean(axis=0)
+        assert np.all(np.abs(est - model.noise_covariance(self.point)) <= 5.0 * se)
 
 
 class TestHessians:
@@ -264,6 +264,21 @@ class TestZeroedObservations:
         wrapped.draw_batch(r2, 64)
         assert r1.bit_generator.state == r2.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            QuadraticCost(r_u=[[1.0, 0.3], [0.3, 2.0]], sigma_v2=0.5, w_o=[1.0, -1.0]),
+            make_logistic(rho=0.2, eval_samples=1000),
+        ],
+        ids=["quadratic", "logistic"],
+    )
+    def test_noise_covariance_matches_its_one_shot_estimate(self, inner):
+        model = ZeroedObservations(inner)
+        point = np.array([0.4, -0.7])
+        est = fresh_covariance(model, point, 5000, 12)
+        got = model.noise_covariance(point)
+        assert np.abs(got - est).max() <= 1e-12 * np.abs(est).max()
+
     def test_zero_data_gradient_keeps_regularizer(self):
         inner = make_logistic(rho=0.2, eval_samples=1000)
         model = ZeroedObservations(inner)
@@ -271,14 +286,3 @@ class TestZeroedObservations:
         w = np.array([1.0, -2.0])
         assert model.gradient_rows(w, sample) == pytest.approx(0.2 * w)
 
-
-def test_logistic_pickles_without_its_design():
-    # with its cached 200k-sample design, the model pickled to 4.8 MB
-    model = make_logistic()
-    w = np.array([0.3, -0.2])
-    gradient, hessian = model.true_gradient(w), model.hessian(w)
-    data = pickle.dumps(model)
-    assert len(data) < 10_000
-    copy = pickle.loads(data)
-    assert np.array_equal(copy.true_gradient(w), gradient)
-    assert np.array_equal(copy.hessian(w), hessian)

@@ -5,9 +5,10 @@ The digests were computed when ``EllipseSampler.draw`` and
 logistic gradient and Hessian each made their own pass over the evaluation
 design, and ``pareto_solve`` evaluated every accepted Newton point twice.
 The two-agent MSD report was taken again when that preset's W became exactly
-1 (it was 0.9999999999999991, from the cancelled 1 - 0.97), and again when
-``noise_covariance_at`` began to stream its 1M samples in fixed chunks, which
-changes the draws behind any estimate from more than one chunk.
+1 (it was 0.9999999999999991, from the cancelled 1 - 0.97), again when its
+1M-sample noise covariance estimate began to be drawn in fixed chunks, and
+again when that estimate gave way to ``LogisticCost.noise_covariance``, the
+exact covariance over the model's own evaluation design, which draws nothing.
 """
 import hashlib
 
@@ -22,7 +23,6 @@ from atcnet.costs import (
     QuadraticCost,
     TwoClassGaussianSampler,
     ZeroedObservations,
-    noise_covariance_at,
     quadratic_features,
 )
 from atcnet.performance import pareto_solve
@@ -31,9 +31,8 @@ SHA256 = {
     "draw": "be123302ce533b506afdbc2b51b409c77257fed0ca52531e07666bc0057ac18b",
     "draw_outliers": "3b8e7aa6e46cab375a567d44da59fd54800fa06e210ee0e8656ccb44a68dfcf5",
     "quadratic_features": "0a644e71510687bc96b29f3eb7350bbb5d55f883426c57ce12c6b0e72396ddb6",
-    "noise_covariance": "8891aa0f1d004f30e3db95c3b081757a2596a3fbfc10d069d1e35c945f3a1415",
     "pareto": "2c1240b65794b87c4cb7782324a0a085cd5b0543eeef2c0a414d3b313dcb02b2",
-    "msd_two_agent_logistic": "407701e2e045349c3affdd9841a21c4ddfb34f33b1b8e8d5bde8dce5a6cf1d41",
+    "msd_two_agent_logistic": "4f9e5bf96bb2359f062486a3aed95f5d09fb47ae54b385636ae1565a57899e72",
 }
 
 
@@ -68,12 +67,6 @@ def test_quadratic_features_bits(layout):
     features = quadratic_features(points)
     assert features.flags.c_contiguous
     assert digest(features) == SHA256["quadratic_features"]
-
-
-def test_noise_covariance_bits():
-    model = ellipse_models()[1]
-    est = noise_covariance_at(model, np.linspace(-0.5, 0.5, 6), 50000, np.random.default_rng(8))
-    assert digest(est) == SHA256["noise_covariance"]
 
 
 def test_pareto_solve_bits():

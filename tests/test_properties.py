@@ -85,3 +85,18 @@ def test_relabelling_only_permutes_outputs(net):
     assert moved[3].keys() == base[3].keys()
     for agent, value in base[3].items():
         assert abs(moved[3][agent] - value) <= ROUND_OFF * value
+
+
+@given(networks())
+def test_powers_of_a_converge_to_the_limiting_power(net):
+    a, partition = structure(net[0])
+    a_inf = an.limiting_power(partition)
+    power = a.weights
+    for _ in range(16):  # A^2, A^4, A^8, ... until squaring no longer changes it
+        square = power @ power
+        change = np.abs(square - power).max()
+        power = square
+        if change <= ROUND_OFF:
+            break
+    assert change <= ROUND_OFF
+    assert np.abs(power - a_inf).max() <= ROUND_OFF

@@ -36,6 +36,11 @@ from .topology import CombinationMatrix, validate
 
 PRESET_NAMES = ("two-agent-logistic", "three-subnetwork-regression", "fully-connected")
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# Largest magnitude of a model, sampler or step-size number. A logistic
+# model's Gram matrices multiply eight of them (an ellipse point is the
+# product of two, its features square it and the Gram matrix squares the
+# features), so this keeps each term near 1e240, far below float64's 1.8e308.
+MAX_MAGNITUDE = 1e30
 
 
 @dataclass(frozen=True)
@@ -114,13 +119,17 @@ def _numbers(value, field):
 
 
 def _finite(value, field):
-    """``value`` if it is a finite number or nested list of them; else a ConfigError on ``field``."""
-    try:
-        finite = _numeric(value) and np.all(np.isfinite(np.asarray(value, dtype=float)))
-    except (TypeError, ValueError, OverflowError):
-        finite = False
+    """``value`` if it is a number or nested list of them, each finite and at most
+    ``MAX_MAGNITUDE`` in size; else a ConfigError on ``field``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        finite = abs(value) <= MAX_MAGNITUDE  # numpy costs ~8 us a call; a config has thousands
+    else:
+        try:
+            finite = _numeric(value) and np.all(np.abs(np.asarray(value, dtype=float)) <= MAX_MAGNITUDE)
+        except (TypeError, ValueError, OverflowError):
+            finite = False
     if not finite:
-        raise ConfigError("expected finite numbers", field=field)
+        raise ConfigError(f"expected finite numbers of magnitude at most {MAX_MAGNITUDE:g}", field=field)
     return value
 
 
@@ -198,7 +207,7 @@ def _build_sampler(spec, field):
         sampler = TwoClassGaussianSampler(
             mean_pos=_finite_vector(_expect(spec, "mean_pos", f"{field}.mean_pos"), f"{field}.mean_pos"),
             mean_neg=_finite_vector(_expect(spec, "mean_neg", f"{field}.mean_neg"), f"{field}.mean_neg"),
-            cov=_numbers(spec.get("cov", 1.0), f"{field}.cov"),
+            cov=_finite(spec.get("cov", 1.0), f"{field}.cov"),
             p_pos=p_pos,
         )
         _check_spd(sampler.cov, f"{field}.cov", "cov")
@@ -238,7 +247,7 @@ def _build_model(spec, index: int) -> CostModel:
     try:
         if kind == "quadratic":
             model = QuadraticCost(
-                r_u=_numbers(_expect(spec, "r_u", f"{field}.r_u"), f"{field}.r_u"),
+                r_u=_finite(_expect(spec, "r_u", f"{field}.r_u"), f"{field}.r_u"),
                 sigma_v2=_finite(
                     _expect(spec, "sigma_v2", f"{field}.sigma_v2", (int, float)), f"{field}.sigma_v2"
                 ),

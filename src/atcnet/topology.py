@@ -86,8 +86,8 @@ class NetworkPartition:
     ``order`` lists original agent ids in canonical order (senders first);
     the blocks are taken from weights[order][:, order]. What is derived from
     the partition (slices, agent ids, Perron vectors, the spectral radius of
-    t_rr, W and the condition number of I - t_rr) is computed on first use
-    and kept.
+    t_rr, W and each receiving sub-network's outside weight) is computed on
+    first use and kept.
     """
 
     scc_list: tuple[tuple[int, ...], ...]
@@ -145,10 +145,22 @@ class NetworkPartition:
         return influence.influence_matrix(self)
 
     @cached_property
-    def cond_i_minus_t_rr(self) -> float:
-        """Condition number of I - t_rr, 1.0 without receivers; huge when receivers barely listen out."""
-        system = _identity_minus(self.t_rr, self.t_sr.sum(axis=0))
-        return float(np.linalg.cond(system)) if system.size else 1.0
+    def outside_weight(self) -> tuple[tuple[float, float], ...]:
+        """(min, max) over each receiving sub-network's agents of the weight they give outside it.
+
+        One pair per receiving sub-network, in canonical order. An agent's
+        outside weight is summed from its column's entries in t_sr and in the
+        t_rr rows above its block (t_rr is block upper-triangular), never
+        taken as 1 minus its column sum inside the block. Column sums bound
+        the spectral radius of a nonnegative block, so
+        min <= 1 - rho(block) <= max: a tiny max shows a receiving
+        sub-network that barely listens outside.
+        """
+        pairs = []
+        for sl in _slices(self.r_sizes):
+            outside = self.t_sr[:, sl].sum(axis=0) + self.t_rr[: sl.start, sl].sum(axis=0)
+            pairs.append((float(outside.min()), float(outside.max())))
+        return tuple(pairs)
 
     @cached_property
     def _r_columns(self) -> dict[int, int]:
@@ -182,7 +194,8 @@ def validate(matrix) -> CombinationMatrix:
     if neg.size:
         l, k = neg[0]
         raise NegativeWeight(int(l), int(k), float(a[l, k]))
-    sums = a.sum(axis=0)
+    with np.errstate(over="ignore"):  # a column of huge entries sums to inf: a violation
+        sums = a.sum(axis=0)
     bad = np.argwhere(np.abs(sums - 1.0) > COLUMN_SUM_TOL)
     if bad.size:
         k = int(bad[0][0])

@@ -67,25 +67,29 @@ def pareto_points(
 
 
 def analyze(config: ExperimentConfig) -> dict:
-    """Structure report: partition, W, limiting power, influence, limit points.
+    """Structure report: partition, W, influence vectors, limit points.
 
+    A^∞ is not written, only its factors: a sending agent i of sub-network
+    s has A^∞[i, j] = perron_i for j in s and A^∞[i, r] = perron_i * c_{r,s}
+    for a receiver r; every other entry is 0. ``limiting_power`` builds it
+    from a partition. Each receiving SCC carries ``outside_weight``, the
+    smallest and largest weight one of its agents gives outside it.
     Limit points are included only when the config carries models and step
     sizes; everything else needs the combination matrix alone.
     """
     partition = classify(config.matrix)
+    sccs = [
+        {"id": i, "agents": list(members), "type": "S"}
+        for i, members in enumerate(partition.scc_list)
+    ]
+    for i, pair in zip(partition.r_type_ids, partition.outside_weight):
+        sccs[i].update(type="R", outside_weight=pair)
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
         "agents": config.n,
         "strongly_connected": partition.n_gr == 0,
-        "sccs": [
-            {
-                "id": i,
-                "agents": list(members),
-                "type": "S" if i in partition.s_type_ids else "R",
-            }
-            for i, members in enumerate(partition.scc_list)
-        ],
+        "sccs": sccs,
         "s_agents": list(partition.s_agents),
         "r_agents": list(partition.r_agents),
         "subnetworks": [],
@@ -97,11 +101,8 @@ def analyze(config: ExperimentConfig) -> dict:
             entry["q"] = config.step_sizes.mu[members] * p
         payload["subnetworks"].append(entry)
 
-    payload["a_infinity"] = influence.limiting_power(partition)
-
     if partition.n_gr:
         payload["spectral_radius_t_rr"] = partition.rho_t_rr
-        payload["condition_i_minus_t_rr"] = partition.cond_i_minus_t_rr
         payload["w"] = {
             "rows": list(partition.s_agents),
             "cols": list(partition.r_agents),

@@ -1,8 +1,10 @@
-"""Frozen analysis.json bytes, the JSON writer, and structure derived once.
+"""Frozen analysis.json bytes, its keys, the JSON writer, and structure derived once.
 
 The digests were computed with Perron vectors and W from direct solves whose
 diagonals are rebuilt from each column's off-diagonal mass, and JSON written
-as ``json.dumps(payload, indent=2, sort_keys=True)`` would write it.
+as ``json.dumps(payload, indent=2, sort_keys=True)`` would write it. The
+payload holds the factors of A^∞ (Perron vectors and influence vectors),
+not the n x n product.
 ``spectral_radius_t_rr`` is checked apart, to 1e-10 relative: it is the
 largest eigenvalue magnitude over the receiving blocks, which LAPACK may
 round differently from one build to another.
@@ -23,10 +25,10 @@ from atcnet.costs import QuadraticCost
 from conftest import random_weak_matrix
 
 ANALYSIS_SHA256 = {
-    "two-agent-logistic": "b86990897c8e9e20a55b8bce17a86deef28bad99d826af572eed1244d45196d8",
-    "three-subnetwork-regression": "b43a156e920e9ab065ba34d987a8e257cc77d0525fb79f78e52c4049a658109a",
-    "fully-connected": "d2c345fed4b4e4c84753df29c4b4a67ee30e2cd34b56d9fac7e0e349c1ddecb1",
-    "weak": "68b620099ac0e20a5dbd775ad3ff418768fb61a704a4d74ca3340c17e9f1f46e",
+    "two-agent-logistic": "6e25a4a416d5b0a5eb57172fafc7aa8a48a6326eb82c54ad7b0ad6165d810250",
+    "three-subnetwork-regression": "e398a1b62916fe5b071149d891fa4ac1afac68d9cb19e2255a67b6a234920ded",
+    "fully-connected": "02afd89e8a312f8382a6757f56a456155927ba18adeee2dacacf4e61b55eb085",
+    "weak": "c2239cd4850e3284f86a634faef64a57273fd30df20d3cbcbebd871848fcdee0",
 }
 SPECTRAL_RADIUS_T_RR = {
     "two-agent-logistic": 0.97,
@@ -66,6 +68,48 @@ def test_analysis_bytes_frozen(name, tmp_path):
         assert rho == pytest.approx(SPECTRAL_RADIUS_T_RR[name], rel=1e-10, abs=0)
     else:
         assert rho is None
+
+
+def limiting_power_from(payload: dict) -> np.ndarray:
+    """A^∞ rebuilt from analysis.json alone: its Perron and influence vectors."""
+    a_inf = np.zeros((payload["agents"], payload["agents"]))
+    for s, sub in enumerate(payload["subnetworks"]):
+        rows, p = sub["agents"], np.array(sub["perron"])
+        a_inf[np.ix_(rows, rows)] = p[:, None]
+        for agent, entry in zip(payload["r_agents"], payload.get("influence", [])):
+            a_inf[rows, agent] = p * entry["c"][s]
+    return a_inf
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_SHA256))
+def test_payload_factors_rebuild_limiting_power(name, tmp_path):
+    config = weak_config() if name == "weak" else load_preset(name)
+    workflows.write_json(workflows.analyze(config), tmp_path / "analysis.json")
+    payload = json.loads((tmp_path / "analysis.json").read_text())
+    expected = an.limiting_power(an.classify(config.matrix))
+    assert np.abs(limiting_power_from(payload) - expected).max() <= 1e-15
+
+
+COMMON_KEYS = {
+    "name", "generated_at", "agents", "strongly_connected", "sccs", "s_agents", "r_agents",
+    "subnetworks", "limit_points",
+}
+
+
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        ("fully-connected", COMMON_KEYS),
+        ("weak", COMMON_KEYS | {"spectral_radius_t_rr", "w", "influence"}),
+    ],
+)
+def test_payload_keys_pinned(name, keys):
+    config = weak_config() if name == "weak" else load_preset(name)
+    payload = workflows.analyze(config)
+    assert set(payload) == keys
+    receiving = [scc for scc in payload["sccs"] if scc["type"] == "R"]
+    assert all(set(scc) == {"id", "agents", "type", "outside_weight"} for scc in receiving)
+    assert len(receiving) == (0 if name == "fully-connected" else 2)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,11 @@ class TestParseConfig:
             ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "w_o": [[1.0, 2.0]]}, "models[2].w_o"),
             ("models", 2, logistic_sampler(mean_pos=[[1.0]]), "models[2].sampler.mean_pos"),
             ("models", 2, logistic_sampler(mean_neg=[[-1.0]]), "models[2].sampler.mean_neg"),
+            # finite, but the model's products would overflow
+            ("models", 2, logistic_sampler(mean_pos=[1.0e308]), "models[2].sampler.mean_pos"),
+            ("models", 2, logistic_sampler(cov=1.0e308), "models[2].sampler.cov"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": -1.0e308}, "models[2].r_u"),
+            ("models", 2, ellipse_sampler(semi_axes=[1.0e31, 1.0]), "models[2].sampler.semi_axes"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -334,10 +339,10 @@ def _preset_data(name):
 
 
 FUZZ_BASES = {name: _preset_data(name) for name in PRESET_NAMES}
-# wrong types, strings where numbers go, non-finite and negative numbers
+# wrong types, strings where numbers go, non-finite, huge and negative numbers
 BAD_VALUES = [
     None, True, "x", "0.5", float("nan"), float("inf"), -1, -0.25, [], {}, ["1.0"],
-    [[1.0], [1.0, 2.0]], [[1.0, 2.0]],
+    [[1.0], [1.0, 2.0]], [[1.0, 2.0]], 1e308, -1e308,
 ]
 
 

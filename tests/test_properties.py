@@ -87,6 +87,30 @@ def test_relabelling_only_permutes_outputs(net):
         assert abs(moved[3][agent] - value) <= ROUND_OFF * value
 
 
+def outside_brackets(raw, labels):
+    """Each receiving SCC's outside-weight bracket, keyed by its agents' ``labels``."""
+    _, partition = structure(raw)
+    return {
+        frozenset(labels[list(partition.scc_list[i])].tolist()): pair
+        for i, pair in zip(partition.r_type_ids, partition.outside_weight)
+    }
+
+
+@given(networks())
+def test_outside_weight_brackets_the_receiving_spectral_gap(net):
+    raw, _, _, perm = net
+    base = outside_brackets(raw, np.arange(perm.size))
+    weights = an.validate(raw).weights
+    for members, (low, high) in base.items():
+        ids = sorted(members)
+        gap = 1.0 - an.spectral_radius(weights[np.ix_(ids, ids)])
+        assert low - ROUND_OFF <= gap <= high + ROUND_OFF
+    moved = outside_brackets(raw[np.ix_(perm, perm)], perm)
+    assert moved.keys() == base.keys()
+    for members, pair in base.items():
+        assert np.abs(np.subtract(moved[members], pair)).max() <= ROUND_OFF
+
+
 @given(networks())
 def test_powers_of_a_converge_to_the_limiting_power(net):
     a, partition = structure(net[0])

@@ -34,6 +34,11 @@ class TestValidate:
         assert exc.value.column == 1
         assert exc.value.actual_sum == pytest.approx(1.2)
 
+    def test_overflowing_column_sum_is_a_violation(self):
+        with pytest.raises(ColumnSumViolation) as exc:
+            an.validate([[1e308, 0.0], [1e308, 1.0]])
+        assert (exc.value.column, exc.value.actual_sum) == (0, np.inf)
+
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
             an.validate([[1.1, 0.0], [-0.1, 1.0]])
@@ -116,10 +121,11 @@ class TestClassify:
         with pytest.raises(NonPrimitiveSource):
             an.classify(an.validate([[0.0, 1.0], [1.0, 0.0]]))
 
-    @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13, 1e-15])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-12, 1e-13, 1e-15])
     def test_barely_listening_receiver_follows_sender(self, eps, tmp_path):
         # the receiver keeps all but eps of its own weight: it still has an
-        # inbound edge, so it is a receiver and its limit is the sender's
+        # inbound edge, so it is a receiver and its limit is the sender's;
+        # its outside weight reads eps itself, not 1 - (1 - eps)
         matrix = [[1.0, eps], [0.0, 1.0 - eps]]
         p = an.classify(an.validate(matrix))
         assert (p.s_agents, p.r_agents) == ((0,), (1,))
@@ -130,6 +136,7 @@ class TestClassify:
         assert cli.main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
         assert payload["w"]["values"] == [[1.0]]
+        assert payload["sccs"][1]["outside_weight"] == pytest.approx([eps, eps], rel=1e-15, abs=0)
 
     def test_permutation_zeroes_lower_left(self, eight_agent, eight_partition):
         p = eight_partition

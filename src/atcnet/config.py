@@ -121,13 +121,10 @@ def _numbers(value, field):
 def _finite(value, field):
     """``value`` if it is a number or nested list of them, each finite and at most
     ``MAX_MAGNITUDE`` in size; else a ConfigError on ``field``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        finite = abs(value) <= MAX_MAGNITUDE  # numpy costs ~8 us a call; a config has thousands
-    else:
-        try:
-            finite = _numeric(value) and np.all(np.abs(np.asarray(value, dtype=float)) <= MAX_MAGNITUDE)
-        except (TypeError, ValueError, OverflowError):
-            finite = False
+    try:
+        finite = _numeric(value) and np.all(np.abs(np.asarray(value, dtype=float)) <= MAX_MAGNITUDE)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
     if not finite:
         raise ConfigError(f"expected finite numbers of magnitude at most {MAX_MAGNITUDE:g}", field=field)
     return value

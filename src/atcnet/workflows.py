@@ -15,7 +15,7 @@ import json
 import math
 import os
 import shutil
-import tempfile
+import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -446,7 +446,9 @@ def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: 
     staging, reply = None, None
     try:
         runs_dir.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        # named before it is made, so an interrupt just after mkdir still finds it
+        staging = out / f".staging-{uuid.uuid4().hex}"
+        staging.mkdir()
         writer = _CsvWriter(staging, n_runs, engine.recorded_iterations(iterations, stride))
         while data := conn.recv_bytes():
             writer.write(np.frombuffer(data).reshape(n_runs, -1, n_agents))

@@ -10,7 +10,7 @@ gradient equals the true gradient (zero-mean gradient noise).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +41,9 @@ class CostModel(ABC):
     dimension: int
     # attributes ``gradient_rows`` reads, passed per agent when agents are batched
     gradient_params: tuple[str, ...] = ()
+    # rows of the fixed evaluation design behind the true gradient; None without
+    # one. A model with a design gives ``prefix(rows)``: itself on its first rows.
+    design_rows: int | None = None
 
     @property
     def gradient_source(self) -> "CostModel":
@@ -272,10 +275,20 @@ class LogisticCost(CostModel):
     def dimension(self) -> int:
         return self.sampler.dimension
 
+    @property
+    def design_rows(self) -> int:
+        return self.eval_samples
+
     @cached_property
     def _eval_batch(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.eval_seed)
         return self.sampler.draw(rng, self.eval_samples)
+
+    def prefix(self, rows):
+        """The same loss over views of the first ``rows`` rows of this design (no draw, no copy)."""
+        coarse = replace(self, eval_samples=rows)
+        coarse.__dict__["_eval_batch"] = tuple(field[:rows] for field in self._eval_batch)
+        return coarse
 
     def _design_sigmoid(self, w):
         """1 / (1 + exp(gamma h.w)) over the evaluation design: one product with h."""
@@ -359,6 +372,13 @@ class ZeroedObservations(CostModel):
     @property
     def gradient_source(self) -> CostModel:
         return self.inner.gradient_source
+
+    @property
+    def design_rows(self) -> int | None:
+        return self.inner.design_rows
+
+    def prefix(self, rows):
+        return ZeroedObservations(self.inner.prefix(rows))
 
     def true_gradient(self, w):
         return self.inner.true_gradient(w)

@@ -27,6 +27,10 @@ from .topology import NetworkPartition, _frozen
 
 PARETO_TOL = 1e-10
 PARETO_MAX_ITER = 100
+# Newton first solves on the first 1/WARM_START_SHRINK of each design, and so
+# on down, while that prefix keeps WARM_START_MIN_ROWS rows.
+WARM_START_SHRINK = 16
+WARM_START_MIN_ROWS = 512
 
 
 def q_weights(partition: NetworkPartition, step_sizes: StepSizeProfile) -> tuple[np.ndarray, ...]:
@@ -39,24 +43,88 @@ def q_weights(partition: NetworkPartition, step_sizes: StepSizeProfile) -> tuple
 
 
 def _aggregate(models, q, point):
+    """q-weighted sums of the gradients and Hessians at ``point``, and each model's Hessian."""
     grad = np.zeros(models[0].dimension)
     hess = np.zeros((models[0].dimension,) * 2)
+    hessians = []
     for qk, model in zip(q, models):
         g, h = model.gradient_and_hessian(point)
         grad += qk * g
         hess += qk * h
-    return grad, hess
+        hessians.append(h)
+    return grad, hess, hessians
 
 
-def pareto_solve(models: list[CostModel], q: np.ndarray) -> np.ndarray:
+def _prefix_stages(models):
+    """Each model on ever shorter prefixes of its design, coarsest stage first.
+
+    Stage j keeps the first rows // 16**j rows of every design while the
+    shortest of them keeps 512 rows; a model without a design gives none.
+    """
+    rows = [model.design_rows for model in models]
+    if None in rows:
+        return []
+    stages = []
+    shrink = WARM_START_SHRINK
+    while min(rows) // shrink >= WARM_START_MIN_ROWS:
+        stages.append([model.prefix(n // shrink) for model, n in zip(models, rows)])
+        shrink *= WARM_START_SHRINK
+    return stages[::-1]
+
+
+def _newton(models, q, w):
+    """Newton iterations from ``w`` to the zero of the q-weighted gradient.
+
+    Returns the zero and each model's Hessian there, from the last
+    evaluation. A Newton step that fails to shrink the gradient falls back
+    to gradient descent with backtracking.
+    """
+    grad, hess, hessians = _aggregate(models, q, w)
+    for _ in range(PARETO_MAX_ITER):
+        if np.abs(grad).max() < PARETO_TOL:
+            return w, hessians
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError as exc:
+            raise SingularAggregateHessian(str(exc)) from exc
+        candidate = w - step
+        evaluated = _aggregate(models, q, candidate)
+        if np.abs(evaluated[0]).max() < np.abs(grad).max():
+            w, (grad, hess, hessians) = candidate, evaluated
+            continue
+        # Backtracking descent on the weighted aggregate cost.
+        cost = lambda v: sum(qk * mod.true_loss(v) for qk, mod in zip(q, models))
+        base = cost(w)
+        t = 1.0
+        while t > 1e-12:
+            trial = w - t * grad
+            if cost(trial) < base - 1e-4 * t * (grad @ grad):
+                w = trial
+                break
+            t *= 0.5
+        else:
+            raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve line search")
+        grad, hess, hessians = _aggregate(models, q, w)
+    if np.abs(grad).max() < PARETO_TOL:
+        return w, hessians
+    raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve")
+
+
+def pareto_solve(models: list[CostModel], q: np.ndarray, return_hessians: bool = False):
     """Zero of the q-weighted aggregate gradient of one sub-network.
 
     Quadratic costs are solved in closed form. Otherwise Newton iterations
-    run on the weighted aggregate gradient (sampled models keep their fixed
-    evaluation designs, so the target is deterministic), falling back to
-    gradient descent with backtracking when a Newton step fails to help.
-    An accepted point's gradient and Hessian serve the next iteration, so K
-    Newton steps evaluate the models K + 1 times.
+    run on the aggregate gradient weighted by q / sum(q), so the stopping
+    test does not depend on the scale of q (sampled models keep their fixed
+    evaluation designs, so the target is deterministic). When every model
+    has a design of at least 16 * 512 rows, Newton first solves on the
+    first 1/16 of each design, itself warm-started the same way, and starts
+    the full designs from there. An accepted point's gradient and Hessian
+    serve the next iteration, so K Newton steps on the full designs
+    evaluate the models K + 1 times there.
+
+    With ``return_hessians``, returns ``(w, hessians)``: each model's
+    Hessian at w, from the solve's last evaluation.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[0] != len(models):
@@ -71,38 +139,25 @@ def pareto_solve(models: list[CostModel], q: np.ndarray) -> np.ndarray:
             rhs += qk * 2.0 * model.r_u @ model.w_o
         if np.linalg.eigvalsh(lhs).min() <= 0:
             raise SingularAggregateHessian("weighted aggregate Hessian is singular")
-        return np.linalg.solve(lhs, rhs)
+        w = np.linalg.solve(lhs, rhs)
+        return (w, [model.hessian(w) for model in models]) if return_hessians else w
 
+    total = q.sum()
+    if total > 0:  # q = 0 (mu_max 0) leaves every point a zero of the gradient
+        q = q / total
+    stages = _prefix_stages(models)
     w = np.zeros(m)
-    grad, hess = _aggregate(models, q, w)
-    for _ in range(PARETO_MAX_ITER):
-        if np.abs(grad).max() < PARETO_TOL:
-            return w
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAggregateHessian(str(exc)) from exc
-        candidate = w - step
-        cand_grad, cand_hess = _aggregate(models, q, candidate)
-        if np.abs(cand_grad).max() < np.abs(grad).max():
-            w, grad, hess = candidate, cand_grad, cand_hess
-            continue
-        # Backtracking descent on the weighted aggregate cost.
-        cost = lambda v: sum(qk * mod.true_loss(v) for qk, mod in zip(q, models))
-        base = cost(w)
-        t = 1.0
-        while t > 1e-12:
-            trial = w - t * grad
-            if cost(trial) < base - 1e-4 * t * (grad @ grad):
-                w = trial
-                break
-            t *= 0.5
-        else:
-            raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve line search")
-        grad, hess = _aggregate(models, q, w)
-    if np.abs(grad).max() < PARETO_TOL:
-        return w
-    raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve")
+    try:
+        for stage in stages:
+            w = _newton(stage, q, w)[0]
+        w, hessians = _newton(models, q, w)
+    except (NoConvergence, SingularAggregateHessian):
+        if not stages:
+            raise
+        # Without a regularizer a prefix can be separable where the full
+        # design is not, and send its solve far out: start from zero instead.
+        w, hessians = _newton(models, q, np.zeros(m))
+    return (w, hessians) if return_hessians else w
 
 
 def msd_subnetwork(q, hessians, covariances) -> float:
@@ -173,27 +228,32 @@ def theoretical_msd(
     models: list[CostModel],
     step_sizes: StepSizeProfile,
     w_stars: list[np.ndarray] | None = None,
+    hessians: list[list[np.ndarray]] | None = None,
 ) -> MsdReport:
     """Closed-form MSD report for the whole network.
 
     Hessians and gradient-noise covariances are evaluated at each sending
     sub-network's Pareto point, each from its model in closed form (a
     logistic model's over its evaluation design, so the report draws no
-    random numbers). Receiving agents read W from the partition.
+    random numbers). ``hessians`` gives, per sub-network, each model's
+    Hessian at the matching entry of ``w_stars``, as ``pareto_solve`` returns
+    them; without it they are evaluated here. Receiving agents read W from
+    the partition.
     """
     subnetworks = []
     msd_values = []
     for s, (sl, q) in enumerate(zip(partition.s_slices, q_weights(partition, step_sizes))):
         members = partition.order[sl].tolist()
         sub_models = [models[k] for k in members]
-        star = (
-            np.atleast_1d(np.asarray(w_stars[s], dtype=float))
-            if w_stars is not None
-            else pareto_solve(sub_models, q)
-        )
-        hessians = [model.hessian(star) for model in sub_models]
+        if w_stars is None:
+            star, sub_hessians = pareto_solve(sub_models, q, return_hessians=True)
+        else:
+            star = np.atleast_1d(np.asarray(w_stars[s], dtype=float))
+            sub_hessians = (
+                hessians[s] if hessians is not None else [model.hessian(star) for model in sub_models]
+            )
         covariances = [model.noise_covariance(star) for model in sub_models]
-        msd = msd_subnetwork(q, hessians, covariances)
+        msd = msd_subnetwork(q, sub_hessians, covariances)
         msd_values.append(msd)
         subnetworks.append(
             SubnetworkMsd(

@@ -55,15 +55,21 @@ def comparison_payload(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k != "generated_at"}
 
 
-def pareto_points(
-    partition: NetworkPartition, models, step_sizes
-) -> list[np.ndarray]:
-    """One Pareto solution per sending sub-network."""
+def pareto_points(partition: NetworkPartition, models, step_sizes, return_hessians=False):
+    """One Pareto solution per sending sub-network.
+
+    With ``return_hessians``, returns ``(stars, hessians)``, where
+    ``hessians[s]`` holds each model's Hessian at ``stars[s]`` from the solve.
+    """
     qs = performance.q_weights(partition, step_sizes)
-    return [
-        performance.pareto_solve([models[k] for k in partition.order[sl].tolist()], q)
+    solved = [
+        performance.pareto_solve(
+            [models[k] for k in partition.order[sl].tolist()], q, return_hessians=True
+        )
         for sl, q in zip(partition.s_slices, qs)
     ]
+    stars = [star for star, _ in solved]
+    return (stars, [hessians for _, hessians in solved]) if return_hessians else stars
 
 
 def analyze(config: ExperimentConfig) -> dict:
@@ -252,8 +258,10 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     models = list(config.require_models())
     step_sizes = config.require_step_sizes()
     partition = classify(config.matrix)
-    stars = pareto_points(partition, models, step_sizes)
-    report = performance.theoretical_msd(partition, models, step_sizes, w_stars=stars)
+    stars, hessians = pareto_points(partition, models, step_sizes, return_hessians=True)
+    report = performance.theoretical_msd(
+        partition, models, step_sizes, w_stars=stars, hessians=hessians
+    )
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),

@@ -4,7 +4,9 @@ The digests were computed with Perron vectors and W from direct solves whose
 diagonals are rebuilt from each column's off-diagonal mass, and JSON written
 as ``json.dumps(payload, indent=2, sort_keys=True)`` would write it. The
 payload holds the factors of A^∞ (Perron vectors and influence vectors),
-not the n x n product.
+not the n x n product. two-agent-logistic's limit points come from a
+Newton solve warm-started on a prefix of the design, which stops on the
+gradient weighted by q / sum(q).
 ``spectral_radius_t_rr`` is checked apart, to 1e-10 relative: it is the
 largest eigenvalue magnitude over the receiving blocks, which LAPACK may
 round differently from one build to another.
@@ -25,7 +27,7 @@ from atcnet.costs import QuadraticCost
 from conftest import random_weak_matrix
 
 ANALYSIS_SHA256 = {
-    "two-agent-logistic": "6e25a4a416d5b0a5eb57172fafc7aa8a48a6326eb82c54ad7b0ad6165d810250",
+    "two-agent-logistic": "c92a404a8f31125c5c332963bbca7bcb6a8d1e6b2bbb95ca19e6cb4212b7679c",
     "three-subnetwork-regression": "e398a1b62916fe5b071149d891fa4ac1afac68d9cb19e2255a67b6a234920ded",
     "fully-connected": "02afd89e8a312f8382a6757f56a456155927ba18adeee2dacacf4e61b55eb085",
     "weak": "c2239cd4850e3284f86a634faef64a57273fd30df20d3cbcbebd871848fcdee0",

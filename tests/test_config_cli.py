@@ -560,10 +560,11 @@ def _tree(root: Path) -> dict:
 
 # SHA-256 of the JSON of ``comparison_payload(msd(config, with_sim=True))``.
 # two-agent-logistic was taken again when its noise covariance became the
-# closed form over the model's evaluation design.
+# closed form over the model's evaluation design, and again when its Newton
+# solve began to start from a prefix of the design.
 MSD_WITH_SIM_SHA256 = {
     "eight-agent": "4dae226561507dd71635ebfdda9a1f14e71f986df07ef4ceb04537bbd18105e0",
-    "two-agent-logistic": "9a3fd1e04d1507debe90d51349957870cd6f0897089ca8a4c4d24e9468b4f0f1",
+    "two-agent-logistic": "2b6240edd2d948accda42754deb8850ef1c99d9e1c78720ba1c0ae00441bd03e",
 }
 
 
@@ -731,6 +732,20 @@ class TestCli:
         bullet = payload["limit_points"]["w_bullet"][0]["value"]
         assert bullet == pytest.approx(star, abs=1e-10)  # W = [1]: receiver follows
 
+    def test_analyze_logistic_huge_step_size(self, tmp_path):
+        # Newton once stopped on the absolute size of the q-weighted gradient,
+        # so a step size of 1e10 ended in NoConvergence
+        data = yaml.safe_load(resources.files("atcnet").joinpath(
+            "presets/two-agent-logistic.yaml").read_text())
+        data["step_sizes"]["mu_max"] = 1e10
+        path, out = self.write_config(tmp_path, data), tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        payload = json.loads((out / "analysis.json").read_text())
+        (star,) = payload["limit_points"]["w_star"]
+        preset = workflows.analyze(load_preset("two-agent-logistic"))
+        (preset_star,) = preset["limit_points"]["w_star"]
+        assert np.abs(np.subtract(star["value"], preset_star["value"])).max() <= 1e-12
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         data = eight_agent_config()
         del data["run"]["seed"]
@@ -757,7 +772,7 @@ class TestCli:
         assert "models[0].rho:" in err and "Traceback" not in err
 
     def test_other_package_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        def no_convergence(models, q):
+        def no_convergence(models, q, return_hessians=False):
             raise an.errors.NoConvergence(100, what="Pareto solve")
 
         monkeypatch.setattr(an.performance, "pareto_solve", no_convergence)

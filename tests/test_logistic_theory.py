@@ -1,4 +1,4 @@
-"""Logistic theory path: pinned bits, and one pass over each design per point.
+"""Logistic theory path: pinned bits, one pass over each design per point, and the warm start.
 
 The digests were computed when ``EllipseSampler.draw`` and
 ``quadratic_features`` built their arrays with ``np.column_stack``, the
@@ -9,13 +9,20 @@ The two-agent MSD report was taken again when that preset's W became exactly
 1M-sample noise covariance estimate began to be drawn in fixed chunks, and
 again when that estimate gave way to ``LogisticCost.noise_covariance``, the
 exact covariance over the model's own evaluation design, which draws nothing.
+The Pareto and MSD digests were taken again when Newton began to stop on the
+gradient weighted by q / sum(q) and to start from the solution on a prefix of
+each design: the Pareto points moved by at most 2e-8, the MSDs by at most
+4e-8 dB.
 """
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atcnet import costs, workflows
+from atcnet import costs, performance, workflows
 from atcnet.config import load_preset
 from atcnet.costs import (
     EllipseSampler,
@@ -25,14 +32,14 @@ from atcnet.costs import (
     ZeroedObservations,
     quadratic_features,
 )
-from atcnet.performance import pareto_solve
+from atcnet.performance import PARETO_TOL, pareto_solve
 
 SHA256 = {
     "draw": "be123302ce533b506afdbc2b51b409c77257fed0ca52531e07666bc0057ac18b",
     "draw_outliers": "3b8e7aa6e46cab375a567d44da59fd54800fa06e210ee0e8656ccb44a68dfcf5",
     "quadratic_features": "0a644e71510687bc96b29f3eb7350bbb5d55f883426c57ce12c6b0e72396ddb6",
-    "pareto": "2c1240b65794b87c4cb7782324a0a085cd5b0543eeef2c0a414d3b313dcb02b2",
-    "msd_two_agent_logistic": "4f9e5bf96bb2359f062486a3aed95f5d09fb47ae54b385636ae1565a57899e72",
+    "pareto": "d4f754562d6d7d15b6eee3b3fec23ab5d4304f7f55308113b2cd1c3880165857",
+    "msd_two_agent_logistic": "a8b13484e0ce50022b6fd580b788dc34786c7e29de85a363ada8bd2d17ccca31",
 }
 
 
@@ -75,6 +82,8 @@ def test_pareto_solve_bits():
 
 # the two-agent MSD from the one-shot (unchunked) 1M-sample covariance estimate
 ONE_SHOT_MSD_DB = -37.88375161635594
+# the two-agent MSD from the closed-form covariance, before the warm-started Newton
+COLD_NEWTON_MSD_DB = -37.85597713816459
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +105,12 @@ def test_msd_within_sampling_error_of_one_shot_estimate(two_agent_msd_payload):
     assert receiver["msd_db"] == sender["msd_db"]
 
 
+def test_msd_within_newton_tolerance_of_cold_start(two_agent_msd_payload):
+    """The warm start and the q-relative stopping test moved the MSD by Newton's tolerance only."""
+    (sender,) = two_agent_msd_payload["subnetworks"]
+    assert abs(sender["msd_db"] - COLD_NEWTON_MSD_DB) < 1e-6
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -113,31 +128,129 @@ def test_gradient_and_hessian_match_separate_calls(model):
     assert np.array_equal(hess, model.hessian(w))
 
 
-def test_newton_evaluates_each_design_once_per_point(monkeypatch):
-    """K accepted Newton steps take K + 1 passes over each model's design."""
-    sizes = (3000, 3001, 3002)  # tells the models' passes apart
-    passes = {n: 0 for n in sizes}
+def count_design_passes(monkeypatch, log):
+    """Log ("pass", rows) for each sigmoid over a design and ("step",) for each solve."""
     sigmoid = costs.inv_one_plus_exp
+    solve = np.linalg.solve
 
     def counted(z):
-        passes[np.shape(z)[0]] += 1
+        log.append(("pass", np.shape(z)[0]))
         return sigmoid(z)
 
-    solve = np.linalg.solve
-    steps = []
-
     def counted_solve(a, b):
-        steps.append(1)
+        log.append(("step",))
         return solve(a, b)
 
-    models = ellipse_models(sizes)
     monkeypatch.setattr(costs, "inv_one_plus_exp", counted)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
+
+
+def test_newton_evaluates_each_design_once_per_point(monkeypatch):
+    """K accepted Newton steps take K + 1 passes over each model's design."""
+    sizes = (3000, 3001, 3002)  # tells the models' passes apart; too short for a warm start
+    log = []
+    models = ellipse_models(sizes)
+    count_design_passes(monkeypatch, log)
     w = pareto_solve(models, np.array([0.2, 0.5, 0.3]))
     monkeypatch.undo()
 
     residual = sum(qk * m.true_gradient(w) for qk, m in zip([0.2, 0.5, 0.3], models))
     assert np.abs(residual).max() < 1e-10
-    k = len(steps)
+    k = log.count(("step",))
     assert k >= 2
-    assert passes == {n: k + 1 for n in sizes}
+    assert Counter(log) == {("step",): k, **{("pass", n): k + 1 for n in sizes}}
+
+
+def test_warm_start_takes_four_passes_over_each_full_design(monkeypatch):
+    """Started from the solution on the first 1/16 of each design, Newton needs
+    at most 3 steps on the full designs; started from zero it needs 7."""
+    sizes = (65536, 65537, 65538)
+    log = []
+    models = ellipse_models(sizes)
+    count_design_passes(monkeypatch, log)
+    pareto_solve(models, np.array([0.2, 0.5, 0.3]))
+    monkeypatch.undo()
+
+    passes = Counter(entry[1] for entry in log if entry[0] == "pass")
+    assert all(1 <= passes[n] <= 4 for n in sizes)
+    assert set(passes) - set(sizes) == {4096}  # the one prefix stage: 65536 // 16 rows
+
+
+def test_msd_reuses_the_solves_hessians(monkeypatch):
+    """K Newton steps on the sending design, then one pass for its noise covariance."""
+    config = load_preset("two-agent-logistic")
+    rows = config.models[0].design_rows
+    log = []
+    count_design_passes(monkeypatch, log)
+    theory = performance.theoretical_msd
+
+    def logged_theory(*args, **kwargs):
+        log.append(("theory",))
+        return theory(*args, **kwargs)
+
+    monkeypatch.setattr(performance, "theoretical_msd", logged_theory)
+    workflows.msd(config)
+    monkeypatch.undo()
+
+    solve = log[log.index(("pass", rows)) : log.index(("theory",))]
+    k = solve.count(("step",))
+    assert k >= 1
+    assert solve.count(("pass", rows)) == k + 1
+    assert log.count(("pass", rows)) == k + 2
+
+
+def cold_newton(models, q):
+    """Plain Newton from zero on the gradient weighted by q / sum(q)."""
+    q = q / q.sum()
+    w = np.zeros(models[0].dimension)
+    for _ in range(50):
+        grad = sum(qk * m.true_gradient(w) for qk, m in zip(q, models))
+        if np.abs(grad).max() < 1e-12:
+            return w
+        w = w - np.linalg.solve(sum(qk * m.hessian(w) for qk, m in zip(q, models)), grad)
+    raise AssertionError("reference Newton did not converge")
+
+
+@st.composite
+def logistic_subnetworks(draw):
+    """(models, q): up to three regularized logistic agents with designs long enough to warm-start."""
+    models = []
+    ellipse = draw(st.booleans())
+    for seed in range(draw(st.integers(1, 3))):
+        rows = draw(st.integers(8192, 16384))
+        rho = draw(st.floats(0.05, 1.0))
+        if ellipse:
+            a, b = draw(st.floats(1.5, 2.5)), draw(st.floats(0.8, 1.2))
+            sampler = EllipseSampler(semi_axes=(a, b), p_pos=draw(st.floats(0.4, 0.6)))
+        else:
+            mean = [draw(st.floats(-1.5, 1.5)), draw(st.floats(0.5, 1.5))]
+            sampler = TwoClassGaussianSampler(mean, [-x for x in mean])
+        model = LogisticCost(rho=rho, sampler=sampler, eval_samples=rows, eval_seed=seed)
+        models.append(ZeroedObservations(model) if draw(st.booleans()) else model)
+    q = np.array([draw(st.floats(1e-4, 1.0)) for _ in models])
+    return models, q
+
+
+@settings(max_examples=20)
+@given(logistic_subnetworks())
+def test_warm_start_matches_cold_newton(subnetwork):
+    models, q = subnetwork
+    w = pareto_solve(models, q)
+    weighted = sum(qk * m.true_gradient(w) for qk, m in zip(q / q.sum(), models))
+    assert np.abs(weighted).max() < PARETO_TOL
+    assert np.abs(w - cold_newton(models, q)).max() <= 1e-7
+
+
+def test_separable_prefix_falls_back_to_a_cold_start():
+    """Without a regularizer, the 625-row prefix is separable and its solution
+    so far out that Newton on the full designs fails from it; they are solved
+    from zero instead."""
+    models = [
+        LogisticCost(0.0, TwoClassGaussianSampler([2.5, 2.5], [-2.5, -2.5]), eval_samples=10000),
+        LogisticCost(0.0, TwoClassGaussianSampler([2.5, -2.5], [-2.5, 2.5]), eval_samples=10000),
+    ]
+    q = np.array([0.5, 0.5])
+    w = pareto_solve(models, q)
+    weighted = sum(qk * m.true_gradient(w) for qk, m in zip(q, models))
+    assert np.abs(weighted).max() < PARETO_TOL
+    assert np.abs(w - cold_newton(models, q)).max() <= 1e-7

@@ -63,6 +63,11 @@ class TestParetoSolve:
         residual = sum(qk * m.true_gradient(w) for qk, m in zip(q, models))
         assert np.abs(residual).max() < 1e-10
 
+    def test_zero_weights_keep_the_logistic_start(self):
+        # mu_max: 0 gives q = 0, whose sum cannot normalise it
+        model = LogisticCost(0.1, TwoClassGaussianSampler([1.0, 1.0], [-1.0, -1.0]), eval_samples=2000)
+        assert np.array_equal(an.pareto_solve([model], np.array([0.0])), [0.0, 0.0])
+
     def test_mixed_kinds_converge(self):
         models = [
             quad([1.0, 0.0], r_u=[[1.0, 0.2], [0.2, 0.5]]),

@@ -7,9 +7,10 @@ Subcommands::
     atcnet msd      --config <path|preset> [--out DIR] [--with-sim]
     atcnet verify   [--filter NAME]
 
-Exit codes: 0 success, 1 configuration, I/O or other input error (any
-``AtcnetError`` but divergence), 2 divergence, 3 verification failure,
-130 interrupted (Ctrl-C).
+Exit codes: 0 success (``--help`` too), 1 a usage error (argparse prints
+the usage line), a configuration, I/O or other input error (any
+``AtcnetError`` but divergence) or an allocation that fails, 2 divergence,
+3 verification failure, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -131,7 +132,10 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage line and the error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     handlers = {
         "analyze": cmd_analyze,
         "simulate": cmd_simulate,
@@ -154,6 +158,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # an output path that cannot be created or written
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. the record of far too many iterations
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -81,21 +81,40 @@ class ExperimentConfig:
         return self.run.iterations
 
 
-def _expect(mapping, key, field, kind=None, required=True, default=None):
-    if not isinstance(mapping, dict):
-        raise ConfigError("expected a mapping", field=field.rsplit(".", 1)[0])
-    if key not in mapping:
-        if required:
-            raise ConfigError("missing required key", field=field)
+# The default of a field that must be given.
+_REQUIRED = object()
+# Ranges: (what a value must be, a test of it); an array passes when every entry does.
+_AT_LEAST_0 = (">= 0", lambda x: x >= 0)
+_AT_LEAST_1 = (">= 1", lambda x: x >= 1)
+_IN_UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
+
+
+def _value(section, where, key, kind=float, default=_REQUIRED, rule=None):
+    """Field ``key`` of the mapping ``section`` at path ``where``, or ``default`` if absent.
+
+    ``where`` is "" at the root of the config. ``kind`` float takes any int
+    or float that is finite and at most ``MAX_MAGNITUDE`` in size, int an
+    int; a boolean is neither, and None takes any value. ``rule`` is a range
+    the value must lie in. A failure is a ConfigError on the field's path,
+    or on ``where`` when ``section`` is not a mapping.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError("expected a mapping", field=where)
+    path = f"{where}.{key}" if where else key
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError("missing required key", field=path)
         return default
-    value = mapping[key]
+    value = section[key]
     if kind is None:
         return value
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    # bool is an int subclass, but `true` is not a number here
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        expected = " or ".join(k.__name__ for k in kinds)
-        raise ConfigError(f"expected {expected}, got {type(value).__name__}", field=field)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        expected = "number" if kind is float else kind.__name__
+        raise ConfigError(f"expected {expected}, got {type(value).__name__}", field=path)
+    if kind is float and not abs(value) <= MAX_MAGNITUDE:
+        raise ConfigError(f"expected a finite number at most {MAX_MAGNITUDE:g} in size", field=path)
+    if rule is not None and not rule[1](value):
+        raise ConfigError(f"{key} must be {rule[0]}", field=path)
     return value
 
 
@@ -111,52 +130,61 @@ def _numeric(value) -> bool:
     return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
 
 
-def _numbers(value, field):
-    """``value`` if it is a number or a nested list of numbers; else a ConfigError on ``field``."""
+def _numbers(
+    section, where, key, default=_REQUIRED, length=None, flat=True, finite=True, rule=None
+):
+    """Field ``key`` of ``section`` at path ``where``, or ``default`` if absent, as a float array.
+
+    With ``length`` it must be a list of that many numbers. Otherwise it is
+    a number or a flat list of them, or with ``flat`` False numbers nested
+    to any depth; an empty list is no numbers. With ``finite``, each entry is finite and at most
+    ``MAX_MAGNITUDE`` in size. Each entry lies in the range ``rule``. A
+    failure is a ConfigError on the field's path.
+    """
+    value = _value(section, where, key, None, default)
+    path = f"{where}.{key}"
     if not _numeric(value):
-        raise ConfigError("expected numbers", field=field)
-    return value
-
-
-def _finite(value, field):
-    """``value`` if it is a number or nested list of them, each finite and at most
-    ``MAX_MAGNITUDE`` in size; else a ConfigError on ``field``."""
+        raise ConfigError("expected numbers", field=path)
     try:
-        finite = _numeric(value) and np.all(np.abs(np.asarray(value, dtype=float)) <= MAX_MAGNITUDE)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"expected finite numbers of magnitude at most {MAX_MAGNITUDE:g}", field=field)
-    return value
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged lists, or an int beyond float
+        raise ConfigError(f"bad numbers: {exc}", field=path)
+    if array.size == 0:  # a model of dimension 0 would fail every command far from here
+        raise ConfigError("expected at least one number", field=path)
+    if length is not None and array.shape != (length,):
+        raise ConfigError(f"expected a list of {length} numbers", field=path)
+    if flat and array.ndim > 1:
+        raise ConfigError("expected a number or a flat list of numbers", field=path)
+    if finite and not np.all(np.abs(array) <= MAX_MAGNITUDE):
+        raise ConfigError(f"expected finite numbers at most {MAX_MAGNITUDE:g} in size", field=path)
+    if rule is not None and not np.all(rule[1](array)):
+        raise ConfigError(f"{key} must be {rule[0]}", field=path)
+    return array
 
 
-def _finite_vector(value, field):
-    """``value`` if it is a finite number or a flat list of them; else a ConfigError on ``field``."""
-    if np.ndim(_finite(value, field)) > 1:
-        raise ConfigError("expected a number or a list of numbers", field=field)
-    return value
+def _spd(section, where, key, m, default=_REQUIRED):
+    """Field ``key`` of ``section`` at path ``where``, or ``default``, as an (m, m) matrix.
 
-
-def _number_pair(spec, key, field, default):
-    """``spec[key]`` (or ``default``) as two finite floats; else a ConfigError on ``field``."""
-    value = spec.get(key, default)
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ConfigError("expected a list of two numbers", field=field)
-    return tuple(float(v) for v in _finite(value, field))
-
-
-def _check_spd(matrix: np.ndarray, field: str, name: str) -> None:
-    """A ConfigError on ``field`` unless ``matrix`` is finite, symmetric and positive definite."""
-    if not (np.all(np.isfinite(matrix)) and np.array_equal(matrix, matrix.T)):
-        raise ConfigError(f"{name} must be a finite symmetric matrix", field=field)
+    It is given as a number (times the identity), a diagonal of m numbers
+    or the whole matrix, with finite entries at most ``MAX_MAGNITUDE`` in
+    size, and must be symmetric and positive definite. A failure is a
+    ConfigError on the field's path.
+    """
+    matrix = _numbers(section, where, key, default, flat=False)
+    path = f"{where}.{key}"
+    if matrix.ndim == 0:
+        matrix = matrix * np.eye(m)
+    elif matrix.shape == (m,):
+        matrix = np.diag(matrix)
+    if matrix.shape != (m, m):
+        raise ConfigError(f"expected a number, {m} diagonal entries or {m} x {m}", field=path)
+    if not np.array_equal(matrix, matrix.T):
+        raise ConfigError(f"{key} must be a symmetric matrix", field=path)
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
-        raise ConfigError(f"{name} must be positive definite", field=field)
+        raise ConfigError(f"{key} must be positive definite", field=path)
+    return matrix
 
 
 def check_seed(seed: int) -> int:
@@ -167,16 +195,11 @@ def check_seed(seed: int) -> int:
 
 
 def _load_matrix(section, base_dir: Path) -> CombinationMatrix:
-    if not isinstance(section, dict):
-        raise ConfigError("expected a mapping with 'inline' or 'file'", field="matrix")
     if ("inline" in section) == ("file" in section):
         raise ConfigError("give exactly one of 'inline' or 'file'", field="matrix")
     if "inline" in section:
-        rows = _numbers(section["inline"], "matrix.inline")
-        try:
-            raw = np.array(rows, dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad inline matrix: {exc}", field="matrix.inline")
+        # entries that are not finite are left to validate, which names the matrix
+        raw = _numbers(section, "matrix", "inline", flat=False, finite=False)
     else:
         path = base_dir / str(section["file"])
         if not path.exists():
@@ -195,100 +218,75 @@ def _load_matrix(section, base_dir: Path) -> CombinationMatrix:
         raise ConfigError(str(exc), field="matrix")
 
 
-def _build_sampler(spec, field):
-    kind = _expect(spec, "kind", f"{field}.kind", str)
-    p_pos = _expect(spec, "p_pos", f"{field}.p_pos", (int, float), False, 0.5)
-    if not 0.0 <= p_pos <= 1.0:
-        raise ConfigError("p_pos must lie in [0, 1]", field=f"{field}.p_pos")
+def _build_sampler(spec, where):
+    kind = _value(spec, where, "kind", str)
+    p_pos = _value(spec, where, "p_pos", float, 0.5, _IN_UNIT)
     if kind == "two_class_gaussian":
-        sampler = TwoClassGaussianSampler(
-            mean_pos=_finite_vector(_expect(spec, "mean_pos", f"{field}.mean_pos"), f"{field}.mean_pos"),
-            mean_neg=_finite_vector(_expect(spec, "mean_neg", f"{field}.mean_neg"), f"{field}.mean_neg"),
-            cov=_finite(spec.get("cov", 1.0), f"{field}.cov"),
+        mean_pos = _numbers(spec, where, "mean_pos")
+        mean_neg = _numbers(spec, where, "mean_neg")
+        if mean_neg.size != mean_pos.size:
+            raise ConfigError("mean_neg and mean_pos differ in length", field=f"{where}.mean_neg")
+        return TwoClassGaussianSampler(
+            mean_pos=mean_pos,
+            mean_neg=mean_neg,
+            cov=_spd(spec, where, "cov", mean_pos.size, 1.0),
             p_pos=p_pos,
         )
-        _check_spd(sampler.cov, f"{field}.cov", "cov")
-        return sampler
     if kind == "ellipse":
-        semi_axes = _number_pair(spec, "semi_axes", f"{field}.semi_axes", (2.0, 1.0))
-        if not min(semi_axes) > 0.0:
-            raise ConfigError("semi_axes must be > 0", field=f"{field}.semi_axes")
-        outside_band = _number_pair(spec, "outside_band", f"{field}.outside_band", (1.3, 2.2))
-        if not 0.0 <= outside_band[0] <= outside_band[1]:
-            raise ConfigError("outside_band must satisfy 0 <= low <= high", field=f"{field}.outside_band")
-        fraction = _expect(
-            spec, "outlier_fraction", f"{field}.outlier_fraction", (int, float), False, 0.0
+        semi_axes = _numbers(spec, where, "semi_axes", (2.0, 1.0), 2, rule=("> 0", lambda a: a > 0))
+        outside_band = _numbers(
+            spec, where, "outside_band", (1.3, 2.2), 2,
+            rule=("0 <= low <= high", lambda band: 0 <= band[0] <= band[1]),
         )
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError("outlier_fraction must lie in [0, 1]", field=f"{field}.outlier_fraction")
-        outlier_std = _finite(
-            _expect(spec, "outlier_std", f"{field}.outlier_std", (int, float), False, 0.5),
-            f"{field}.outlier_std",
-        )
-        if outlier_std < 0.0:
-            raise ConfigError("outlier_std must be >= 0", field=f"{field}.outlier_std")
+        fraction = _value(spec, where, "outlier_fraction", float, 0.0, _IN_UNIT)
+        outlier_std = _value(spec, where, "outlier_std", float, 0.5, _AT_LEAST_0)
+        outlier_center = _numbers(spec, where, "outlier_center", (6.0, 6.0), 2)
         return EllipseSampler(
-            semi_axes=semi_axes,
-            outside_band=outside_band,
+            semi_axes=tuple(semi_axes.tolist()),
+            outside_band=tuple(outside_band.tolist()),
             p_pos=p_pos,
             outlier_fraction=fraction,
-            outlier_center=_number_pair(spec, "outlier_center", f"{field}.outlier_center", (6.0, 6.0)),
+            outlier_center=tuple(outlier_center.tolist()),
             outlier_std=outlier_std,
         )
-    raise ConfigError(f"unknown sampler kind '{kind}'", field=f"{field}.kind")
+    raise ConfigError(f"unknown sampler kind '{kind}'", field=f"{where}.kind")
 
 
 def _build_model(spec, index: int) -> CostModel:
-    field = f"models[{index}]"
-    kind = _expect(spec, "kind", f"{field}.kind", str)
+    where = f"models[{index}]"
+    kind = _value(spec, where, "kind", str)
     try:
         if kind == "quadratic":
-            model = QuadraticCost(
-                r_u=_finite(_expect(spec, "r_u", f"{field}.r_u"), f"{field}.r_u"),
-                sigma_v2=_finite(
-                    _expect(spec, "sigma_v2", f"{field}.sigma_v2", (int, float)), f"{field}.sigma_v2"
-                ),
-                w_o=_finite_vector(_expect(spec, "w_o", f"{field}.w_o"), f"{field}.w_o"),
+            w_o = _numbers(spec, where, "w_o")
+            return QuadraticCost(
+                r_u=_spd(spec, where, "r_u", w_o.size),
+                sigma_v2=_value(spec, where, "sigma_v2", rule=_AT_LEAST_0),
+                w_o=w_o,
             )
-            _check_spd(model.r_u, f"{field}.r_u", "r_u")
-            return model
         if kind == "logistic":
-            eval_samples = _expect(spec, "eval_samples", f"{field}.eval_samples", int, False, 200000)
-            if eval_samples < 1:
-                raise ConfigError("eval_samples must be >= 1", field=f"{field}.eval_samples")
-            eval_seed = _expect(spec, "eval_seed", f"{field}.eval_seed", int, False, 0)
-            if eval_seed < 0:
-                raise ConfigError("eval_seed must be >= 0", field=f"{field}.eval_seed")
-            rho = _finite(_expect(spec, "rho", f"{field}.rho", (int, float)), f"{field}.rho")
-            if rho < 0:
-                raise ConfigError("rho must be >= 0", field=f"{field}.rho")
             return LogisticCost(
-                rho=rho,
-                sampler=_build_sampler(_expect(spec, "sampler", f"{field}.sampler", dict), f"{field}.sampler"),
-                eval_samples=eval_samples,
-                eval_seed=eval_seed,
+                eval_samples=_value(spec, where, "eval_samples", int, 200000, _AT_LEAST_1),
+                eval_seed=_value(spec, where, "eval_seed", int, 0, _AT_LEAST_0),
+                rho=_value(spec, where, "rho", rule=_AT_LEAST_0),
+                sampler=_build_sampler(_value(spec, where, "sampler", dict), f"{where}.sampler"),
             )
     except ConfigError:
         raise
-    except (AtcnetError, ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), field=field)
-    raise ConfigError(f"unknown model kind '{kind}'", field=f"{field}.kind")
+    except (AtcnetError, ValueError, TypeError) as exc:  # a check that only a constructor makes
+        raise ConfigError(str(exc), field=where)
+    raise ConfigError(f"unknown model kind '{kind}'", field=f"{where}.kind")
 
 
 def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed YAML mapping."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
-    base_dir = Path(base_dir)
-    name = str(data.get("name", "unnamed"))
-    matrix = _load_matrix(_expect(data, "matrix", "matrix", dict), base_dir)
+    matrix = _load_matrix(_value(data, "", "matrix", dict), Path(base_dir))
     n = matrix.n
 
     models = None
-    if "models" in data:
-        specs = data["models"]
-        if not isinstance(specs, list):
-            raise ConfigError("expected a list, one entry per agent", field="models")
+    specs = _value(data, "", "models", list, None)
+    if specs is not None:
         if len(specs) != n:
             raise ConfigError(f"{len(specs)} model entries for {n} agents", field="models")
         models = tuple(_build_model(spec, i) for i, spec in enumerate(specs))
@@ -297,60 +295,39 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             raise ConfigError(f"models disagree on dimension: {sorted(dims)}", field="models")
 
     step_sizes = None
-    if "step_sizes" in data:
-        section = data["step_sizes"]
-        mu_max = _finite(
-            _expect(section, "mu_max", "step_sizes.mu_max", (int, float)), "step_sizes.mu_max"
+    section = _value(data, "", "step_sizes", dict, None)
+    if section is not None:
+        step_sizes = StepSizeProfile(
+            mu_max=_value(section, "step_sizes", "mu_max", rule=_AT_LEAST_0),
+            tau=_numbers(
+                section, "step_sizes", "tau", [1.0] * n, n,
+                rule=("in (0, 1]", lambda tau: (tau > 0) & (tau <= 1)),
+            ),
         )
-        tau = _expect(section, "tau", "step_sizes.tau", list, required=False, default=[1.0] * n)
-        if len(tau) != n:
-            raise ConfigError(f"tau has {len(tau)} entries for {n} agents", field="step_sizes.tau")
-        if any(isinstance(t, (bool, str)) for t in tau):
-            raise ConfigError(
-                "tau entries must be numbers, not booleans or strings", field="step_sizes.tau"
-            )
-        try:
-            step_sizes = StepSizeProfile(mu_max=mu_max, tau=tau)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc), field="step_sizes")
 
-    run_section = _expect(data, "run", "run", dict)
-    seed = check_seed(_expect(run_section, "seed", "run.seed", int))
-    iterations = _expect(run_section, "iterations", "run.iterations", int, required=False)
-    if iterations is not None and iterations < 1:
-        raise ConfigError("iterations must be an integer >= 1", field="run.iterations")
-    burn_in = _expect(
-        run_section, "burn_in_fraction", "run.burn_in_fraction", (int, float),
-        required=False, default=DEFAULT_BURN_IN,
+    run = _value(data, "", "run", dict)
+    seed = check_seed(_value(run, "run", "seed", int))
+    iterations = _value(run, "run", "iterations", int, None, _AT_LEAST_1)
+    burn_in = _value(
+        run, "run", "burn_in_fraction", float, DEFAULT_BURN_IN, ("in [0, 1)", lambda x: 0 <= x < 1)
     )
-    if not 0.0 <= burn_in < 1.0:
-        raise ConfigError("burn_in_fraction must lie in [0, 1)", field="run.burn_in_fraction")
-    stride = _expect(
-        run_section, "stride", "run.stride", int, required=False, default=DEFAULT_STRIDE
-    )
-    if stride < 1:
-        raise ConfigError("stride must be an integer >= 1", field="run.stride")
+    stride = _value(run, "run", "stride", int, DEFAULT_STRIDE, _AT_LEAST_1)
     if iterations is not None and stride > iterations:
         raise ConfigError("stride must not exceed iterations", field="run.stride")
-    runs = _expect(
-        run_section, "monte_carlo_runs", "run.monte_carlo_runs", int, required=False, default=20
-    )
-    if runs < 1:
-        raise ConfigError("monte_carlo_runs must be an integer >= 1", field="run.monte_carlo_runs")
-    run = RunControls(
-        seed=seed,
-        iterations=iterations,
-        monte_carlo_runs=runs,
-        burn_in_fraction=float(burn_in),
-        stride=stride,
-    )
+    runs = _value(run, "run", "monte_carlo_runs", int, 20, _AT_LEAST_1)
     return ExperimentConfig(
-        name=name,
+        name=str(data.get("name", "unnamed")),
         matrix=matrix,
         models=models,
         step_sizes=step_sizes,
-        run=run,
-        output_dir=_expect(data, "output_dir", "output_dir", str, required=False),
+        run=RunControls(
+            seed=seed,
+            iterations=iterations,
+            monte_carlo_runs=runs,
+            burn_in_fraction=float(burn_in),
+            stride=stride,
+        ),
+        output_dir=_value(data, "", "output_dir", str, None),
     )
 
 

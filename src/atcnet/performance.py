@@ -228,17 +228,15 @@ def theoretical_msd(
     models: list[CostModel],
     step_sizes: StepSizeProfile,
     w_stars: list[np.ndarray] | None = None,
-    hessians: list[list[np.ndarray]] | None = None,
 ) -> MsdReport:
     """Closed-form MSD report for the whole network.
 
     Hessians and gradient-noise covariances are evaluated at each sending
     sub-network's Pareto point, each from its model in closed form (a
     logistic model's over its evaluation design, so the report draws no
-    random numbers). ``hessians`` gives, per sub-network, each model's
-    Hessian at the matching entry of ``w_stars``, as ``pareto_solve`` returns
-    them; without it they are evaluated here. Receiving agents read W from
-    the partition.
+    random numbers). Without ``w_stars`` the points are solved for here, and
+    the Hessians come from the solve's last evaluation. Receiving agents
+    read W from the partition.
     """
     subnetworks = []
     msd_values = []
@@ -249,9 +247,7 @@ def theoretical_msd(
             star, sub_hessians = pareto_solve(sub_models, q, return_hessians=True)
         else:
             star = np.atleast_1d(np.asarray(w_stars[s], dtype=float))
-            sub_hessians = (
-                hessians[s] if hessians is not None else [model.hessian(star) for model in sub_models]
-            )
+            sub_hessians = [model.hessian(star) for model in sub_models]
         covariances = [model.noise_covariance(star) for model in sub_models]
         msd = msd_subnetwork(q, sub_hessians, covariances)
         msd_values.append(msd)

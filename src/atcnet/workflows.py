@@ -55,21 +55,12 @@ def comparison_payload(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k != "generated_at"}
 
 
-def pareto_points(partition: NetworkPartition, models, step_sizes, return_hessians=False):
-    """One Pareto solution per sending sub-network.
-
-    With ``return_hessians``, returns ``(stars, hessians)``, where
-    ``hessians[s]`` holds each model's Hessian at ``stars[s]`` from the solve.
-    """
-    qs = performance.q_weights(partition, step_sizes)
-    solved = [
-        performance.pareto_solve(
-            [models[k] for k in partition.order[sl].tolist()], q, return_hessians=True
-        )
-        for sl, q in zip(partition.s_slices, qs)
+def pareto_points(partition: NetworkPartition, models, step_sizes) -> list[np.ndarray]:
+    """One Pareto solution per sending sub-network."""
+    return [
+        performance.pareto_solve([models[k] for k in partition.order[sl].tolist()], q)
+        for sl, q in zip(partition.s_slices, performance.q_weights(partition, step_sizes))
     ]
-    stars = [star for star, _ in solved]
-    return (stars, [hessians for _, hessians in solved]) if return_hessians else stars
 
 
 def analyze(config: ExperimentConfig) -> dict:
@@ -253,15 +244,19 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     """Theoretical MSD report; optionally attach Monte-Carlo comparisons.
 
     With ``with_sim``, the Monte-Carlo ensemble of ``simulate`` runs after
-    the theory, around the same Pareto and limit points.
+    the theory, around the same Pareto and limit points; its run controls
+    are checked before the theory starts.
     """
     models = list(config.require_models())
     step_sizes = config.require_step_sizes()
+    if with_sim:
+        config.require_iterations()
+        if config.run.monte_carlo_runs < 2:
+            raise ConfigError(
+                "comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs"
+            )
     partition = classify(config.matrix)
-    stars, hessians = pareto_points(partition, models, step_sizes, return_hessians=True)
-    report = performance.theoretical_msd(
-        partition, models, step_sizes, w_stars=stars, hessians=hessians
-    )
+    report = performance.theoretical_msd(partition, models, step_sizes)
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -285,9 +280,8 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
+        stars = [sub.w_star for sub in report.subnetworks]
         estimate = _ensemble(config, influence.receiving_limit_points(stars, partition))[1]
-        if estimate is None:
-            raise ConfigError("comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs")
         rows = performance.compare(report, estimate)
         by_agent = {row.agent_id: row for row in rows}
         payload["comparison"] = [
@@ -424,21 +418,6 @@ def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Pa
     return [*writer.paths, summary_path]
 
 
-def _spawn(target, name: str, *args):
-    """Start ``target(conn, *args)`` in a spawned daemon process.
-
-    Returns the parent's end of the pipe ``conn`` and the process.
-    """
-    import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
-
-    ctx = multiprocessing.get_context("spawn")
-    conn, child = ctx.Pipe()
-    process = ctx.Process(target=target, args=(child, *args), name=name, daemon=True)
-    process.start()
-    child.close()
-    return conn, process
-
-
 def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: int, stride: int):
     """Body of ``_OutputWriter``'s process.
 
@@ -491,11 +470,20 @@ class _OutputWriter:
     """
 
     def __init__(self, out_dir: Path, n_runs: int, n_agents: int, iterations: int, stride: int):
+        import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
+
+        ctx = multiprocessing.get_context("spawn")
+        self.conn, child = ctx.Pipe()
         # Only sizes go as arguments: once pickled arguments outgrow the OS pipe
         # buffer, starting the process blocks until it has imported atcnet.
-        self.conn, self.process = _spawn(
-            _write_streamed, "atcnet-writer", str(out_dir), n_runs, n_agents, iterations, stride
+        self.process = ctx.Process(
+            target=_write_streamed,
+            args=(child, str(out_dir), n_runs, n_agents, iterations, stride),
+            name="atcnet-writer",
+            daemon=True,
         )
+        self.process.start()
+        child.close()
 
     def __enter__(self) -> "_OutputWriter":
         return self

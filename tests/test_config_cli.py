@@ -144,7 +144,7 @@ class TestParseConfig:
         "section, key, value, field",
         [
             ("step_sizes", "tau", 1.0, "step_sizes.tau"),
-            ("step_sizes", "tau", [None] * 8, "step_sizes"),
+            ("step_sizes", "tau", [None] * 8, "step_sizes.tau"),
             ("step_sizes", "mu_max", "x", "step_sizes.mu_max"),
             ("run", "burn_in_fraction", "a", "run.burn_in_fraction"),
             ("run", "burn_in_fraction", None, "run.burn_in_fraction"),
@@ -214,6 +214,20 @@ class TestParseConfig:
             ("models", 2, logistic_sampler(cov=1.0e308), "models[2].sampler.cov"),
             ("models", 2, {**QUADRATIC_1D, "r_u": -1.0e308}, "models[2].r_u"),
             ("models", 2, ellipse_sampler(semi_axes=[1.0e31, 1.0]), "models[2].sampler.semi_axes"),
+            # ranges and shapes that the model and step-size constructors once checked,
+            # naming only the section
+            ("step_sizes", "mu_max", -1, "step_sizes.mu_max"),
+            ("step_sizes", "tau", [2.0] * 8, "step_sizes.tau"),
+            ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "sigma_v2": -1}, "models[2].sigma_v2"),
+            ("models", 2, logistic_sampler(mean_neg=[-1.0, -1.0]), "models[2].sampler.mean_neg"),
+            ("models", 2, {**QUADRATIC_2D, "r_u": [1.0, 2.0, 3.0]}, "models[2].r_u"),
+            ("models", 2, logistic_sampler(cov=[[1.0, 0.0], [0.0, 1.0]]), "models[2].sampler.cov"),
+            # a nested tau once parsed, and analyze then ended with a traceback
+            ("step_sizes", "tau", [[1.0]] * 8, "step_sizes.tau"),
+            # an empty w_o or pair of class means once parsed, and every command then
+            # ended with a traceback
+            ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "w_o": []}, "models[2].w_o"),
+            ("models", 2, logistic_sampler(mean_pos=[], mean_neg=[]), "models[2].sampler.mean_pos"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -339,6 +353,30 @@ def _preset_data(name):
 
 
 FUZZ_BASES = {name: _preset_data(name) for name in PRESET_NAMES}
+# the logistic preset with every optional field set, so that each is mutated too; both
+# samplers give 6-d features
+FUZZ_BASES["every-optional-field"] = {
+    **FUZZ_BASES["two-agent-logistic"],
+    "models": [
+        {
+            **logistic_sampler(
+                mean_pos=[1.0] * 6, mean_neg=[-1.0] * 6, cov=[1.0, 0.5] * 3, p_pos=0.4
+            ),
+            "eval_samples": 2000,
+            "eval_seed": 3,
+        },
+        {
+            **ellipse_sampler(
+                semi_axes=[2.0, 1.0], outside_band=[1.3, 2.2], p_pos=0.6,
+                outlier_fraction=0.1, outlier_center=[6.0, 6.0], outlier_std=0.5,
+            ),
+            "eval_samples": 2000,
+            "eval_seed": 1,
+        },
+    ],
+    "step_sizes": {"mu_max": 0.002, "tau": [1.0, 0.5]},
+    "output_dir": "out/every-optional-field",
+}
 # wrong types, strings where numbers go, non-finite, huge and negative numbers
 BAD_VALUES = [
     None, True, "x", "0.5", float("nan"), float("inf"), -1, -0.25, [], {}, ["1.0"],
@@ -361,8 +399,8 @@ def _locations(value, path=()):
 
 @st.composite
 def mutated_presets(draw):
-    """A preset's YAML mapping with one to three entries dropped, negated or replaced."""
-    data = copy.deepcopy(FUZZ_BASES[draw(st.sampled_from(PRESET_NAMES))])
+    """A fuzz base's YAML mapping with one to three entries dropped, negated or replaced."""
+    data = copy.deepcopy(FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))])
     for _ in range(draw(st.integers(1, 3))):
         *parents, key = draw(st.sampled_from(list(_locations(data))))
         parent = functools.reduce(operator.getitem, parents, data)
@@ -618,6 +656,16 @@ class TestMsdWorkflow:
         assert digest == MSD_WITH_SIM_SHA256[name]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("key, value", [("monte_carlo_runs", 1), ("iterations", None)])
+    def test_with_sim_checks_run_controls_before_the_theory(self, monkeypatch, key, value):
+        config = parse_config(eight_agent_config())
+        config = dataclasses.replace(config, run=dataclasses.replace(config.run, **{key: value}))
+        solves = count_calls(monkeypatch, an.performance, "pareto_solve")
+        with pytest.raises(ConfigError) as exc:
+            workflows.msd(config, with_sim=True)
+        assert exc.value.field == f"run.{key}"
+        assert solves == []
+
     @pytest.mark.parametrize("error", [an.errors.NoConvergence(1), KeyboardInterrupt()])
     def test_failed_theory_stops_the_ensemble(self, monkeypatch, error):
         # the theory comes first, so its failure never waits for the runs
@@ -770,6 +818,28 @@ class TestCli:
         assert cli.main(["msd", "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "models[0].rho:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["simulate", "--config", "fully-connected", "--seed", "x"]]
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: atcnet")
+
+    def test_help_exit_code(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: atcnet")
+
+    def test_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 7.28 TiB for an array with shape (10000000000000,)"
+
+        def no_memory(iterations, stride):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(an.engine, "recorded_iterations", no_memory)
+        argv = ["msd", "--with-sim", "--config", "three-subnetwork-regression"]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"out of memory: {message}"]
 
     def test_other_package_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def no_convergence(models, q, return_hessians=False):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atcnet import costs, performance, workflows
+from atcnet import costs, workflows
 from atcnet.config import load_preset
 from atcnet.costs import (
     EllipseSampler,
@@ -182,17 +182,17 @@ def test_msd_reuses_the_solves_hessians(monkeypatch):
     rows = config.models[0].design_rows
     log = []
     count_design_passes(monkeypatch, log)
-    theory = performance.theoretical_msd
+    noise_covariance = costs.LogisticCost.noise_covariance
 
-    def logged_theory(*args, **kwargs):
-        log.append(("theory",))
-        return theory(*args, **kwargs)
+    def logged_noise_covariance(self, at):
+        log.append(("noise",))
+        return noise_covariance(self, at)
 
-    monkeypatch.setattr(performance, "theoretical_msd", logged_theory)
+    monkeypatch.setattr(costs.LogisticCost, "noise_covariance", logged_noise_covariance)
     workflows.msd(config)
     monkeypatch.undo()
 
-    solve = log[log.index(("pass", rows)) : log.index(("theory",))]
+    solve = log[log.index(("pass", rows)) : log.index(("noise",))]
     k = solve.count(("step",))
     assert k >= 1
     assert solve.count(("pass", rows)) == k + 1

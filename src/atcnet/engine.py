@@ -55,12 +55,18 @@ class StepSizeProfile:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Strided per-agent squared-error record of one run."""
+    """Strided per-agent squared-error record of one run.
+
+    ``sq_error`` is None when the records were streamed to a ``records``
+    callback instead of kept. The tail means average the records after the
+    burn-in, adding them in record order and dividing by their count.
+    """
 
     iterations: np.ndarray        # (T,), 1-based completed-iteration counts
-    sq_error: np.ndarray          # (T, N)
+    sq_error: np.ndarray | None   # (T, N), unless streamed
     iterates: np.ndarray | None   # (T, N, M) when recorded
     mean_iterate_tail: np.ndarray | None = None  # (N, M) when a burn-in was given
+    mean_sq_error_tail: np.ndarray | None = None  # (N,) when a burn-in was given
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +178,10 @@ class _Kernel:
 
         Returns read-only records with runs on the first axis. With
         ``noise_at`` set, the linear model of ``run_paired_long_term`` runs
-        alongside. ``records``, when given, is called at each sample-block
-        boundary and once at the end with the (runs, records, N) squared
-        errors recorded since its previous call.
+        alongside. The squared errors go into one block buffer that is
+        handed over at each sample-block boundary and once at the end: to
+        ``records`` when given, as a (runs, records, N) view valid only until
+        the call returns, and otherwise into the returned ``sq_error``.
         """
         n, m, wt, mu = self.n, self.m, self.weights_t, self.mu
         if iterations < 1:
@@ -187,10 +194,15 @@ class _Kernel:
         rngs = [[np.random.default_rng([seed, r, k]) for k in range(n)] for r in range(n_runs)]
         rec_iters = recorded_iterations(iterations, stride)
         n_rec = rec_iters.shape[0]
-        sq_error = np.empty((n_runs, n_rec, n))
+        # a block of _BLOCK rounds makes at most ceil(_BLOCK / stride) records;
+        # records lead, so the records of a block are one contiguous piece
+        block = np.empty((-(-_BLOCK // stride), n_runs, n))
+        sq_error = np.empty((n_runs, n_rec, n)) if records is None else None
         iterates = np.empty((n_runs, n_rec, n, m)) if record_iterates else None
         tail_from = n_rec if burn_in_fraction is None else int(np.floor(burn_in_fraction * n_rec))
-        tail = np.zeros((n_runs, n, m))  # running sum in record order, as numpy's mean adds
+        # running sums after burn-in, added in record order
+        tail = np.zeros((n_runs, n, m))
+        sq_tail = np.zeros((n_runs, n))
 
         x = np.zeros((n_runs, n, m))
         if w_init is not None:
@@ -198,17 +210,26 @@ class _Kernel:
         if noise_at is not None:
             lt = long_term_state(self.models, limit_points)
             err = limit_points - x
-            sq_model = np.empty_like(sq_error)
+            sq_model = np.empty((n_runs, n_rec, n))
             max_gap = np.zeros(n_runs)
             at_limit = np.broadcast_to(limit_points, x.shape)
 
-        sent = 0  # records handed to ``records`` so far
+        sent = 0  # records handed over so far
+
+        def hand_over(upto):
+            nonlocal sent
+            rows = block[: upto - sent].transpose(1, 0, 2)
+            if records is None:
+                sq_error[:, sent:upto] = rows
+            else:
+                records(rows)
+            sent = upto
+
         for i in range(iterations):
             j = i % _BLOCK
             if j == 0:
-                if records is not None and i // stride > sent:
-                    records(sq_error[:, sent : i // stride])
-                    sent = i // stride
+                if i // stride > sent:
+                    hand_over(i // stride)
                 self.draw(rngs, _BLOCK)
             grads = noisy = self.gradients(x, j)
             if noise_at == "limit_point":
@@ -229,18 +250,21 @@ class _Kernel:
             if (i + 1) % stride == 0:
                 rec_at = i // stride
                 diff = x - limit_points
-                sq_error[:, rec_at] = np.einsum("rkm,rkm->rk", diff, diff)
+                row = block[rec_at - sent]
+                row[:] = np.einsum("rkm,rkm->rk", diff, diff)
                 if record_iterates:
                     iterates[:, rec_at] = x
                 if rec_at >= tail_from:
                     tail += x
+                    sq_tail += row
                 if noise_at is not None:
                     sq_model[:, rec_at] = np.einsum("rkm,rkm->rk", err, err)
-        if records is not None and n_rec > sent:
-            records(sq_error[:, sent:])
+        if n_rec > sent:
+            hand_over(n_rec)
         out = {"iterations": rec_iters, "sq_error": sq_error, "iterates": iterates}
         if burn_in_fraction is not None:
             out["mean_iterate_tail"] = tail / (n_rec - tail_from)
+            out["mean_sq_error_tail"] = sq_tail / (n_rec - tail_from)
         if noise_at is not None:
             out.update(sq_error_model=sq_model, max_state_gap=max_gap)
         for value in out.values():
@@ -274,13 +298,18 @@ def run_ensemble(
     stride : int
         Squared errors are recorded after every ``stride``-th round.
     burn_in_fraction : float, optional
-        When given, each Trajectory carries ``mean_iterate_tail``: the mean
-        of the recorded iterates after this fraction of the records,
-        accumulated without storing them.
+        When given, each Trajectory carries ``mean_iterate_tail`` and
+        ``mean_sq_error_tail``: the means of the recorded iterates and
+        squared errors after this fraction of the records, accumulated
+        without storing them. ``msd_from_tails`` turns the latter into an
+        ``MsdEstimate`` equal to ``estimate_msd`` on the kept records.
     records : callable, optional
         Called at each 1024-sample block boundary, and once at the end, with
         a (runs, records, N) view of the squared errors recorded since its
         previous call; lets a caller write them out while the runs go on.
+        The view is one reused buffer, valid only until the call returns.
+        With ``records``, the runs keep no squared errors: each
+        Trajectory's ``sq_error`` is None.
 
     Returns one Trajectory per run. Deterministic in (master_seed, config).
     """
@@ -288,13 +317,18 @@ def run_ensemble(
         limit_points, iterations, n_runs, master_seed, stride, record_iterates=record_iterates,
         burn_in_fraction=burn_in_fraction, records=records,
     )
-    tail = rec.get("mean_iterate_tail")
+
+    def of_run(name, r):
+        value = rec.get(name)
+        return None if value is None else value[r]
+
     return [
         Trajectory(
             iterations=rec["iterations"],
-            sq_error=rec["sq_error"][r],
-            iterates=rec["iterates"][r] if record_iterates else None,
-            mean_iterate_tail=None if tail is None else tail[r],
+            sq_error=of_run("sq_error", r),
+            iterates=of_run("iterates", r),
+            mean_iterate_tail=of_run("mean_iterate_tail", r),
+            mean_sq_error_tail=of_run("mean_sq_error_tail", r),
         )
         for r in range(n_runs)
     ]
@@ -370,7 +404,12 @@ def estimate_msd(
     trajectories: list[Trajectory],
     burn_in_fraction: float = DEFAULT_BURN_IN,
 ) -> MsdEstimate:
-    """Average post-burn-in squared errors within runs, then across runs."""
+    """Average post-burn-in squared errors within runs, then across runs.
+
+    Each run's records are added in record order, as the kernel adds its
+    running tail sums, so this equals ``msd_from_tails`` on the streamed
+    runs bit for bit.
+    """
     if len(trajectories) < 2:
         raise InsufficientData("MSD estimation needs at least 2 runs")
     if not 0.0 <= burn_in_fraction < 1.0:
@@ -379,11 +418,20 @@ def estimate_msd(
     if any(traj.sq_error.shape != trajectories[0].sq_error.shape for traj in trajectories):
         raise DimensionMismatch("trajectories have inconsistent shapes")
     start = int(np.floor(burn_in_fraction * t))
-    per_run = np.stack([traj.sq_error[start:].mean(axis=0) for traj in trajectories])
-    estimate = per_run.mean(axis=0)
-    stderr = per_run.std(axis=0, ddof=1) / np.sqrt(len(trajectories))
+    # cumsum adds row after row; a plain sum adds a single column pairwise
+    return msd_from_tails(
+        [np.cumsum(traj.sq_error[start:], axis=0)[-1] / (t - start) for traj in trajectories]
+    )
+
+
+def msd_from_tails(tails) -> MsdEstimate:
+    """Across-run mean and 2-standard-error halfwidth of per-run (N,) tail means."""
+    if len(tails) < 2:
+        raise InsufficientData("MSD estimation needs at least 2 runs")
+    per_run = np.stack(tails)
+    stderr = per_run.std(axis=0, ddof=1) / np.sqrt(len(tails))
     return MsdEstimate(
-        per_agent=_frozen(estimate),
+        per_agent=_frozen(per_run.mean(axis=0)),
         halfwidth=_frozen(2.0 * stderr),
-        n_runs=len(trajectories),
+        n_runs=len(tails),
     )

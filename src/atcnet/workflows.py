@@ -144,12 +144,14 @@ def simulate(config: ExperimentConfig, out_dir: Path | None = None) -> Simulatio
 
     With ``out_dir``, the files of ``write_simulation_outputs`` are written
     too: the run CSVs and the learning curve by a spawned writer process
-    while the runs go on (see ``_OutputWriter``), then summary.json. If the
+    while the runs go on (see ``_OutputWriter``), then summary.json. The
+    records are then streamed, not kept: the trajectories carry no
+    ``sq_error``, and memory does not grow with the run length. If the
     simulation fails, ``out_dir`` is left as it was. The writer is started
     with ``spawn``, so a script calling this with ``out_dir`` needs the
     ``if __name__ == "__main__":`` guard.
     """
-    iterations = config.require_iterations()
+    config.require_iterations()
     models = config.require_models()
     step_sizes = config.require_step_sizes()
     if step_sizes.n != config.n:
@@ -157,7 +159,7 @@ def simulate(config: ExperimentConfig, out_dir: Path | None = None) -> Simulatio
     if out_dir is None:
         return _simulate_config(config, models, step_sizes)
     out_dir = Path(out_dir)
-    sizes = (config.run.monte_carlo_runs, config.n, iterations, config.run.stride)
+    sizes = (config.run.monte_carlo_runs, config.n, config.run.stride)
     with _OutputWriter(out_dir, *sizes) as writer:
         result = _simulate_config(config, models, step_sizes, records=writer.send)
         result.written = writer.commit()
@@ -217,8 +219,9 @@ def _ensemble(
 ) -> tuple[list[engine.Trajectory], engine.MsdEstimate | None]:
     """The Monte-Carlo runs of ``config`` around limit points ``lp``, and their MSD estimate.
 
-    The estimate is None with fewer than two runs. ``records`` is handed to
-    ``engine.run_ensemble``.
+    The estimate is None with fewer than two runs; it comes from the runs'
+    streamed tail means, so it needs no kept records. ``records`` is handed
+    to ``engine.run_ensemble``; with it, the runs keep no squared errors.
     """
     trajectories = engine.run_ensemble(
         config.matrix,
@@ -233,11 +236,15 @@ def _ensemble(
         records=records,
     )
     estimate = (
-        engine.estimate_msd(trajectories, config.run.burn_in_fraction)
+        engine.msd_from_tails([traj.mean_sq_error_tail for traj in trajectories])
         if len(trajectories) >= 2
         else None
     )
     return trajectories, estimate
+
+
+def _discard(rows) -> None:
+    """A ``records`` callback for runs whose squared errors are needed only as tail means."""
 
 
 def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
@@ -281,7 +288,8 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     }
     if with_sim:
         stars = [sub.w_star for sub in report.subnetworks]
-        estimate = _ensemble(config, influence.receiving_limit_points(stars, partition))[1]
+        lp = influence.receiving_limit_points(stars, partition)
+        estimate = _ensemble(config, lp, records=_discard)[1]
         rows = performance.compare(report, estimate)
         by_agent = {row.agent_id: row for row in rows}
         payload["comparison"] = [
@@ -378,12 +386,12 @@ class _CsvWriter:
     as ``np.mean(..., axis=0)`` does, so blocks of any size give the same bytes.
     """
 
-    def __init__(self, out_dir: Path, n_runs: int, iterations: np.ndarray):
+    def __init__(self, out_dir: Path, n_runs: int, stride: int):
         (out_dir / "runs").mkdir(parents=True, exist_ok=True)
         self.runs = [out_dir / "runs" / f"run_{r}.csv" for r in range(n_runs)]
         self.curve = out_dir / "learning_curve.csv"
-        self.iterations = iterations.tolist()
-        self.done = 0
+        self.stride = stride
+        self.done = 0  # records written so far; record d was taken after (d + 1) * stride rounds
         for path in self.runs:
             path.write_text("iteration,agent_id,sq_error\n")
         self.curve.write_text("iteration,agent_id,mean_sq_error_db\n")
@@ -395,7 +403,8 @@ class _CsvWriter:
     def write(self, rows) -> None:
         """Append the next records: one (records, N) array per run."""
         count, n = rows[0].shape
-        iters = self.iterations[self.done : self.done + count]
+        first = (self.done + 1) * self.stride
+        iters = range(first, first + count * self.stride, self.stride)
         self.done += count
         prefixes = [f"{it},{k}," for it in iters for k in range(n)]
         for path, values in zip(self.runs, rows):
@@ -409,16 +418,21 @@ class _CsvWriter:
 
 
 def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Path]:
-    """Write per-run CSVs, the aggregate learning curve and summary.json."""
+    """Write per-run CSVs, the aggregate learning curve and summary.json.
+
+    The trajectories must have kept their squared errors, as ``simulate``
+    without ``out_dir`` does.
+    """
     out_dir = Path(out_dir)
-    writer = _CsvWriter(out_dir, len(result.trajectories), result.trajectories[0].iterations)
+    stride = int(result.trajectories[0].iterations[0])  # the first record follows `stride` rounds
+    writer = _CsvWriter(out_dir, len(result.trajectories), stride)
     writer.write([traj.sq_error for traj in result.trajectories])
     summary_path = out_dir / "summary.json"
     write_json(result.payload, summary_path)
     return [*writer.paths, summary_path]
 
 
-def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: int, stride: int):
+def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, stride: int):
     """Body of ``_OutputWriter``'s process.
 
     Stages the CSVs in a new directory under ``out_dir`` from the record
@@ -436,9 +450,9 @@ def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, iterations: 
         # named before it is made, so an interrupt just after mkdir still finds it
         staging = out / f".staging-{uuid.uuid4().hex}"
         staging.mkdir()
-        writer = _CsvWriter(staging, n_runs, engine.recorded_iterations(iterations, stride))
+        writer = _CsvWriter(staging, n_runs, stride)
         while data := conn.recv_bytes():
-            writer.write(np.frombuffer(data).reshape(n_runs, -1, n_agents))
+            writer.write(np.frombuffer(data).reshape(-1, n_runs, n_agents).transpose(1, 0, 2))
         reply = [out / path.relative_to(staging) for path in writer.paths]
         for path, target in zip(writer.paths, reply):
             os.replace(path, target)
@@ -462,14 +476,15 @@ class _OutputWriter:
     """A spawned process that writes a simulation's CSVs while its runs go on.
 
     ``send`` is the ``records`` callback of ``engine.run_ensemble``: it sends
-    each block of squared errors as raw float64 bytes. ``commit`` moves the
-    files into ``out_dir`` and returns their paths. Leaving the ``with``
+    each block of squared errors as raw float64 bytes, records first, which
+    is how the kernel lays out its block, so the block goes without a copy.
+    ``commit`` moves the files into ``out_dir`` and returns their paths. Leaving the ``with``
     block closes the pipe and waits for the process; before ``commit`` that
     makes the writer remove what it wrote. An error in the writer is raised
     here at the next ``send`` or at ``commit``.
     """
 
-    def __init__(self, out_dir: Path, n_runs: int, n_agents: int, iterations: int, stride: int):
+    def __init__(self, out_dir: Path, n_runs: int, n_agents: int, stride: int):
         import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
 
         ctx = multiprocessing.get_context("spawn")
@@ -478,7 +493,7 @@ class _OutputWriter:
         # buffer, starting the process blocks until it has imported atcnet.
         self.process = ctx.Process(
             target=_write_streamed,
-            args=(child, str(out_dir), n_runs, n_agents, iterations, stride),
+            args=(child, str(out_dir), n_runs, n_agents, stride),
             name="atcnet-writer",
             daemon=True,
         )
@@ -501,15 +516,18 @@ class _OutputWriter:
             return OSError(f"output writer exited with code {self.process.exitcode}")
 
     def send(self, rows: np.ndarray) -> None:
+        self._send(np.ascontiguousarray(rows.transpose(1, 0, 2)))
+
+    def _send(self, data) -> None:
         if self.conn.poll():  # before commit, the writer only speaks to report a failure
             raise self._reply()
         try:
-            self.conn.send_bytes(rows.tobytes())
+            self.conn.send_bytes(data)
         except OSError:
             raise self._reply() from None
 
     def commit(self) -> list[Path]:
-        self.send(np.empty(0))  # an empty message: the writer moves its files into place
+        self._send(b"")  # an empty message: the writer moves its files into place
         reply = self._reply()
         if isinstance(reply, BaseException):
             raise reply

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -548,7 +549,7 @@ class TestSimulateWorkflow:
             "import os, signal, numpy as np\n"
             "from atcnet import workflows\n"
             "if __name__ == '__main__':\n"
-            f"    w = workflows._OutputWriter(__import__('pathlib').Path({str(out)!r}), 2, 3, 10, 1)\n"
+            f"    w = workflows._OutputWriter(__import__('pathlib').Path({str(out)!r}), 2, 3, 1)\n"
             "    w.send(np.ones((2, 4, 3)))\n"
             "    print(w.process.pid, flush=True)\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
@@ -687,6 +688,55 @@ class TestMsdWorkflow:
         assert all(s["msd_db"] is None and s["msd_linear"] == 0.0 for s in payload["subnetworks"])
         summary = workflows.human_summary(payload)
         assert "0 (linear)" in summary
+
+
+def three_agent_config(iterations):
+    """Two sending agents and one receiver; two runs that record every round."""
+    return parse_config({
+        "name": "three",
+        "matrix": {"inline": [[0.6, 0.4, 0.1], [0.4, 0.6, 0.1], [0.0, 0.0, 0.8]]},
+        "models": [
+            {"kind": "quadratic", "w_o": w, "sigma_v2": 0.01, "r_u": 1.0} for w in (1.0, 1.5, 1.2)
+        ],
+        "step_sizes": {"mu_max": 0.01},
+        "run": {"seed": 3, "iterations": iterations, "monte_carlo_runs": 2, "stride": 1},
+    })
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedRecords:
+    @pytest.mark.parametrize("command", ["simulate", "msd --with-sim"])
+    def test_memory_does_not_grow_with_the_run(self, tmp_path, command):
+        # the longer run's history would take 2 runs x 4000 records x 3 agents x 8 bytes;
+        # what does grow is the (records,) iteration array the trajectories share
+        def run(iterations):
+            config = three_agent_config(iterations)
+            if command == "simulate":
+                return lambda: workflows.simulate(config, tmp_path / str(iterations))
+            return lambda: workflows.msd(config, with_sim=True)
+
+        run(4000)()  # fills the interpreter's free lists, which tracemalloc counts as in use
+        short, long = traced_peak(run(400)), traced_peak(run(4000))
+        history = 2 * 4000 * 3 * 8
+        assert long - short < history / 4
+
+    def test_streamed_simulate_keeps_no_history(self, tmp_path):
+        config = three_agent_config(1500)
+        streamed = workflows.simulate(config, tmp_path)
+        kept = workflows.simulate(config)
+        assert all(traj.sq_error is None for traj in streamed.trajectories)
+        assert workflows.comparison_payload(streamed.payload) == workflows.comparison_payload(
+            kept.payload
+        )
 
 
 class TestCli:

@@ -79,6 +79,17 @@ def mixed_network():
     return a, models, steps, np.full((5, 2), 0.25)
 
 
+def single_agent():
+    """One scalar quadratic agent, on its own."""
+    model = QuadraticCost(r_u=1.0, sigma_v2=0.1, w_o=[0.5])
+    return an.validate([[1.0]]), [model], an.StepSizeProfile(0.01, [1.0]), np.array([[0.5]])
+
+
+def record_order_mean(records):
+    """Mean along the first axis, adding the records one after another."""
+    return np.cumsum(records, axis=0)[-1] / records.shape[0]
+
+
 class TestFrozenOutputs:
     def test_preset_trajectories_bitwise(self):
         runs = engine.run_ensemble(*preset_network(), iterations=2500, n_runs=3, master_seed=7,
@@ -134,23 +145,38 @@ class TestBatchedKernel:
         batched = np.stack([t.sq_error for t in runs], axis=1)
         np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("network", [preset_network, mixed_network])
-    def test_tail_mean_equals_mean_of_recorded_iterates(self, network):
-        runs = engine.run_ensemble(*network(), iterations=1500, n_runs=3, master_seed=2,
-                                   record_iterates=True, burn_in_fraction=0.4)
+    @pytest.mark.parametrize(
+        "network, stride", [(preset_network, 10), (mixed_network, 10), (single_agent, 1)],
+        ids=["preset_network", "mixed_network", "single_agent"],
+    )
+    def test_tail_mean_equals_mean_of_recorded_iterates(self, network, stride):
+        # the tail means add the records in order; for one scalar agent numpy's
+        # own mean would add the (T, 1) column pairwise and differ in the last bits
+        runs = engine.run_ensemble(*network(), iterations=3000, n_runs=3, master_seed=2,
+                                   stride=stride, record_iterates=True, burn_in_fraction=0.4)
         for traj in runs:
             start = int(np.floor(0.4 * traj.iterates.shape[0]))
-            assert np.array_equal(traj.mean_iterate_tail, traj.iterates[start:].mean(axis=0))
+            assert np.array_equal(traj.mean_iterate_tail, record_order_mean(traj.iterates[start:]))
+            assert np.array_equal(traj.mean_sq_error_tail,
+                                  record_order_mean(traj.sq_error[start:]))
+        streamed = engine.msd_from_tails([t.mean_sq_error_tail for t in runs])
+        kept = engine.estimate_msd(runs, 0.4)
+        assert np.array_equal(streamed.per_agent, kept.per_agent)
+        assert np.array_equal(streamed.halfwidth, kept.halfwidth)
 
     def test_records_callback_hands_over_each_record_once_per_block(self):
         # stride 7: blocks end after records 1024 // 7 = 146 and 2048 // 7 = 292;
         # the last call hands over the 357 - 292 records of the partial block
         blocks = []
-        runs = engine.run_ensemble(*preset_network(), iterations=2500, n_runs=2, master_seed=3,
-                                   stride=7, records=lambda rows: blocks.append(rows.copy()))
+        streamed = engine.run_ensemble(*preset_network(), iterations=2500, n_runs=2,
+                                       master_seed=3, stride=7,
+                                       records=lambda rows: blocks.append(rows.copy()))
         assert [b.shape for b in blocks] == [(2, 146, 8), (2, 146, 8), (2, 65, 8)]
-        stacked = np.stack([t.sq_error for t in runs])
+        kept = engine.run_ensemble(*preset_network(), iterations=2500, n_runs=2, master_seed=3,
+                                   stride=7)
+        stacked = np.stack([t.sq_error for t in kept])
         assert np.array_equal(np.concatenate(blocks, axis=1), stacked)
+        assert all(t.sq_error is None for t in streamed)
 
     @pytest.mark.parametrize("noise_at", ["iterate", "limit_point"])
     def test_linear_companion_leaves_the_run_unchanged(self, noise_at):

@@ -1,15 +1,15 @@
-"""Invariants of the structure and theory layers over generated weakly-connected networks.
+"""Invariants of the structure, theory and simulation layers over generated weak networks.
 
 Each example draws sending and receiving sub-network sizes, the seed of the
 weights that ``random_weak_matrix`` fills in, per-agent models and step
 sizes, and a relabelling of the agents.
 """
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atcnet as an
-from atcnet import workflows
+from atcnet import engine, workflows
 from atcnet.costs import QuadraticCost
 
 from conftest import random_weak_matrix
@@ -124,3 +124,45 @@ def test_powers_of_a_converge_to_the_limiting_power(net):
             break
     assert change <= ROUND_OFF
     assert np.abs(power - a_inf).max() <= ROUND_OFF
+
+
+@st.composite
+def run_controls(draw):
+    """(stride, iterations, burn-in fraction, run count); iterations are a multiple
+    of neither the stride nor the 1024-round sample block."""
+    stride = draw(st.integers(2, 9))
+    iterations = draw(
+        st.integers(1025, 1400).filter(lambda t: t % stride and t % engine._BLOCK)
+    )
+    return stride, iterations, draw(st.floats(0.0, 0.9)), draw(st.integers(2, 3))
+
+
+@settings(max_examples=15)
+@given(networks(), run_controls())
+def test_streamed_runs_match_kept_runs(net, controls):
+    raw, w_os, tau, _ = net
+    stride, iterations, burn_in, n_runs = controls
+    a, partition = structure(raw)
+    models = [QuadraticCost(r_u=1.0, sigma_v2=0.01, w_o=[w]) for w in w_os]
+    steps = an.StepSizeProfile(0.01, tau)
+    lp = an.receiving_limit_points(workflows.pareto_points(partition, models, steps), partition)
+
+    def ensemble(runs, records=None):
+        return an.run_ensemble(a, models, steps, lp, iterations, runs,
+                               master_seed=9, stride=stride, burn_in_fraction=burn_in,
+                               records=records)
+
+    blocks = []
+    streamed = ensemble(n_runs, lambda rows: blocks.append(rows.copy()))
+    kept = ensemble(n_runs)
+    history = np.stack([t.sq_error for t in kept])
+    assert np.array_equal(np.concatenate(blocks, axis=1), history)
+    estimate = engine.msd_from_tails([t.mean_sq_error_tail for t in streamed])
+    reference = an.estimate_msd(kept, burn_in)
+    assert np.array_equal(estimate.per_agent, reference.per_agent)
+    assert np.array_equal(estimate.halfwidth, reference.halfwidth)
+    # run r does not depend on the runs after it: r + 1 runs give it bit for bit
+    for r in range(n_runs - 1):
+        fewer = ensemble(r + 1)[r]
+        assert np.array_equal(fewer.sq_error, kept[r].sq_error)
+        assert np.array_equal(fewer.mean_iterate_tail, kept[r].mean_iterate_tail)

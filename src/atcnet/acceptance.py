@@ -8,7 +8,7 @@ checks replay the bundled presets with fixed seeds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -60,22 +60,11 @@ def _three_subnetwork():
 def _regression_run(mu_scale: float):
     """Monte-Carlo estimate and theory for the regression preset (cached)."""
     config, partition = _three_subnetwork()
-    step_sizes = config.step_sizes.scaled(mu_scale)
-    models = list(config.models)
-    stars = workflows.pareto_points(partition, models, step_sizes)
-    trajectories = engine.run_ensemble(
-        config.matrix,
-        models,
-        step_sizes,
-        influence.receiving_limit_points(stars, partition),
-        iterations=config.run.iterations,
-        n_runs=config.run.monte_carlo_runs,
-        master_seed=config.run.seed,
-        stride=config.run.stride,
-    )
-    estimate = engine.estimate_msd(trajectories, config.run.burn_in_fraction)
-    report = performance.theoretical_msd(partition, models, step_sizes, w_stars=stars)
-    return estimate, report
+    config = replace(config, step_sizes=config.step_sizes.scaled(mu_scale))
+    stars = workflows.pareto_points(partition, config.models, config.step_sizes)
+    lp = influence.receiving_limit_points(stars, partition)
+    estimate = workflows._ensemble(config, lp, records=workflows._discard)[1]
+    return estimate, performance.theoretical_msd(partition, config.models, config.step_sizes, stars)
 
 
 def _check_influence_matrix() -> tuple[bool, str]:
@@ -166,25 +155,15 @@ def _check_step_size_scaling() -> tuple[bool, str]:
 def _check_leader_follower() -> tuple[bool, str]:
     config = load_preset("two-agent-logistic")
     partition = classify(config.matrix)
-    models = list(config.models)
-    stars = workflows.pareto_points(partition, models, config.step_sizes)
-    trajectories = engine.run_ensemble(
-        config.matrix,
-        models,
-        config.step_sizes,
-        influence.receiving_limit_points(stars, partition),
-        iterations=config.run.iterations,
-        n_runs=config.run.monte_carlo_runs,
-        master_seed=config.run.seed,
-        stride=config.run.stride,
-        burn_in_fraction=0.5,
-    )
+    stars = workflows.pareto_points(partition, config.models, config.step_sizes)
+    lp = influence.receiving_limit_points(stars, partition)
+    trajectories = workflows._ensemble(config, lp, records=workflows._discard)[0]
     tol = 10.0 * np.sqrt(config.step_sizes.mu_max)
     mean_r = np.mean([traj.mean_iterate_tail for traj in trajectories], axis=0)[1]
     dist = float(np.linalg.norm(mean_r - stars[0]))
 
     # The receiver's own data must prefer a visibly different solution.
-    own = performance.pareto_solve([models[1]], np.array([1.0]))
+    own = performance.pareto_solve([config.models[1]], np.array([1.0]))
     own_dist = float(np.linalg.norm(own - stars[0]))
     passed = dist <= tol and own_dist > tol
     return passed, (

@@ -56,12 +56,16 @@ class CostModel(ABC):
     @abstractmethod
     def hessian(self, w: np.ndarray) -> np.ndarray: ...
 
-    def gradient_and_hessian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(true_gradient(w), hessian(w))``; sampled models share one pass."""
-        return self.true_gradient(w), self.hessian(w)
+    def gradient_and_hessian(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(true_loss(w), true_gradient(w), hessian(w))``; sampled models share one pass."""
+        return self.true_loss(w), self.true_gradient(w), self.hessian(w)
 
     @abstractmethod
     def true_loss(self, w: np.ndarray) -> float: ...
+
+    def separated_by(self, w: np.ndarray) -> bool:
+        """Whether the loss is unregularized and w separates its design: no minimizer then."""
+        return False
 
     @abstractmethod
     def draw_batch(self, rng: np.random.Generator, n: int) -> tuple: ...
@@ -290,10 +294,18 @@ class LogisticCost(CostModel):
         coarse.__dict__["_eval_batch"] = tuple(field[:rows] for field in self._eval_batch)
         return coarse
 
-    def _design_sigmoid(self, w):
-        """1 / (1 + exp(gamma h.w)) over the evaluation design: one product with h."""
+    def _design_pass(self, w):
+        """The margins z = gamma h.w over the evaluation design and 1 / (1 + exp(z)): one product with h."""
         gamma, h = self._eval_batch
-        return inv_one_plus_exp(gamma * (h @ w))
+        z = gamma * (h @ w)
+        return z, inv_one_plus_exp(z)
+
+    def _loss(self, w, z, sig):
+        """(rho / 2) ||w||^2 + mean ln(1 + exp(-z)), read off the sigmoid s = 1 / (1 + exp(z))
+        as ln(1 + exp(-z)) = -min(z, 0) - log1p(-min(s, 1 - s))."""
+        m = np.minimum(sig, 1.0 - sig)
+        data = np.minimum(z, 0.0).sum() + np.log1p(np.negative(m, out=m), out=m).sum()
+        return float(0.5 * self.rho * (w @ w) - data / z.shape[0])
 
     def _gradient(self, w, sig):
         gamma, h = self._eval_batch
@@ -309,15 +321,20 @@ class LogisticCost(CostModel):
 
     def true_gradient(self, w):
         w = np.asarray(w, dtype=float)
-        return self._gradient(w, self._design_sigmoid(w))
+        return self._gradient(w, self._design_pass(w)[1])
 
     def hessian(self, w):
-        return self._hessian(self._design_sigmoid(np.asarray(w, dtype=float)))
+        return self._hessian(self._design_pass(np.asarray(w, dtype=float))[1])
 
     def gradient_and_hessian(self, w):
         w = np.asarray(w, dtype=float)
-        sig = self._design_sigmoid(w)
-        return self._gradient(w, sig), self._hessian(sig)
+        z, sig = self._design_pass(w)
+        loss = self._loss(w, z, sig)
+        del z  # the loss's temporaries are gone before the Gram product
+        return loss, self._gradient(w, sig), self._hessian(sig)
+
+    def separated_by(self, w):
+        return self.rho == 0 and bool((self._design_pass(np.asarray(w, dtype=float))[0] > 0).all())
 
     def noise_covariance(self, at):
         """Covariance of the sampled gradients over the evaluation design.
@@ -327,15 +344,13 @@ class LogisticCost(CostModel):
         the covariance is (1/n) sum_i a_i^2 h_i h_i^T - g g^T.
         """
         gamma, h = self._eval_batch
-        a = gamma * self._design_sigmoid(np.asarray(at, dtype=float))
+        a = gamma * self._design_pass(np.asarray(at, dtype=float))[1]
         mean = a @ h / gamma.shape[0]
         return self._weighted_gram(a * a) - np.outer(mean, mean)
 
     def true_loss(self, w):
-        gamma, h = self._eval_batch
         w = np.asarray(w, dtype=float)
-        data = np.logaddexp(0.0, -gamma * (h @ w)).mean()
-        return float(0.5 * self.rho * (w @ w) + data)
+        return self._loss(w, *self._design_pass(w))
 
     def draw_batch(self, rng, n):
         return self.sampler.draw(rng, n)
@@ -391,6 +406,9 @@ class ZeroedObservations(CostModel):
 
     def true_loss(self, w):
         return self.inner.true_loss(w)
+
+    def separated_by(self, w):
+        return self.inner.separated_by(w)
 
     def draw_batch(self, rng, n):
         return tuple(

@@ -111,3 +111,13 @@ class ConfigError(AtcnetError):
             message = f"{field}: {message}"
         super().__init__(message)
         self.field = field
+
+
+class NoMinimizer(ConfigError):
+    def __init__(self, model):
+        super().__init__(
+            "is 0 in every model of its sending sub-network, and the solve's point gives "
+            "every row of their data a positive margin: the loss has no minimizer",
+            field=f"models[{model}].rho",
+        )
+        self.model = model

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     NoConvergence,
+    NoMinimizer,
     NonPositive,
     SingularAggregateHessian,
 )
@@ -26,7 +27,10 @@ from .influence import influence_vector
 from .topology import NetworkPartition, _frozen
 
 PARETO_TOL = 1e-10
-PARETO_MAX_ITER = 100
+PARETO_MAX_ITER = 1000  # points one Newton solve may evaluate, rejected ones included
+# the share of its predicted decrease a Newton step must achieve (Armijo), and
+# the loss's relative rounding error, under which no decrease can be told apart
+ARMIJO, LOSS_RTOL = 0.25, 1e-13
 # Newton first solves on the first 1/WARM_START_SHRINK of each design, and so
 # on down, while that prefix keeps WARM_START_MIN_ROWS rows.
 WARM_START_SHRINK = 16
@@ -43,16 +47,10 @@ def q_weights(partition: NetworkPartition, step_sizes: StepSizeProfile) -> tuple
 
 
 def _aggregate(models, q, point):
-    """q-weighted sums of the gradients and Hessians at ``point``, and each model's Hessian."""
-    grad = np.zeros(models[0].dimension)
-    hess = np.zeros((models[0].dimension,) * 2)
-    hessians = []
-    for qk, model in zip(q, models):
-        g, h = model.gradient_and_hessian(point)
-        grad += qk * g
-        hess += qk * h
-        hessians.append(h)
-    return grad, hess, hessians
+    """q-weighted sums of the losses, gradients and Hessians at ``point``, and each model's Hessian."""
+    parts = [model.gradient_and_hessian(point) for model in models]
+    loss, grad, hess = (sum(qk * part[i] for qk, part in zip(q, parts)) for i in range(3))
+    return loss, grad, hess, [part[2] for part in parts]
 
 
 def _prefix_stages(models):
@@ -72,56 +70,55 @@ def _prefix_stages(models):
     return stages[::-1]
 
 
-def _newton(models, q, w):
-    """Newton iterations from ``w`` to the zero of the q-weighted gradient.
+def _newton_step(grad, hess):
+    """The Newton step H^-1 g, solved after a symmetric Jacobi scaling of H, and the decrement g.H^-1 g."""
+    diag = np.diag(hess)
+    if not (diag > 0).all():
+        raise SingularAggregateHessian("weighted aggregate Hessian has a diagonal entry that is not positive")
+    scale = 1.0 / np.sqrt(diag)
+    try:
+        step = scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+    except np.linalg.LinAlgError as exc:
+        raise SingularAggregateHessian(str(exc)) from exc
+    return step, grad @ step
 
-    Returns the zero and each model's Hessian there, from the last
-    evaluation. A Newton step that fails to shrink the gradient falls back
-    to gradient descent with backtracking.
+
+def _newton(models, q, w):
+    """Damped Newton from ``w`` to the minimizer of the q-weighted loss; returns it and each model's Hessian.
+
+    It stops once the Newton decrement g.H^-1 g is at most PARETO_TOL**2, and
+    otherwise tries w - t * step for t = 1, 1/2, 1/4, ... until the loss falls
+    by ARMIJO * t * decrement, give or take its rounding error. Each tried
+    point is one pass over each design; an accepted one gives the next step.
     """
-    grad, hess, hessians = _aggregate(models, q, w)
+    loss, grad, hess, hessians = _aggregate(models, q, w)
+    step, decrement = _newton_step(grad, hess)
+    t = 1.0
     for _ in range(PARETO_MAX_ITER):
-        if np.abs(grad).max() < PARETO_TOL:
+        if decrement <= PARETO_TOL**2:
             return w, hessians
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAggregateHessian(str(exc)) from exc
-        candidate = w - step
-        evaluated = _aggregate(models, q, candidate)
-        if np.abs(evaluated[0]).max() < np.abs(grad).max():
-            w, (grad, hess, hessians) = candidate, evaluated
+        trial = w - t * step
+        evaluated = _aggregate(models, q, trial)
+        if not evaluated[0] <= loss - ARMIJO * t * decrement + LOSS_RTOL * abs(loss):
+            t *= 0.5  # a NaN loss is rejected too
             continue
-        # Backtracking descent on the weighted aggregate cost.
-        cost = lambda v: sum(qk * mod.true_loss(v) for qk, mod in zip(q, models))
-        base = cost(w)
+        w, (loss, grad, hess, hessians) = trial, evaluated
+        step, decrement = _newton_step(grad, hess)
         t = 1.0
-        while t > 1e-12:
-            trial = w - t * grad
-            if cost(trial) < base - 1e-4 * t * (grad @ grad):
-                w = trial
-                break
-            t *= 0.5
-        else:
-            raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve line search")
-        grad, hess, hessians = _aggregate(models, q, w)
-    if np.abs(grad).max() < PARETO_TOL:
-        return w, hessians
     raise NoConvergence(PARETO_MAX_ITER, what="Pareto solve")
 
 
 def pareto_solve(models: list[CostModel], q: np.ndarray, return_hessians: bool = False):
     """Zero of the q-weighted aggregate gradient of one sub-network.
 
-    Quadratic costs are solved in closed form. Otherwise Newton iterations
-    run on the aggregate gradient weighted by q / sum(q), so the stopping
-    test does not depend on the scale of q (sampled models keep their fixed
-    evaluation designs, so the target is deterministic). When every model
-    has a design of at least 16 * 512 rows, Newton first solves on the
-    first 1/16 of each design, itself warm-started the same way, and starts
-    the full designs from there. An accepted point's gradient and Hessian
-    serve the next iteration, so K Newton steps on the full designs
-    evaluate the models K + 1 times there.
+    Quadratic costs are solved in closed form. Otherwise damped Newton runs
+    on the loss weighted by q / sum(q) (sampled models keep their fixed
+    designs, so the target is deterministic), and its stopping test depends
+    on the scale of neither q nor the features. When every model has a
+    design of at least 16 * 512 rows, Newton first solves on the first 1/16
+    of each design, itself warm-started the same way. With q = 0 the start,
+    zero, is returned. ``NoMinimizer`` names the first model if every model
+    is unregularized and the point separates all of their full designs.
 
     With ``return_hessians``, returns ``(w, hessians)``: each model's
     Hessian at w, from the solve's last evaluation.
@@ -129,35 +126,30 @@ def pareto_solve(models: list[CostModel], q: np.ndarray, return_hessians: bool =
     q = np.asarray(q, dtype=float)
     if q.shape[0] != len(models):
         raise DimensionMismatch(f"{q.shape[0]} weights for {len(models)} models")
-    m = models[0].dimension
-
+    w = np.zeros(models[0].dimension)
+    total = q.sum()
     if all(isinstance(model, QuadraticCost) for model in models):
-        lhs = np.zeros((m, m))
-        rhs = np.zeros(m)
-        for qk, model in zip(q, models):
-            lhs += qk * 2.0 * model.r_u
-            rhs += qk * 2.0 * model.r_u @ model.w_o
+        lhs = sum(qk * 2.0 * model.r_u for qk, model in zip(q, models))
+        rhs = sum(qk * 2.0 * model.r_u @ model.w_o for qk, model in zip(q, models))
         if np.linalg.eigvalsh(lhs).min() <= 0:
             raise SingularAggregateHessian("weighted aggregate Hessian is singular")
         w = np.linalg.solve(lhs, rhs)
-        return (w, [model.hessian(w) for model in models]) if return_hessians else w
+    elif total > 0:
+        for stage in _prefix_stages(models):
+            w = _newton(stage, q / total, w)[0]
+        w, hessians = _newton(models, q / total, w)
+        if all(model.separated_by(w) for model in models):
+            raise NoMinimizer(0)
+        return (w, hessians) if return_hessians else w
+    return (w, [model.hessian(w) for model in models]) if return_hessians else w
 
-    total = q.sum()
-    if total > 0:  # q = 0 (mu_max 0) leaves every point a zero of the gradient
-        q = q / total
-    stages = _prefix_stages(models)
-    w = np.zeros(m)
+
+def solve_members(models, members, q):
+    """``pareto_solve`` of ``models[k]`` for k in ``members``, with Hessians; ``NoMinimizer`` names k."""
     try:
-        for stage in stages:
-            w = _newton(stage, q, w)[0]
-        w, hessians = _newton(models, q, w)
-    except (NoConvergence, SingularAggregateHessian):
-        if not stages:
-            raise
-        # Without a regularizer a prefix can be separable where the full
-        # design is not, and send its solve far out: start from zero instead.
-        w, hessians = _newton(models, q, np.zeros(m))
-    return (w, hessians) if return_hessians else w
+        return pareto_solve([models[k] for k in members], q, return_hessians=True)
+    except NoMinimizer as exc:
+        raise NoMinimizer(members[exc.model]) from None
 
 
 def msd_subnetwork(q, hessians, covariances) -> float:
@@ -244,7 +236,7 @@ def theoretical_msd(
         members = partition.order[sl].tolist()
         sub_models = [models[k] for k in members]
         if w_stars is None:
-            star, sub_hessians = pareto_solve(sub_models, q, return_hessians=True)
+            star, sub_hessians = solve_members(models, members, q)
         else:
             star = np.atleast_1d(np.asarray(w_stars[s], dtype=float))
             sub_hessians = [model.hessian(star) for model in sub_models]

@@ -58,7 +58,7 @@ def comparison_payload(payload: dict) -> dict:
 def pareto_points(partition: NetworkPartition, models, step_sizes) -> list[np.ndarray]:
     """One Pareto solution per sending sub-network."""
     return [
-        performance.pareto_solve([models[k] for k in partition.order[sl].tolist()], q)
+        performance.solve_members(models, partition.order[sl].tolist(), q)[0]
         for sl, q in zip(partition.s_slices, performance.q_weights(partition, step_sizes))
     ]
 

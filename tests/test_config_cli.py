@@ -844,6 +844,48 @@ class TestCli:
         (preset_star,) = preset["limit_points"]["w_star"]
         assert np.abs(np.subtract(star["value"], preset_star["value"])).max() <= 1e-12
 
+    @staticmethod
+    def ellipse_pair(**sampler):
+        """The two-agent-logistic preset with both models on 2000-row ellipse designs."""
+        data = yaml.safe_load(resources.files("atcnet").joinpath(
+            "presets/two-agent-logistic.yaml").read_text())
+        for model in data["models"]:
+            model.update(sampler={"kind": "ellipse", **sampler}, eval_samples=2000)
+        return data
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            {"semi_axes": [1e4, 1e4], "outside_band": [1e4, 1e4]},
+            {"outlier_center": [1e4, 1e4], "outlier_std": 1e4, "outlier_fraction": 0.5},
+        ],
+        ids=["axes-1e4", "outliers-1e4"],
+    )
+    def test_analyze_logistic_features_at_scale_1e4(self, tmp_path, sampler):
+        # Newton once stopped on the absolute size of the gradient and fell back
+        # on gradient descent, and both designs ended in NoConvergence
+        path, out = self.write_config(tmp_path, self.ellipse_pair(**sampler)), tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        payload = json.loads((out / "analysis.json").read_text())
+        (star,) = payload["limit_points"]["w_star"]
+        _, grad, hess = load_config(path).models[0].gradient_and_hessian(star["value"])
+        scale = 1.0 / np.sqrt(np.diag(hess))  # cond(H) reaches 1e25 unscaled
+        step = scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+        assert grad @ step <= 1e-20  # the Newton decrement
+
+    @pytest.mark.parametrize("command", ["analyze", "msd"])
+    def test_separable_unregularized_sender_exit_code(self, tmp_path, capsys, command):
+        # the sender is agent 1; an ellipse design without rho has no minimizer,
+        # and its solve once returned a point far out as the limit point
+        data = self.ellipse_pair()
+        data["matrix"]["inline"] = [[0.97, 0.0], [0.03, 1.0]]
+        data["models"][1]["rho"] = 0.0
+        path = self.write_config(tmp_path, data)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: models[1].rho: ") and "no minimizer" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         data = eight_agent_config()
         del data["run"]["seed"]

@@ -21,6 +21,7 @@ SAMPLE_ARGS = {
     errors.SingularAggregateHessian: ("singular",),
     errors.NonPositive: (-1.0,),
     errors.ConfigError: ("must be an integer", "run.seed"),
+    errors.NoMinimizer: (3,),
 }
 
 

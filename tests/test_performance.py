@@ -53,6 +53,15 @@ class TestParetoSolve:
         with pytest.raises(SingularAggregateHessian):
             an.pareto_solve([quad([1.0], r_u=0.0)], np.array([0.5]))
 
+    def test_zero_hessian_diagonal_rejected(self):
+        # Newton's Jacobi scaling divides by the diagonal: no RuntimeWarning may escape
+        models = [
+            quad([1.0, 0.0], r_u=[1.0, 0.0]),
+            LogisticCost(0.1, TwoClassGaussianSampler([1.0, 1.0], [-1.0, -1.0]), eval_samples=2000),
+        ]
+        with pytest.raises(SingularAggregateHessian, match="diagonal"):
+            an.pareto_solve(models, np.array([1.0, 0.0]))
+
     def test_logistic_newton_zeroes_weighted_gradient(self):
         models = [
             LogisticCost(0.1, TwoClassGaussianSampler([1.5, 1.5], [-1.5, -1.5])),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import atcnet as an
 from atcnet import engine, workflows
-from atcnet.costs import QuadraticCost
+from atcnet.costs import LogisticCost, QuadraticCost, TwoClassGaussianSampler, ZeroedObservations
 
 from conftest import random_weak_matrix
 
@@ -166,3 +166,57 @@ def test_streamed_runs_match_kept_runs(net, controls):
         fewer = ensemble(r + 1)[r]
         assert np.array_equal(fewer.sq_error, kept[r].sq_error)
         assert np.array_equal(fewer.mean_iterate_tail, kept[r].mean_iterate_tail)
+
+
+@st.composite
+def mixed_networks(draw):
+    """(raw matrix, per-agent models, tau) with quadratic and logistic agents on 2-d
+    iterates, each agent's kind drawn on its own, so a kind's agents need not be contiguous."""
+    raw, w_os, tau, _ = draw(networks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for k, w in enumerate(w_os):
+        if draw(st.booleans()):
+            models.append(QuadraticCost(r_u=rng.uniform(0.5, 2.0, 2), sigma_v2=rng.uniform(0.001, 0.1), w_o=[w, -w]))
+        else:
+            mean = rng.normal(size=2)
+            sampler = TwoClassGaussianSampler(mean, -mean)
+            models.append(LogisticCost(rho=rng.uniform(0.05, 0.5), sampler=sampler, eval_samples=1000, eval_seed=k))
+    return raw, models, tau
+
+
+@settings(max_examples=15)
+@given(mixed_networks(), st.integers(2, 3))
+def test_receivers_data_never_reach_the_senders(net, n_runs):
+    """Zeroing every receiver's data leaves every sending trajectory bit for bit."""
+    raw, models, tau = net
+    a, partition = structure(raw)
+    steps = an.StepSizeProfile(0.01, tau)
+    lp = an.receiving_limit_points(workflows.pareto_points(partition, models, steps), partition)
+    zeroed = [ZeroedObservations(m) if k in partition.r_agents else m for k, m in enumerate(models)]
+
+    def ensemble(agent_models):
+        return an.run_ensemble(a, agent_models, steps, lp, iterations=300, n_runs=n_runs,
+                               master_seed=3, stride=7, record_iterates=True)
+
+    s, r = list(partition.s_agents), list(partition.r_agents)
+    for base, blank in zip(ensemble(models), ensemble(zeroed)):
+        assert np.array_equal(base.iterates[:, s], blank.iterates[:, s])
+        assert np.array_equal(base.sq_error[:, s], blank.sq_error[:, s])
+        assert not np.array_equal(base.iterates[:, r], blank.iterates[:, r])
+
+
+@settings(max_examples=15)
+@given(mixed_networks())
+def test_receivers_msd_is_a_convex_mix_of_the_senders(net):
+    """Each receiver's influence vector c is a probability vector, and its MSD is
+    sum_s c_s^2 MSD_s, so no receiver is worse off than the worst sender."""
+    raw, models, tau = net
+    _, partition = structure(raw)
+    report = an.theoretical_msd(partition, models, an.StepSizeProfile(0.01, tau))
+    senders = np.array([sub.msd_linear for sub in report.subnetworks])
+    for entry in report.r_agents:
+        assert entry.c.min() >= 0.0
+        assert abs(entry.c.sum() - 1.0) <= ROUND_OFF
+        assert abs(entry.msd_linear - entry.c**2 @ senders) <= ROUND_OFF * entry.msd_linear
+        assert entry.msd_linear <= senders.max() * (1.0 + ROUND_OFF)

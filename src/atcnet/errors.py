@@ -53,16 +53,6 @@ class ColumnSumViolation(AtcnetError):
         self.actual_sum = actual_sum
 
 
-class NonPrimitiveSource(AtcnetError):
-    def __init__(self, scc_id, members):
-        super().__init__(
-            f"source sub-network {scc_id} (agents {sorted(members)}) is periodic; "
-            "a sending sub-network must be primitive"
-        )
-        self.scc_id = scc_id
-        self.members = tuple(members)
-
-
 class NoConvergence(AtcnetError):
     def __init__(self, max_iter, what="iteration"):
         super().__init__(f"{what} did not converge within {max_iter} iterations")
@@ -121,3 +111,14 @@ class NoMinimizer(ConfigError):
             field=f"models[{model}].rho",
         )
         self.model = model
+
+
+class NonPrimitiveSource(ConfigError):
+    def __init__(self, scc_id, members):
+        super().__init__(
+            f"source sub-network {scc_id} (agents {sorted(members)}) is periodic; "
+            "a sending sub-network must be primitive",
+            field="matrix",
+        )
+        self.scc_id = scc_id
+        self.members = tuple(members)

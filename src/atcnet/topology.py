@@ -17,7 +17,6 @@ weight 1 - eps on the diagonal never turns into the cancelled 1 - (1 - eps).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -72,7 +71,8 @@ class Condensation:
     """SCCs of the agent graph plus the (acyclic) edges between them.
 
     ``sccs`` is ordered topologically along the flow direction (components
-    that feed others come first); members keep their input order.
+    that feed others come first); each component lists its agents in
+    increasing id.
     """
 
     sccs: tuple[tuple[int, ...], ...]
@@ -203,119 +203,89 @@ def validate(matrix) -> CombinationMatrix:
     return CombinationMatrix(n=a.shape[0], weights=_frozen(a / sums))
 
 
-def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs in reverse topological order."""
-    n = len(adj)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
+def _bfs(adj: np.ndarray, root: int, allowed: np.ndarray) -> np.ndarray:
+    """Breadth-first level of each agent from ``root`` along the edges of ``adj``.
+
+    The search moves only through ``allowed`` agents; an agent it does not
+    reach gets -1.
+    """
+    level = np.full(len(adj), -1)
+    unreached = allowed.copy()
+    frontier = [root]
+    depth = 0
+    while len(frontier):
+        level[frontier] = depth
+        unreached[frontier] = False
+        depth += 1
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & unreached)
+    return level
+
+
+def _finishing_order(adj: np.ndarray) -> list[int]:
+    """Agents in the order a depth-first search over ``adj`` finishes them."""
+    unseen = np.ones(len(adj), dtype=bool)
+    finished: list[int] = []
+    for root in range(len(adj)):
+        if not unseen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+        unseen[root] = False
+        path = [root]
+        while path:
+            ahead = adj[path[-1]] & unseen
+            nxt = int(ahead.argmax())
+            if ahead[nxt]:
+                unseen[nxt] = False
+                path.append(nxt)
+            else:
+                finished.append(path.pop())
+    return finished
 
 
 def condense(a: CombinationMatrix) -> Condensation:
-    """SCC decomposition of the directed graph {l -> k : weights[l, k] > 0}."""
-    n = a.n
-    src, dst = np.nonzero(a.weights > 0)  # row-major: grouped by source
-    starts = np.searchsorted(src, np.arange(n + 1)).tolist()
-    targets = dst.tolist()
-    adj = [targets[starts[l] : starts[l + 1]] for l in range(n)]
-    raw = _tarjan_sccs(adj)
+    """SCC decomposition of the directed graph {l -> k : weights[l, k] > 0}.
 
-    comp_of = np.empty(n, dtype=int)
-    for ci, comp in enumerate(raw):
-        comp_of[comp] = ci
-    from_scc, to_scc = comp_of[src], comp_of[dst]
-    linked = np.zeros((len(raw), len(raw)), dtype=bool)
-    linked[from_scc, to_scc] = True
+    Kosaraju: in reverse finishing order, each agent not yet placed takes
+    every unplaced agent that reaches it. The components are then ordered
+    by Kahn's rule, the ready component with the smallest agent id first.
+    """
+    adj = a.weights > 0
+    backward = np.ascontiguousarray(adj.T)
+    smallest = np.full(a.n, -1)  # smallest agent id of each agent's SCC
+    for root in reversed(_finishing_order(adj)):
+        if smallest[root] < 0:
+            members = _bfs(backward, root, smallest < 0) >= 0
+            smallest[members] = members.argmax()
+    keys = np.flatnonzero(smallest == np.arange(a.n))  # each SCC's smallest agent, ascending
+    comp = np.searchsorted(keys, smallest)  # SCCs numbered by smallest agent id
+    k = len(keys)
+    linked = np.zeros(k * k, dtype=bool)
+    linked[(k * comp[:, None] + comp)[adj]] = True  # (comp[u], comp[v]) of each edge u -> v
+    linked = linked.reshape(k, k)
     np.fill_diagonal(linked, False)
-    raw_edges = {tuple(edge) for edge in np.argwhere(linked).tolist()}
 
-    # Deterministic topological order: Kahn with smallest original agent id first.
-    indeg = [0] * len(raw)
-    out_edges: list[list[int]] = [[] for _ in raw]
-    for u, v in raw_edges:
-        indeg[v] += 1
-        out_edges[u].append(v)
-    key = [min(comp) for comp in raw]
-    ready = sorted((i for i in range(len(raw)) if indeg[i] == 0), key=lambda i: key[i])
-    topo: list[int] = []
-    while ready:
-        u = min(ready, key=lambda i: key[i])
-        ready.remove(u)
+    indeg = linked.sum(axis=0)
+    topo = []
+    for _ in range(k):
+        u = int(np.argmax(indeg == 0))  # the ready SCC with the smallest agent id
         topo.append(u)
-        for v in out_edges[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
+        indeg -= linked[u]
+        indeg[u] = -1
 
-    relabel = {old: new for new, old in enumerate(topo)}
-    sccs = tuple(tuple(int(v) for v in sorted(raw[old])) for old in topo)
-    edges = frozenset((relabel[u], relabel[v]) for u, v in raw_edges)
+    sccs = tuple(tuple(np.flatnonzero(comp == u).tolist()) for u in topo)
+    edges = frozenset(map(tuple, np.argwhere(linked[np.ix_(topo, topo)]).tolist()))
     return Condensation(sccs=sccs, edges=edges)
 
 
-def _period(adj_in_scc: dict[int, list[int]], members: tuple[int, ...]) -> int:
-    """Period of a strongly connected subgraph (gcd of closed-walk lengths).
+def _period(block: np.ndarray) -> int:
+    """Period of a strongly connected graph (gcd of closed-walk lengths).
 
-    Uses BFS levels from one root: the period is gcd(level[u] + 1 - level[v])
-    over all edges u -> v inside the component. Returns 0 for a single node
-    without a self-loop (no closed walk at all).
+    With BFS levels from agent 0, the period is gcd(level[u] + 1 - level[v])
+    over all edges u -> v of the boolean ``block``. Returns 0 for a single
+    agent without a self-loop (no closed walk at all).
     """
-    root = members[0]
-    level = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj_in_scc[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in members:
-        for v in adj_in_scc[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return g
+    level = _bfs(block, 0, np.ones(len(block), dtype=bool))
+    u, v = np.nonzero(block)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
 def classify(a: CombinationMatrix) -> NetworkPartition:
@@ -336,9 +306,7 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
             r_ids.append(ci)
             continue
         ids = np.array(members)
-        inside = w[np.ix_(ids, ids)] > 0
-        adj = {u: ids[row].tolist() for u, row in zip(members, inside)}
-        if _period(adj, members) != 1:
+        if _period(w[np.ix_(ids, ids)] > 0) != 1:
             raise NonPrimitiveSource(ci, members)
         s_ids.append(ci)
 

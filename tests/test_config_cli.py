@@ -900,6 +900,16 @@ class TestCli:
         assert cli.main(["analyze", "--config", path]) == 1
         assert "matrix: weight from agent 6 to agent 2 is not finite" in capsys.readouterr().err
 
+    def test_periodic_source_names_matrix(self, tmp_path, capsys):
+        # a periodic sending sub-network once ended as NonPrimitiveSource, naming no field
+        data = {"name": "swap", "matrix": {"inline": [[0, 1], [1, 0]]}, "run": {"seed": 1}}
+        path = self.write_config(tmp_path, data)
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: matrix: source sub-network 0 (agents [0, 1]) is periodic; "
+            "a sending sub-network must be primitive\n"
+        )
+
     @pytest.mark.parametrize("rho", [-1, float("nan")])
     def test_bad_rho_exit_code(self, tmp_path, capsys, rho):
         # a negative or NaN regularizer once ended the Pareto solve with a traceback

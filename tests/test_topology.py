@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import atcnet as an
 from atcnet import cli
@@ -182,6 +184,94 @@ class TestClassify:
             for j in range(i):
                 block = p.t_rr[sizes[i] : sizes[i + 1], sizes[j] : sizes[j + 1]]
                 assert np.all(block == 0.0)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Boolean edge matrix of up to 12 agents: paths and cycles, a few extra edges.
+
+    A column left without an entry gets a self-loop, so each column can be
+    normalized into a left-stochastic matrix.
+    """
+    n = draw(st.integers(1, 12))
+    edges = np.zeros((n, n), dtype=bool)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        edges[path[:-1], path[1:]] = True
+        if draw(st.booleans()):
+            edges[path[-1], path[0]] = True
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pairs, max_size=n)):
+        edges[u, v] = True
+    empty = np.flatnonzero(~edges.any(axis=0))
+    edges[empty, empty] = True
+    return edges
+
+
+def reference_structure(edges):
+    """SCCs (ascending tuples), edges between them and min-id Kahn order, from a closure."""
+    n = len(edges)
+    reach = edges | np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall
+        reach |= np.outer(reach[:, k], reach[k])
+    scc_of = [tuple(np.flatnonzero(reach[v] & reach[:, v]).tolist()) for v in range(n)]
+    between = {(scc_of[u], scc_of[v]) for u, v in zip(*np.nonzero(edges)) if scc_of[u] != scc_of[v]}
+    order = []
+    for _ in set(scc_of):
+        placed = set(order)
+        ready = {c for c in set(scc_of) - placed if all(s in placed for s, t in between if t == c)}
+        order.append(min(ready))
+    return tuple(order), between
+
+
+def primitive(block):
+    """Wielandt's test: B^((s - 1)^2 + 1) > 0 for an s-agent block."""
+    s = len(block)
+    return bool(np.all(np.linalg.matrix_power(block.astype(float), (s - 1) ** 2 + 1) > 0))
+
+
+@given(sparse_graphs())
+def test_structure_of_sparse_graphs_matches_closure(edges):
+    a = an.validate(edges / edges.sum(axis=0))
+    order, between = reference_structure(edges)
+    cond = an.condense(a)
+    assert cond.sccs == order
+    assert {(cond.sccs[i], cond.sccs[j]) for i, j in cond.edges} == between
+    sources = [c for c in order if all(t != c for _, t in between)]
+    if all(primitive(edges[np.ix_(c, c)]) for c in sources):
+        p = an.classify(a)
+        assert [p.scc_list[i] for i in p.s_type_ids] == sources
+    else:
+        with pytest.raises(NonPrimitiveSource):
+            an.classify(a)
+
+
+def test_long_chain_runs_against_agent_ids():
+    # 299 -> 298 -> ... -> 0, with a self-loop on the source 299
+    n = 300
+    edges = np.zeros((n, n), dtype=bool)
+    edges[np.arange(1, n), np.arange(n - 1)] = True
+    edges[n - 1, n - 1] = True
+    a = an.validate(edges / edges.sum(axis=0))
+    assert an.condense(a).edges == {(i, i + 1) for i in range(n - 1)}
+    p = an.classify(a)
+    assert p.scc_list == tuple((v,) for v in reversed(range(n)))
+    assert (p.s_agents, p.r_agents) == ((n - 1,), tuple(reversed(range(n - 1))))
+
+
+@pytest.mark.parametrize("self_loop", [False, True])
+def test_long_cycle_is_primitive_only_with_a_self_loop(self_loop):
+    n = 300
+    edges = np.zeros((n, n), dtype=bool)
+    edges[np.arange(n), (np.arange(n) + 1) % n] = True
+    edges[7, 7] = self_loop
+    a = an.validate(edges / edges.sum(axis=0))
+    assert an.condense(a).sccs == (tuple(range(n)),)
+    if self_loop:
+        assert an.classify(a).s_sizes == (n,)
+    else:
+        with pytest.raises(NonPrimitiveSource):
+            an.classify(a)
 
 
 def exact_null_vector(block):

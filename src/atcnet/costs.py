@@ -3,9 +3,20 @@
 Each model exposes the true gradient and Hessian of its expected loss and
 the covariance of its gradient noise, instantaneous stochastic gradients
 computed from streaming samples (one broadcasting entry point,
-``gradient_rows``), and batched sampling with caller-owned random
-generators so parallel runs keep disjoint streams. The expected stochastic
-gradient equals the true gradient (zero-mean gradient noise).
+``gradient_rows``), and sampling with caller-owned random generators so
+parallel runs keep disjoint streams. The expected stochastic gradient
+equals the true gradient (zero-mean gradient noise).
+
+Sampling has one entry point, ``draw_into``: it fills caller-owned
+(runs, samples, ...) field arrays, one random stream per run, and applies
+the model's fixed transforms (Cholesky factor, noise scale, class means)
+once for all runs; ``draw_batch`` is ``draw_into`` on one stream. The
+diffusion kernel turns a block of drawn fields into gradient-ready ones in
+place (``_ready_fields``: 2u for the quadratic, gamma h for the
+logistic) and evaluates ``_ready_gradient`` on them every round;
+``gradient_rows`` is the same formula on fresh copies of the drawn fields.
+Scaling by 2 and by gamma = +-1 is exact, so both give the bits of the
+textbook formula.
 """
 from __future__ import annotations
 
@@ -67,13 +78,28 @@ class CostModel(ABC):
         """Whether the loss is unregularized and w separates its design: no minimizer then."""
         return False
 
+    @property
     @abstractmethod
-    def draw_batch(self, rng: np.random.Generator, n: int) -> tuple: ...
+    def field_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shape of one sample of each field, in the order ``draw_into`` fills them."""
+
+    @abstractmethod
+    def draw_into(self, rngs, fields) -> None:
+        """Fill ``fields[f][r]``, (n, ...) C-contiguous, with n samples from ``rngs[r]``.
+
+        ``fields`` are (runs, n, ...) arrays shaped by ``field_shapes``; run r
+        reads only its own generator, in the order ``draw_batch`` would.
+        """
+
+    def draw_batch(self, rng: np.random.Generator, n: int) -> tuple:
+        """``n`` samples from ``rng``: ``draw_into`` on a single run."""
+        fields = tuple(np.empty((1, n) + shape) for shape in self.field_shapes)
+        self.draw_into([rng], fields)
+        return tuple(f[0] for f in fields)
 
     @abstractmethod
     def sample_loss(self, w: np.ndarray, sample: tuple) -> float: ...
 
-    @abstractmethod
     def gradient_rows(self, w_rows: np.ndarray, fields: tuple, **params) -> np.ndarray:
         """Row-wise stochastic gradients: one sample and one point per row.
 
@@ -81,6 +107,16 @@ class CostModel(ABC):
         ``params`` override the attributes named in ``gradient_params``, for
         instance with one value per agent that broadcasts like the points.
         """
+        ready = self._ready_fields(tuple(np.array(f, dtype=float) for f in fields))
+        return self._ready_gradient(w_rows, ready, **params)
+
+    @abstractmethod
+    def _ready_fields(self, fields: tuple) -> tuple:
+        """Turn drawn ``fields`` in place into the ones ``_ready_gradient`` reads."""
+
+    @abstractmethod
+    def _ready_gradient(self, w_rows, ready: tuple, out=None, **params) -> np.ndarray:
+        """``gradient_rows`` on gradient-ready fields, written into ``out`` when given."""
 
     @abstractmethod
     def noise_covariance(self, at: np.ndarray) -> np.ndarray:
@@ -139,20 +175,38 @@ class QuadraticCost(CostModel):
         err = np.asarray(w, dtype=float) - self.w_o
         return float(err @ self.r_u @ err + self.sigma_v2)
 
-    def draw_batch(self, rng, n):
-        u = rng.standard_normal((n, self.dimension)) @ self._chol.T
-        v = rng.normal(0.0, np.sqrt(self.sigma_v2), n)
-        d = u @ self.w_o + v
-        return u, d
+    @property
+    def field_shapes(self):
+        return (self.dimension,), ()
+
+    def draw_into(self, rngs, fields):
+        """u = z L^T and d = u.w_o + v, with z (n, M) then v (n,) standard normal per stream."""
+        u, d = fields
+        for rng, u_run, d_run in zip(rngs, u, d):
+            rng.standard_normal(out=u_run)
+            rng.standard_normal(out=d_run)
+        d *= np.sqrt(self.sigma_v2)
+        d += 0.0  # rng.normal's zero mean: it turns a -0.0 noise into 0.0
+        # the products run per (n, M) run block, as on a single stream
+        np.matmul(u, self._chol.T, out=u)
+        d += u @ self.w_o
 
     def sample_loss(self, w, sample):
         u, d = sample
         return float((d - u @ w) ** 2)
 
-    def gradient_rows(self, w_rows, fields):
+    def _ready_fields(self, fields):
         u, d = fields
-        inner = np.einsum("...m,...m->...", u, w_rows)
-        return 2.0 * u * (inner - d)[..., None]
+        np.multiply(u, 2.0, out=u)
+        return u, d
+
+    def _ready_gradient(self, w_rows, ready, out=None):
+        """2u (u.w - d) read off u2 = 2u: u2.w is exactly 2 u.w, so halving it gives u.w."""
+        u2, d = ready
+        t = np.einsum("...m,...m->...", u2, w_rows)
+        t *= 0.5
+        t -= d
+        return np.multiply(u2, t[..., None], out=out)
 
     def noise_covariance(self, at):
         """Gaussian-regressor closed form, exact at any evaluation point."""
@@ -168,8 +222,15 @@ class FeatureSampler(ABC):
     dimension: int
 
     @abstractmethod
+    def draw_into(self, rngs, gamma: np.ndarray, h: np.ndarray) -> None:
+        """Fill labels ``gamma[r]`` (n,) in {+1, -1} and features ``h[r]`` (n, dimension)
+        from ``rngs[r]``, each C-contiguous, for every run r."""
+
     def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Return labels (n,) in {+1, -1} and features (n, dimension)."""
+        gamma, h = np.empty((1, n)), np.empty((1, n, self.dimension))
+        self.draw_into([rng], gamma, h)
+        return gamma[0], h[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +260,15 @@ class TwoClassGaussianSampler(FeatureSampler):
     def _chol(self) -> np.ndarray:
         return np.linalg.cholesky(self.cov)
 
-    def draw(self, rng, n):
-        gamma = np.where(rng.random(n) < self.p_pos, 1.0, -1.0)
-        means = np.where(gamma[:, None] > 0, self.mean_pos, self.mean_neg)
-        h = means + rng.standard_normal((n, self.dimension)) @ self._chol.T
-        return gamma, h
+    def draw_into(self, rngs, gamma, h):
+        """A uniform (n,) for the labels, then z (n, M) per stream; h = mean + z L^T."""
+        for rng, gamma_run, h_run in zip(rngs, gamma, h):
+            rng.random(out=gamma_run)
+            rng.standard_normal(out=h_run)
+        positive = gamma < self.p_pos
+        gamma[...] = np.where(positive, 1.0, -1.0)
+        np.matmul(h, self._chol.T, out=h)
+        h += np.where(positive[..., None], self.mean_pos, self.mean_neg)
 
 
 def quadratic_features(points: np.ndarray) -> np.ndarray:
@@ -238,23 +303,26 @@ class EllipseSampler(FeatureSampler):
 
     dimension = 6
 
-    def draw(self, rng, n):
-        gamma = np.where(rng.random(n) < self.p_pos, 1.0, -1.0)
+    def draw_into(self, rngs, gamma, h):
         a, b = self.semi_axes
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        radius = np.where(
-            gamma > 0,
-            0.9 * np.sqrt(rng.random(n)),
-            rng.uniform(*self.outside_band, n),
-        )
-        pts = np.empty((n, 2))
-        np.multiply(a * radius, np.cos(theta), out=pts[:, 0])
-        np.multiply(b * radius, np.sin(theta), out=pts[:, 1])
-        if self.outlier_fraction > 0.0:
-            hit = (gamma > 0) & (rng.random(n) < self.outlier_fraction)
-            cluster = np.asarray(self.outlier_center) + self.outlier_std * rng.standard_normal((int(hit.sum()), 2))
-            pts[hit] = cluster
-        return gamma, quadratic_features(pts)
+        n = gamma.shape[1]
+        # the outlier draw's size depends on the labels, so each stream runs the whole recipe
+        for rng, gamma_run, h_run in zip(rngs, gamma, h):
+            gamma_run[:] = np.where(rng.random(n) < self.p_pos, 1.0, -1.0)
+            theta = rng.uniform(0.0, 2.0 * np.pi, n)
+            radius = np.where(
+                gamma_run > 0,
+                0.9 * np.sqrt(rng.random(n)),
+                rng.uniform(*self.outside_band, n),
+            )
+            pts = np.empty((n, 2))
+            np.multiply(a * radius, np.cos(theta), out=pts[:, 0])
+            np.multiply(b * radius, np.sin(theta), out=pts[:, 1])
+            if self.outlier_fraction > 0.0:
+                hit = (gamma_run > 0) & (rng.random(n) < self.outlier_fraction)
+                cluster = np.asarray(self.outlier_center) + self.outlier_std * rng.standard_normal((int(hit.sum()), 2))
+                pts[hit] = cluster
+            h_run[:] = quadratic_features(pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,19 +420,29 @@ class LogisticCost(CostModel):
         w = np.asarray(w, dtype=float)
         return self._loss(w, *self._design_pass(w))
 
-    def draw_batch(self, rng, n):
-        return self.sampler.draw(rng, n)
+    @property
+    def field_shapes(self):
+        return (), (self.dimension,)
+
+    def draw_into(self, rngs, fields):
+        self.sampler.draw_into(rngs, *fields)
 
     def sample_loss(self, w, sample):
         gamma, h = sample
         w = np.asarray(w, dtype=float)
         return float(0.5 * self.rho * (w @ w) + np.logaddexp(0.0, -gamma * (h @ w)))
 
-    def gradient_rows(self, w_rows, fields, rho=None):
-        """Data term -gamma h / (1 + exp(gamma h.w)) plus the regularizer rho w."""
+    def _ready_fields(self, fields):
         gamma, h = fields
-        z = gamma * np.einsum("...m,...m->...", h, w_rows)
-        grad = -(gamma * inv_one_plus_exp(z))[..., None] * h
+        np.multiply(h, gamma[..., None], out=h)
+        return (h,)
+
+    def _ready_gradient(self, w_rows, ready, out=None, rho=None):
+        """Data term -gamma h / (1 + exp(gamma h.w)) plus the regularizer rho w, read off
+        the signed features gamma h: gamma = +-1 only flips signs, which round alike."""
+        (signed,) = ready
+        sig = inv_one_plus_exp(np.einsum("...m,...m->...", signed, w_rows))[..., None]
+        grad = np.multiply(np.negative(sig), signed, out=out)
         grad += (self.rho if rho is None else rho) * w_rows
         return grad
 
@@ -410,17 +488,23 @@ class ZeroedObservations(CostModel):
     def separated_by(self, w):
         return self.inner.separated_by(w)
 
-    def draw_batch(self, rng, n):
-        return tuple(
-            np.zeros_like(np.asarray(f, dtype=float))
-            for f in self.inner.draw_batch(rng, n)
-        )
+    @property
+    def field_shapes(self):
+        return self.inner.field_shapes
+
+    def draw_into(self, rngs, fields):
+        self.inner.draw_into(rngs, fields)
+        for field in fields:
+            field[...] = 0.0
 
     def sample_loss(self, w, sample):
         return self.inner.sample_loss(w, sample)
 
-    def gradient_rows(self, w_rows, fields, **params):
-        return self.inner.gradient_rows(w_rows, fields, **params)
+    def _ready_fields(self, fields):
+        return self.inner._ready_fields(fields)
+
+    def _ready_gradient(self, w_rows, ready, out=None, **params):
+        return self.inner._ready_gradient(w_rows, ready, out, **params)
 
     def noise_covariance(self, at):
         """outer(d, d): every sample gives the same zero-data gradient, d away from the true one."""

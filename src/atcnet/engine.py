@@ -8,9 +8,17 @@ M) iterates of a Monte-Carlo ensemble with one gradient call per model kind
 per round, but each (run, agent) pair owns an independent random stream
 derived from (master_seed, run_index, agent_id), so results are reproducible
 and a single run never depends on how many others execute alongside it.
+
+Each stream draws blocks of _BLOCK samples straight into the kernel's
+per-kind (runs, agents, _BLOCK, ...) field buffers through the cost model's
+``draw_into``; the kernel makes the fields gradient-ready in place once per
+block. Divergence is checked once every _CHECK_EVERY rounds, over a reused
+buffer of those rounds' iterates, and reported as a check after every round
+would report it.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +31,7 @@ DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_STRIDE = 10
 DEFAULT_BURN_IN = 0.5
 _BLOCK = 1024
+_CHECK_EVERY = 32  # rounds per divergence check; divides _BLOCK, so blocks end checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,21 +112,28 @@ def _adapt_combine(weights_t, mu, x, grads):
     return np.matmul(weights_t, x - mu * grads)
 
 
-def _check_bounded(x, iteration):
-    """Raise Diverged for the first agent of (runs, N, M) ``x`` beyond DIVERGENCE_THRESHOLD."""
-    if np.abs(x).max() <= DIVERGENCE_THRESHOLD:
+def _check_bounded(xs, first_iteration):
+    """Raise Diverged for the first agent beyond DIVERGENCE_THRESHOLD in the first round of
+    ``xs`` (rounds, runs, N, M) that has one; round 0 completed ``first_iteration``."""
+    if np.abs(xs).max() <= DIVERGENCE_THRESHOLD:
         return
-    run, agent, _ = np.argwhere(~(np.abs(x) <= DIVERGENCE_THRESHOLD))[0]
-    raise Diverged(int(agent), iteration, int(run))
+    round_, run, agent, _ = np.argwhere(~(np.abs(xs) <= DIVERGENCE_THRESHOLD))[0]
+    raise Diverged(int(agent), first_iteration + int(round_), int(run))
 
 
 class _Kernel:
     """Batched adapt-then-combine step over stacked (runs, agents, M) iterates.
 
     Agents whose models share a gradient formula form one kind. Each step
-    makes one ``gradient_rows`` call per kind and passes the per-agent
-    parameters as arrays that broadcast over runs. A kind's samples sit in
-    one (block, runs, agents of the kind, ...) buffer per sample field.
+    makes one ``_ready_gradient`` call per kind and passes the per-agent
+    parameters as arrays that broadcast over runs; a kind whose agents are
+    neighbours writes its gradients straight into the round's gradient
+    array, any other kind is scattered into it. A kind's samples sit in one
+    (runs, agents of the kind, _BLOCK, ...) buffer per field, so that each
+    (run, agent) stream fills one contiguous piece, and each round reads the
+    sample at one position of the block axis. Every _CHECK_EVERY rounds the
+    iterates of those rounds, kept in one reused buffer, are checked for
+    divergence at once.
     """
 
     def __init__(self, a: CombinationMatrix, models, step_sizes: StepSizeProfile):
@@ -134,40 +150,38 @@ class _Kernel:
         agents_of: dict[type, list[int]] = {}
         for k, model in enumerate(models):
             agents_of.setdefault(type(model.gradient_source), []).append(k)
-        self.kinds = []  # (agent index, gradient source, per-agent parameters)
-        self.slot = {}   # agent -> (kind, position within the kind, agents of the kind)
-        for g, agents in enumerate(agents_of.values()):
+        self.kinds = []  # (agent index, gradient source, per-agent parameters, agents)
+        for agents in agents_of.values():
             sources = [models[k].gradient_source for k in agents]
             params = {name: np.array([getattr(s, name) for s in sources])[:, None]
                       for name in sources[0].gradient_params}
             # neighbouring agents are indexed by a slice, which views instead of copying
             contiguous = agents[-1] - agents[0] + 1 == len(agents)
             index = slice(agents[0], agents[-1] + 1) if contiguous else np.array(agents)
-            self.kinds.append((index, sources[0], params))
-            self.slot.update((k, (g, at, len(agents))) for at, k in enumerate(agents))
-        self.buffers = [None] * len(self.kinds)
+            self.kinds.append((index, sources[0], params, agents))
 
-    def draw(self, rngs, size: int) -> None:
-        """Refill the buffers with ``size`` samples per (run, agent).
+    def draw(self, streams, buffers) -> list:
+        """Refill each kind's ``buffers`` with one block of samples per (run, agent).
 
-        Agent k of run r draws from ``rngs[r][k]``; agents draw in order.
+        Agent k of run r draws from ``streams[k][r]``. Returns each kind's
+        gradient-ready fields, made in place in its buffers and viewed with
+        the block axis first.
         """
-        for k, model in enumerate(self.models):
-            g, at, count = self.slot[k]
-            for r, run_rngs in enumerate(rngs):
-                fields = model.draw_batch(run_rngs[k], size)
-                if self.buffers[g] is None:
-                    shape = (size, len(rngs), count)
-                    self.buffers[g] = [np.empty(shape + f.shape[1:]) for f in fields]
-                for buf, f in zip(self.buffers[g], fields):
-                    buf[:, r, at] = f
+        ready = []
+        for (_, source, _, agents), fields in zip(self.kinds, buffers):
+            for at, k in enumerate(agents):
+                self.models[k].draw_into(streams[k], [f[:, at] for f in fields])
+            ready.append([np.moveaxis(f, 2, 0) for f in source._ready_fields(fields)])
+        return ready
 
-    def gradients(self, w: np.ndarray, j: int) -> np.ndarray:
-        """Stochastic gradients at points ``w`` (..., runs, N, M) on sample ``j``."""
-        out = np.empty(w.shape)
-        for (agents, source, params), buffers in zip(self.kinds, self.buffers):
-            fields = tuple(b[j] for b in buffers)
-            out[..., agents, :] = source.gradient_rows(w[..., agents, :], fields, **params)
+    def gradients(self, w: np.ndarray, ready, j: int, out: np.ndarray) -> np.ndarray:
+        """Stochastic gradients at points ``w`` (runs, N, M) on sample ``j``, into ``out``."""
+        for (agents, source, params, _), fields in zip(self.kinds, ready):
+            sample = [f[j] for f in fields]
+            if isinstance(agents, slice):
+                source._ready_gradient(w[:, agents], sample, out=out[:, agents], **params)
+            else:
+                out[:, agents] = source._ready_gradient(w[:, agents], sample, **params)
         return out
 
     def run(
@@ -182,6 +196,13 @@ class _Kernel:
         handed over at each sample-block boundary and once at the end: to
         ``records`` when given, as a (runs, records, N) view valid only until
         the call returns, and otherwise into the returned ``sq_error``.
+
+        A diverging run goes on to the end of its check interval, where the
+        first iterate beyond the threshold raises ``Diverged``; no value of
+        those rounds is handed over, and their overflows raise no warning.
+        With ``noise_at`` set the check runs after every round instead, and
+        every round runs under the caller's floating-point error handling, so
+        a companion that overflows while the iterates stay bounded warns.
         """
         n, m, wt, mu = self.n, self.m, self.weights_t, self.mu
         if iterations < 1:
@@ -191,7 +212,12 @@ class _Kernel:
             raise DimensionMismatch(
                 f"limit points have shape {limit_points.shape}, expected {(n, m)}"
             )
-        rngs = [[np.random.default_rng([seed, r, k]) for k in range(n)] for r in range(n_runs)]
+        streams = [[np.random.default_rng([seed, r, k]) for r in range(n_runs)] for k in range(n)]
+        buffers = [
+            tuple(np.empty((n_runs, len(agents), _BLOCK) + shape)
+                  for shape in self.models[agents[0]].field_shapes)
+            for *_, agents in self.kinds
+        ]
         rec_iters = recorded_iterations(iterations, stride)
         n_rec = rec_iters.shape[0]
         # a block of _BLOCK rounds makes at most ceil(_BLOCK / stride) records;
@@ -203,6 +229,13 @@ class _Kernel:
         # running sums after burn-in, added in record order
         tail = np.zeros((n_runs, n, m))
         sq_tail = np.zeros((n_runs, n))
+        # the iterates of the rounds since the last divergence check, and one round's gradients;
+        # the linear companion, which x does not bound, is checked after every round
+        check_every = _CHECK_EVERY if noise_at is None else 1
+        checked = np.empty((check_every, n_runs, n, m))
+        grads = np.empty((n_runs, n, m))
+        # mu laid out like the gradients: one flat multiply instead of a broadcast one
+        mu_runs = np.broadcast_to(mu, grads.shape).copy()
 
         x = np.zeros((n_runs, n, m))
         if w_init is not None:
@@ -225,40 +258,50 @@ class _Kernel:
                 records(rows)
             sent = upto
 
-        for i in range(iterations):
-            j = i % _BLOCK
-            if j == 0:
-                if i // stride > sent:
-                    hand_over(i // stride)
-                self.draw(rngs, _BLOCK)
-            grads = noisy = self.gradients(x, j)
-            if noise_at == "limit_point":
-                noisy = self.gradients(at_limit, j)
-            elif noise_at == "iterate":
-                true = [[model.true_gradient(xk) for model, xk in zip(self.models, xr)] for xr in x]
-                noisy = noisy - np.array(true) - lt.bias
-            if noise_at is not None:
-                # The linear model steps along H err - (noise - bias), where noise - bias
-                # is ghat(lp) at the limit point and ghat(x) - grad J(x) + grad J(lp) at x.
-                linear = np.einsum("kmn,rkn->rkm", lt.hessians, err) - noisy
-                err = _adapt_combine(wt, mu, err, linear)
-            x = _adapt_combine(wt, mu, x, grads)
-            _check_bounded(x, i + 1)
-            if noise_at is not None:
-                gap = np.abs((limit_points - x) - err).max(axis=(1, 2))
-                np.maximum(max_gap, gap, out=max_gap)
-            if (i + 1) % stride == 0:
-                rec_at = i // stride
-                diff = x - limit_points
-                row = block[rec_at - sent]
-                row[:] = np.einsum("rkm,rkm->rk", diff, diff)
-                if record_iterates:
-                    iterates[:, rec_at] = x
-                if rec_at >= tail_from:
-                    tail += x
-                    sq_tail += row
-                if noise_at is not None:
-                    sq_model[:, rec_at] = np.einsum("rkm,rkm->rk", err, err)
+        for start in range(0, iterations, _BLOCK):
+            if start // stride > sent:
+                hand_over(start // stride)
+            ready = self.draw(streams, buffers)
+            # past a divergence the plain recursion runs on to the end of its check
+            # interval, and every value it computes there comes from x and is dropped
+            quiet = np.errstate(over="ignore", invalid="ignore") if check_every > 1 else nullcontext()
+            with quiet:
+                for i in range(start, min(start + _BLOCK, iterations)):
+                    j = i - start
+                    noisy = self.gradients(x, ready, j, grads)
+                    if noise_at == "limit_point":
+                        noisy = self.gradients(at_limit, ready, j, np.empty(x.shape))
+                    elif noise_at == "iterate":
+                        true = [[model.true_gradient(xk) for model, xk in zip(self.models, xr)]
+                                for xr in x]
+                        noisy = noisy - np.array(true) - lt.bias
+                    if noise_at is not None:
+                        # The linear model steps along H err - (noise - bias), where noise - bias
+                        # is ghat(lp) at the limit point and ghat(x) - grad J(x) + grad J(lp) at x.
+                        linear = np.einsum("kmn,rkn->rkm", lt.hessians, err) - noisy
+                        err = _adapt_combine(wt, mu, err, linear)
+                    # adapt in place, then combine into this round's slot of ``checked``
+                    np.multiply(mu_runs, grads, out=grads)
+                    np.subtract(x, grads, out=grads)
+                    slot = i % check_every
+                    x = np.matmul(wt, grads, out=checked[slot])
+                    if slot == check_every - 1 or i + 1 == iterations:
+                        _check_bounded(checked[: slot + 1], i + 1 - slot)
+                    if noise_at is not None:
+                        gap = np.abs((limit_points - x) - err).max(axis=(1, 2))
+                        np.maximum(max_gap, gap, out=max_gap)
+                    if (i + 1) % stride == 0:
+                        rec_at = i // stride
+                        diff = x - limit_points
+                        row = block[rec_at - sent]
+                        row[:] = np.einsum("rkm,rkm->rk", diff, diff)
+                        if record_iterates:
+                            iterates[:, rec_at] = x
+                        if rec_at >= tail_from:
+                            tail += x
+                            sq_tail += row
+                        if noise_at is not None:
+                            sq_model[:, rec_at] = np.einsum("rkm,rkm->rk", err, err)
         if n_rec > sent:
             hand_over(n_rec)
         out = {"iterations": rec_iters, "sq_error": sq_error, "iterates": iterates}

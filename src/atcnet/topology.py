@@ -317,19 +317,23 @@ def classify(a: CombinationMatrix) -> NetworkPartition:
     )
     n_gs = sum(len(cond.sccs[ci]) for ci in s_ids)
     n_gr = a.n - n_gs
-    permuted = w[np.ix_(order, order)]
-    t_ss = permuted[:n_gs, :n_gs]
-    t_sr = permuted[:n_gs, n_gs:]
-    t_rr = permuted[n_gs:, n_gs:]
+    order.setflags(write=False)
+    senders, receivers = order[:n_gs], order[n_gs:]
+
+    def block(rows, cols):
+        """The (rows, cols) block of w: one gather, frozen without a second copy."""
+        out = w[np.ix_(rows, cols)]
+        out.setflags(write=False)
+        return out
 
     return NetworkPartition(
         scc_list=cond.sccs,
         s_type_ids=tuple(s_ids),
         r_type_ids=tuple(r_ids),
-        order=_frozen(order).astype(int),
-        t_ss=_frozen(t_ss),
-        t_sr=_frozen(t_sr),
-        t_rr=_frozen(t_rr),
+        order=order,
+        t_ss=block(senders, senders),
+        t_sr=block(senders, receivers),
+        t_rr=block(receivers, receivers),
         n_gs=n_gs,
         n_gr=n_gr,
         s_sizes=tuple(len(cond.sccs[ci]) for ci in s_ids),

@@ -112,6 +112,26 @@ class TestQuadraticCost:
             assert np.allclose(rows[i], single, atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_gradients_keep_the_textbook_bits(m):
+    """Gradient-ready fields (2u; gamma h) give the bits of the plain formulas,
+    signed zeros included: rows with u, d, h, gamma or w at +-0.0 are mixed in."""
+    rng = np.random.default_rng(m)
+    u, h, w = (rng.normal(size=(40, m)) for _ in range(3))
+    d = rng.normal(size=40)
+    gamma = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    u[::4], d[::3], w[::5], w[1::5] = 0.0, 0.0, 0.0, -0.0
+    d[1::6], h[::7], gamma[::8] = -0.0, 0.0, 0.0
+    quadratic = QuadraticCost(r_u=1.0, sigma_v2=0.1, w_o=np.ones(m))
+    dot = lambda a, b: np.einsum("...m,...m->...", a, b)  # noqa: E731
+    assert quadratic.gradient_rows(w, (u, d)).tobytes() == (
+        2.0 * u * (dot(u, w) - d)[..., None]).tobytes()
+    logistic = LogisticCost(rho=0.3, sampler=TwoClassGaussianSampler(np.ones(m), -np.ones(m)))
+    z = gamma * dot(h, w)
+    reference = -(gamma * inv_one_plus_exp(z))[..., None] * h + 0.3 * w
+    assert logistic.gradient_rows(w, (gamma, h)).tobytes() == reference.tobytes()
+
+
 def sampled_covariance(model, point, batch):
     """One-shot covariance of the gradient noise over the samples in ``batch``: the oracle."""
     noise = model.gradient_rows(point, batch) - model.true_gradient(point)

@@ -8,14 +8,27 @@ digest was taken again when W came to be solved with a rebuilt diagonal: the
 preset's limit points moved in the last bit, and so did the errors against them.
 """
 import hashlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import atcnet as an
 from atcnet import engine, workflows
 from atcnet.config import load_preset
-from atcnet.costs import LogisticCost, QuadraticCost, TwoClassGaussianSampler, ZeroedObservations
+from atcnet.costs import (
+    EllipseSampler,
+    LogisticCost,
+    QuadraticCost,
+    TwoClassGaussianSampler,
+    ZeroedObservations,
+)
+from atcnet.errors import Diverged
+
+from conftest import EIGHT_AGENT, random_weak_matrix
 
 PRESET_SQ_ERROR_SHA256 = "e67162190fd86a224b333240b9ecb71a5b6e70169cac780b4fb6c18a6b92d0dd"
 PRESET_ITERATES_SHA256 = "e367d0e8d259aa0532bac180fa1c28ea47ae47a6038f82714e8a2e98c49ea39a"
@@ -178,6 +191,28 @@ class TestBatchedKernel:
         assert np.array_equal(np.concatenate(blocks, axis=1), stacked)
         assert all(t.sq_error is None for t in streamed)
 
+    def test_records_callback_keeps_the_callers_error_handling(self):
+        # the kernel ignores overflow in the rounds a divergence check has not seen yet
+        seen = []
+        with np.errstate(over="raise", invalid="warn"):
+            engine.run_ensemble(*preset_network(), iterations=1100, n_runs=1, master_seed=1,
+                                records=lambda rows: seen.append(np.geterr()))
+        assert [(e["over"], e["invalid"]) for e in seen] == [("raise", "warn")] * 2
+
+    def test_companion_overflow_still_warns(self):
+        # mu rho = 0.5 keeps the logistic iterates bounded, while mu H = 3 at the
+        # origin makes the linear companion grow by 2x a round until it overflows
+        a = an.validate([[1.0]])
+        models = [LogisticCost(rho=0.1, sampler=TwoClassGaussianSampler([1.0], [-1.0]))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            [paired] = engine.run_paired_long_term(
+                a, models, an.StepSizeProfile(5.0, [1.0]), np.zeros((1, 1)), iterations=1200,
+                seed=3, noise_at="limit_point")
+        assert any("overflow" in str(w.message) for w in caught)
+        assert np.isfinite(paired.sq_error).all()
+        assert not np.isfinite(paired.sq_error_model).all()
+
     @pytest.mark.parametrize("noise_at", ["iterate", "limit_point"])
     def test_linear_companion_leaves_the_run_unchanged(self, noise_at):
         args = preset_network()
@@ -206,3 +241,166 @@ class TestBatchedKernel:
             state = engine.long_term_step(state, a, steps, noise)
             np.testing.assert_allclose(paired.sq_error_model[i], (state.error ** 2).sum(axis=1),
                                        rtol=1e-12, atol=0)
+
+
+class TestSampling:
+    """``draw_into`` fills many runs' strided buffers with the streams ``draw_batch`` gives."""
+
+    N, RUNS = 1500, 3
+
+    def fill(self, model):
+        """Draw for agent 1 of 3 in (runs, agents, n, ...) buffers, as the kernel does."""
+        fields = [np.empty((self.RUNS, 3, self.N) + shape) for shape in model.field_shapes]
+        model.draw_into([np.random.default_rng([4, r]) for r in range(self.RUNS)],
+                        [f[:, 1] for f in fields])
+        return [f[:, 1] for f in fields]
+
+    def singles(self, model):
+        return [model.draw_batch(np.random.default_rng([4, r]), self.N) for r in range(self.RUNS)]
+
+    @pytest.mark.parametrize("model", [
+        QuadraticCost(r_u=1.7, sigma_v2=0.3, w_o=[1.25]),
+        QuadraticCost(r_u=[[1.0, 0.3, 0.1], [0.3, 2.0, 0.2], [0.1, 0.2, 0.5]], sigma_v2=0.05,
+                      w_o=[1.0, -0.5, 2.0]),
+        QuadraticCost(r_u=0.8, sigma_v2=0.0, w_o=[0.0]),
+        QuadraticCost(r_u=[[1.0, 0.3], [0.3, 2.0]], sigma_v2=0.0, w_o=[0.0, 0.0]),
+    ], ids=["m1", "m3", "m1-noise-free", "m2-noise-free"])
+    def test_quadratic_is_the_textbook_stream(self, model):
+        # the recipe the kernel drew per stream before it drew into its buffers;
+        # rng.normal adds its zero mean and matmul's loop adds its one product at M = 1
+        # to 0.0, which turns the noise-free -0.0 into 0.0
+        chol = np.linalg.cholesky(model.r_u)
+        for r, (u, d) in enumerate(zip(*self.fill(model))):
+            rng = np.random.default_rng([4, r])
+            ref_u = rng.standard_normal((self.N, model.dimension)) @ chol.T
+            ref_d = ref_u @ model.w_o + rng.normal(0.0, np.sqrt(model.sigma_v2), self.N)
+            assert u.tobytes() == ref_u.tobytes()
+            assert d.tobytes() == ref_d.tobytes()
+
+    def test_two_class_gaussian_is_the_textbook_stream(self):
+        sampler = TwoClassGaussianSampler([1.0, 0.5, -0.2], [-1.0, -0.5, 0.3],
+                                          cov=[[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.4]],
+                                          p_pos=0.3)
+        gamma, h = self.fill(LogisticCost(rho=0.1, sampler=sampler))
+        chol = np.linalg.cholesky(sampler.cov)
+        for r in range(self.RUNS):
+            rng = np.random.default_rng([4, r])
+            ref_gamma = np.where(rng.random(self.N) < sampler.p_pos, 1.0, -1.0)
+            means = np.where(ref_gamma[:, None] > 0, sampler.mean_pos, sampler.mean_neg)
+            ref_h = means + rng.standard_normal((self.N, 3)) @ chol.T
+            assert gamma[r].tobytes() == ref_gamma.tobytes()
+            assert h[r].tobytes() == ref_h.tobytes()
+
+    @pytest.mark.parametrize("model", [
+        QuadraticCost(r_u=[[1.0, 0.3], [0.3, 2.0]], sigma_v2=0.2, w_o=[1.0, -1.0]),
+        LogisticCost(rho=0.1, sampler=TwoClassGaussianSampler([1.0, 0.5], [-1.0, -0.5])),
+        LogisticCost(rho=0.1, sampler=EllipseSampler()),
+        LogisticCost(rho=0.1, sampler=EllipseSampler(outlier_fraction=0.3)),
+        ZeroedObservations(QuadraticCost(r_u=1.0, sigma_v2=0.5, w_o=[1.0])),
+        ZeroedObservations(LogisticCost(rho=0.2, sampler=EllipseSampler())),
+    ], ids=["quadratic", "gaussian", "ellipse", "ellipse-outliers", "zeroed-quadratic",
+            "zeroed-ellipse"])
+    def test_every_run_gets_its_draw_batch_stream(self, model):
+        filled = self.fill(model)
+        for r, single in enumerate(self.singles(model)):
+            for field, ref in zip(filled, single):
+                assert field[r].tobytes() == ref.tobytes()
+
+
+def per_round_divergence(a, models, steps, iterations, n_runs, seed):
+    """(agent, iteration, run) of the first iterate beyond the threshold, checked every
+    round over all runs, or None; the recursion written out per agent with ``draw_batch``."""
+    n = len(models)
+    rngs = [[np.random.default_rng([seed, r, k]) for r in range(n_runs)] for k in range(n)]
+    x = np.zeros((n_runs, n, 1))
+    for i in range(iterations):
+        j = i % engine._BLOCK
+        if j == 0:
+            blocks = [[np.stack(f) for f in zip(*(model.draw_batch(rng, engine._BLOCK)
+                                                  for rng in rngs[k]))]
+                      for k, model in enumerate(models)]
+        psi = np.empty_like(x)
+        for k, model in enumerate(models):
+            sample = tuple(f[:, j] for f in blocks[k])
+            psi[:, k] = x[:, k] - steps.mu[k] * model.gradient_rows(x[:, k], sample)
+        x = np.matmul(a.weights.T, psi)
+        beyond = ~(np.abs(x) <= engine.DIVERGENCE_THRESHOLD)
+        if beyond.any():
+            run, agent, _ = np.argwhere(beyond)[0]
+            return int(agent), i + 1, int(run)
+    return None
+
+
+@st.composite
+def diverging_runs(draw):
+    """(raw matrix, w_o, tau, mu_max, iterations, runs, seed): scalar regression agents
+    whose step sizes are past the stability bound for some of them."""
+    s_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    r_sizes = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw, _, _ = random_weak_matrix(rng, s_sizes, r_sizes)
+    n = raw.shape[0]
+    return (raw.tolist(), rng.normal(size=n).tolist(), rng.uniform(0.3, 1.0, n).tolist(),
+            draw(st.floats(1.2, 3.0)), draw(st.integers(1, 300)), draw(st.integers(1, 3)),
+            draw(st.integers(0, 2**16)))
+
+
+class TestDivergence:
+    @settings(max_examples=30)
+    @given(diverging_runs())
+    # divergence in the first round of a check interval, in its last round, in the
+    # partial interval that ends a run, and the eight-agent network's round 1082
+    @example(([[1.0]], [1.0], [1.0], 2.0, 300, 1, 9))
+    @example(([[1.0]], [1.0], [1.0], 2.0, 300, 1, 174))
+    @example(([[1.0]], [1.0], [1.0], 2.0, 73, 2, 3))
+    @example((EIGHT_AGENT.tolist(), [1.0, 1.0, 1.0, 1.5, 1.5, 1.25, 1.25, 1.25], [1.0] * 8,
+              1.05, 4000, 3, 5))
+    def test_interval_check_reports_the_per_round_divergence(self, case):
+        raw, w_os, tau, mu_max, iterations, n_runs, seed = case
+        a = an.validate(np.array(raw))
+        models = [QuadraticCost(r_u=1.0, sigma_v2=0.01, w_o=[w]) for w in w_os]
+        steps = an.StepSizeProfile(mu_max, tau)
+        expected = per_round_divergence(a, models, steps, iterations, n_runs, seed)
+
+        def run():
+            an.run_ensemble(a, models, steps, np.zeros((len(models), 1)), iterations, n_runs,
+                            master_seed=seed, stride=7)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if expected is None:
+                run()
+                return
+            with pytest.raises(Diverged) as exc:
+                run()
+        assert (exc.value.agent, exc.value.iteration, exc.value.run) == expected
+
+    def test_examples_cover_the_interval_edges(self):
+        """The pinned examples above diverge where their comments say."""
+        one = an.validate([[1.0]]), [QuadraticCost(r_u=1.0, sigma_v2=0.01, w_o=[1.0])]
+        steps = an.StepSizeProfile(2.0, [1.0])
+        rounds = [per_round_divergence(*one, steps, 300, 1, seed)[1] for seed in (9, 174)]
+        assert [t % engine._CHECK_EVERY for t in rounds] == [1, 0]
+        # the run's last round, in a partial interval, and in its second run
+        assert per_round_divergence(*one, steps, 73, 2, 3) == (0, 73, 1)
+        assert 73 % engine._CHECK_EVERY
+
+
+class TestWorkingSet:
+    def test_preset_ensemble_stays_within_its_buffers(self):
+        # 20 runs x 8 agents x 1024 samples of u and d take 2.6 MB; the per-agent
+        # products of a draw and the divergence check's iterates add little to that
+        args = preset_network()
+
+        def run():
+            engine.run_ensemble(*args, iterations=2100, n_runs=20, master_seed=7,
+                                burn_in_fraction=0.5, records=lambda rows: None)
+
+        run()  # fills the interpreter's free lists, which tracemalloc counts as in use
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6

@@ -16,13 +16,11 @@ from .costs import (
     finite_difference_gradient,
 )
 from .engine import (
-    LongTermState,
     MsdEstimate,
     StepSizeProfile,
     Trajectory,
     estimate_msd,
     long_term_state,
-    long_term_step,
     run_ensemble,
     run_paired_long_term,
 )

@@ -12,14 +12,15 @@ and a single run never depends on how many others execute alongside it.
 Each stream draws blocks of _BLOCK samples straight into the kernel's
 per-kind (runs, agents, _BLOCK, ...) field buffers through the cost model's
 ``draw_into``; the kernel makes the fields gradient-ready in place once per
-block. Divergence is checked once every _CHECK_EVERY rounds, over a reused
-buffer of those rounds' iterates, and reported as a check after every round
-would report it.
+block. The constant-Hessian linear model of ``run_paired_long_term`` is
+no second recursion: its errors are stacked under the iterates and go
+through the same adapt and combine. Divergence of either is checked once
+every _CHECK_EVERY rounds, over a reused buffer of those rounds' states,
+and reported as a check after every round would report it.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,53 +88,37 @@ class MsdEstimate:
     n_runs: int
 
 
-@dataclass(frozen=True, eq=False)
-class LongTermState:
-    """State of the constant-Hessian linear error model.
-
-    ``error`` holds the modeled deviation of each agent from its limit
-    point; ``hessians`` and ``bias`` are frozen at the limit points, with
-    bias_k the negated true gradient there.
-    """
-
-    error: np.ndarray     # (N, M)
-    hessians: np.ndarray  # (N, M, M)
-    bias: np.ndarray      # (N, M)
-    iteration: int = 0
-
-
 def recorded_iterations(iterations: int, stride: int) -> np.ndarray:
     """Completed-iteration counts after which a run records its squared errors."""
     return np.arange(stride, iterations + 1, stride)
 
 
-def _adapt_combine(weights_t, mu, x, grads):
-    """All agents step along ``grads`` (adapt), then all average (combine)."""
-    return np.matmul(weights_t, x - mu * grads)
-
-
-def _check_bounded(xs, first_iteration):
-    """Raise Diverged for the first agent beyond DIVERGENCE_THRESHOLD in the first round of
-    ``xs`` (rounds, runs, N, M) that has one; round 0 completed ``first_iteration``."""
+def _check_bounded(xs, first_iteration, n_runs):
+    """Raise Diverged for the first entry beyond DIVERGENCE_THRESHOLD in the first round of
+    ``xs`` (rounds, rows, N, M) that has one; round 0 completed ``first_iteration``. Rows
+    from ``n_runs`` on hold the linear model of run row - n_runs."""
     if np.abs(xs).max() <= DIVERGENCE_THRESHOLD:
         return
-    round_, run, agent, _ = np.argwhere(~(np.abs(xs) <= DIVERGENCE_THRESHOLD))[0]
-    raise Diverged(int(agent), first_iteration + int(round_), int(run))
+    round_, row, agent, _ = np.argwhere(~(np.abs(xs) <= DIVERGENCE_THRESHOLD))[0]
+    run, what = (row, "iterates") if row < n_runs else (row - n_runs, "linear model")
+    raise Diverged(int(agent), first_iteration + int(round_), int(run), what)
 
 
 class _Kernel:
-    """Batched adapt-then-combine step over stacked (runs, agents, M) iterates.
+    """Batched adapt-then-combine step over a stacked (rows, agents, M) state.
 
-    Agents whose models share a gradient formula form one kind. Each step
-    makes one ``_ready_gradient`` call per kind and passes the per-agent
-    parameters as arrays that broadcast over runs; a kind whose agents are
-    neighbours writes its gradients straight into the round's gradient
-    array, any other kind is scattered into it. A kind's samples sit in one
-    (runs, agents of the kind, _BLOCK, ...) buffer per field, so that each
-    (run, agent) stream fills one contiguous piece, and each round reads the
-    sample at one position of the block axis. Every _CHECK_EVERY rounds the
-    iterates of those rounds, kept in one reused buffer, are checked for
-    divergence at once.
+    The rows are the runs' iterates, followed, for ``run_paired_long_term``,
+    by the errors of each run's linear model; one adapt and one combine
+    advance them all. Agents whose models share a gradient formula form one
+    kind. Each step makes one ``_ready_gradient`` call per kind and passes
+    the per-agent parameters as arrays that broadcast over runs; a kind
+    whose agents are neighbours writes its gradients straight into the
+    round's gradient array, any other kind is scattered into it. A kind's
+    samples sit in one (runs, agents of the kind, _BLOCK, ...) buffer per
+    field, so that each (run, agent) stream fills one contiguous piece, and
+    each round reads the sample at one position of the block axis. Every
+    _CHECK_EVERY rounds the states of those rounds, kept in one reused
+    buffer, are checked for divergence at once.
     """
 
     def __init__(self, a: CombinationMatrix, models, step_sizes: StepSizeProfile):
@@ -174,15 +159,16 @@ class _Kernel:
             ready.append([np.moveaxis(f, 2, 0) for f in source._ready_fields(fields)])
         return ready
 
-    def gradients(self, w: np.ndarray, ready, j: int, out: np.ndarray) -> np.ndarray:
-        """Stochastic gradients at points ``w`` (runs, N, M) on sample ``j``, into ``out``."""
+    def gradients(self, w: np.ndarray, ready, j, out: np.ndarray) -> None:
+        """Stochastic gradients at points ``w`` (..., N, M) on sample ``j`` into ``out``;
+        ``j = slice(None)`` takes the whole block, on a leading axis of ``out``."""
         for (agents, source, params, _), fields in zip(self.kinds, ready):
             sample = [f[j] for f in fields]
             if isinstance(agents, slice):
-                source._ready_gradient(w[:, agents], sample, out=out[:, agents], **params)
+                source._ready_gradient(w[..., agents, :], sample, out=out[..., agents, :],
+                                       **params)
             else:
-                out[:, agents] = source._ready_gradient(w[:, agents], sample, **params)
-        return out
+                out[..., agents, :] = source._ready_gradient(w[..., agents, :], sample, **params)
 
     def run(
         self, limit_points, iterations, n_runs, seed, stride, *, w_init=None,
@@ -191,20 +177,19 @@ class _Kernel:
         """Iterate from ``w_init`` over independent (seed, run, agent) streams.
 
         Returns read-only records with runs on the first axis. With
-        ``noise_at`` set, the linear model of ``run_paired_long_term`` runs
-        alongside. The squared errors go into one block buffer that is
+        ``noise_at`` set, the errors of the linear model of
+        ``run_paired_long_term`` are stacked under the iterates and advance
+        with them. The squared errors go into one block buffer that is
         handed over at each sample-block boundary and once at the end: to
         ``records`` when given, as a (runs, records, N) view valid only until
         the call returns, and otherwise into the returned ``sq_error``.
 
-        A diverging run goes on to the end of its check interval, where the
-        first iterate beyond the threshold raises ``Diverged``; no value of
-        those rounds is handed over, and their overflows raise no warning.
-        With ``noise_at`` set the check runs after every round instead, and
-        every round runs under the caller's floating-point error handling, so
-        a companion that overflows while the iterates stay bounded warns.
+        A diverging run, or linear model, goes on to the end of its check
+        interval, where the first entry beyond the threshold raises
+        ``Diverged``; no value of those rounds is handed over, and their
+        overflows raise no warning.
         """
-        n, m, wt, mu = self.n, self.m, self.weights_t, self.mu
+        n, m, wt = self.n, self.m, self.weights_t
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         limit_points = np.asarray(limit_points, dtype=float)
@@ -229,23 +214,27 @@ class _Kernel:
         # running sums after burn-in, added in record order
         tail = np.zeros((n_runs, n, m))
         sq_tail = np.zeros((n_runs, n))
-        # the iterates of the rounds since the last divergence check, and one round's gradients;
-        # the linear companion, which x does not bound, is checked after every round
-        check_every = _CHECK_EVERY if noise_at is None else 1
-        checked = np.empty((check_every, n_runs, n, m))
-        grads = np.empty((n_runs, n, m))
+        # the iterates, and under them the linear model's errors, of the rounds since the
+        # last divergence check, and one round's gradients
+        n_rows = n_runs if noise_at is None else 2 * n_runs
+        checked = np.empty((_CHECK_EVERY, n_rows, n, m))
+        grads = np.empty((n_rows, n, m))
         # mu laid out like the gradients: one flat multiply instead of a broadcast one
-        mu_runs = np.broadcast_to(mu, grads.shape).copy()
+        mu_rows = np.broadcast_to(self.mu, grads.shape).copy()
 
-        x = np.zeros((n_runs, n, m))
-        if w_init is not None:
-            x[:] = w_init
+        # views of each slot's iterates and model errors, and of the iterates' gradients;
+        # the last slot, which round 0 does not write, holds the initial state
+        halves = [(c[:n_runs], c[n_runs:]) for c in checked]
+        ghat_x = grads[:n_runs]
+        state, (x, err) = checked[-1], halves[-1]
+        x[:] = 0.0 if w_init is None else w_init
         if noise_at is not None:
-            lt = long_term_state(self.models, limit_points)
-            err = limit_points - x
+            hessians, bias = long_term_state(self.models, limit_points)
+            err[:] = limit_points - x
             sq_model = np.empty((n_runs, n_rec, n))
             max_gap = np.zeros(n_runs)
-            at_limit = np.broadcast_to(limit_points, x.shape)
+        if noise_at == "limit_point":
+            limit_grads = np.empty((_BLOCK, n_runs, n, m))
 
         sent = 0  # records handed over so far
 
@@ -262,34 +251,38 @@ class _Kernel:
             if start // stride > sent:
                 hand_over(start // stride)
             ready = self.draw(streams, buffers)
-            # past a divergence the plain recursion runs on to the end of its check
-            # interval, and every value it computes there comes from x and is dropped
-            quiet = np.errstate(over="ignore", invalid="ignore") if check_every > 1 else nullcontext()
-            with quiet:
+            if noise_at == "limit_point":
+                # at the fixed limit points the gradient depends only on the sample
+                self.gradients(limit_points, ready, slice(None), limit_grads)
+            # past a divergence the recursion runs on to the end of its check interval,
+            # and every value it computes there is dropped
+            with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(start, min(start + _BLOCK, iterations)):
                     j = i - start
-                    noisy = self.gradients(x, ready, j, grads)
-                    if noise_at == "limit_point":
-                        noisy = self.gradients(at_limit, ready, j, np.empty(x.shape))
-                    elif noise_at == "iterate":
-                        true = [[model.true_gradient(xk) for model, xk in zip(self.models, xr)]
-                                for xr in x]
-                        noisy = noisy - np.array(true) - lt.bias
+                    self.gradients(x, ready, j, ghat_x)
                     if noise_at is not None:
                         # The linear model steps along H err - (noise - bias), where noise - bias
                         # is ghat(lp) at the limit point and ghat(x) - grad J(x) + grad J(lp) at x.
-                        linear = np.einsum("kmn,rkn->rkm", lt.hessians, err) - noisy
-                        err = _adapt_combine(wt, mu, err, linear)
+                        if noise_at == "limit_point":
+                            noisy = limit_grads[j]
+                        else:
+                            true = [[model.true_gradient(xk) for model, xk in zip(self.models, xr)]
+                                    for xr in x]
+                            noisy = ghat_x - np.array(true) - bias
+                        linear = np.einsum("kmn,rkn->rkm", hessians, err, out=grads[n_runs:])
+                        np.subtract(linear, noisy, out=linear)
                     # adapt in place, then combine into this round's slot of ``checked``
-                    np.multiply(mu_runs, grads, out=grads)
-                    np.subtract(x, grads, out=grads)
-                    slot = i % check_every
-                    x = np.matmul(wt, grads, out=checked[slot])
-                    if slot == check_every - 1 or i + 1 == iterations:
-                        _check_bounded(checked[: slot + 1], i + 1 - slot)
-                    if noise_at is not None:
-                        gap = np.abs((limit_points - x) - err).max(axis=(1, 2))
-                        np.maximum(max_gap, gap, out=max_gap)
+                    np.multiply(mu_rows, grads, out=grads)
+                    np.subtract(state, grads, out=grads)
+                    slot = i % _CHECK_EVERY
+                    state = np.matmul(wt, grads, out=checked[slot])
+                    x, err = halves[slot]
+                    if slot == _CHECK_EVERY - 1 or i + 1 == iterations:
+                        since = checked[: slot + 1]
+                        _check_bounded(since, i + 1 - slot, n_runs)
+                        if noise_at is not None:
+                            gap = np.abs((limit_points - since[:, :n_runs]) - since[:, n_runs:])
+                            np.maximum(max_gap, gap.max(axis=(0, 2, 3)), out=max_gap)
                     if (i + 1) % stride == 0:
                         rec_at = i // stride
                         diff = x - limit_points
@@ -377,26 +370,13 @@ def run_ensemble(
     ]
 
 
-def long_term_state(models: list[CostModel], limit_points: np.ndarray) -> LongTermState:
-    """Freeze Hessians and biases of the linear model at the limit points."""
+def long_term_state(models: list[CostModel], limit_points: np.ndarray):
+    """(hessians (N, M, M), bias (N, M)) of the linear model, frozen at the limit points;
+    bias_k is the negated true gradient there."""
     limit_points = np.asarray(limit_points, dtype=float)
     hessians = np.array([model.hessian(p) for model, p in zip(models, limit_points)])
     bias = -np.array([model.true_gradient(p) for model, p in zip(models, limit_points)])
-    return LongTermState(error=np.zeros(limit_points.shape), hessians=hessians, bias=bias)
-
-
-def long_term_step(
-    lt_state: LongTermState,
-    a: CombinationMatrix,
-    step_sizes: StepSizeProfile,
-    noise_samples: np.ndarray,
-) -> LongTermState:
-    """One round of the constant-Hessian linear error recursion."""
-    mu = step_sizes.mu[:, None]
-    err = lt_state.error
-    damped = err - mu * np.einsum("kmn,kn->km", lt_state.hessians, err)
-    nxt = a.weights.T @ (damped + mu * (noise_samples - lt_state.bias))
-    return replace(lt_state, error=nxt, iteration=lt_state.iteration + 1)
+    return hessians, bias
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,13 +406,21 @@ def run_paired_long_term(
     ``noise_at`` selects where each sample's gradient noise is evaluated
     before being fed to the linear model: at the nonlinear run's current
     iterate (exact pairing; cheap only when true gradients are closed-form)
-    or at the agent's limit point. The linear model's error state always
-    starts at limit_points - w_init, so the two stay paired from step 0;
-    starting ``w_init`` at the limit points themselves skips the large
-    initial transient when only steady-state behavior matters.
+    or at the agent's limit point, where the kernel evaluates it once per
+    block of samples. The linear model's error state always starts at
+    limit_points - w_init, so the two stay paired from step 0; starting
+    ``w_init`` at the limit points themselves skips the large initial
+    transient when only steady-state behavior matters.
+
+    The model's errors are stacked under the iterates in the kernel's
+    state and advance with the same adapt and combine; they are checked
+    for divergence with them, and a model that overflows raises
+    ``Diverged`` with ``what="linear model"`` even while the iterates stay
+    bounded. ``max_state_gap`` is taken once per check interval, over every
+    round of it.
 
     Returns one PairedRun per run; run r uses the streams of run r of
-    ``run_ensemble`` with the same seed.
+    ``run_ensemble`` with the same seed, and its ``sq_error`` bits.
     """
     if noise_at not in ("iterate", "limit_point"):
         raise ValueError("noise_at must be 'iterate' or 'limit_point'")

@@ -74,11 +74,12 @@ class DimensionMismatch(AtcnetError):
 
 
 class Diverged(AtcnetError):
-    def __init__(self, agent, iteration, run):
-        super().__init__(f"iterates diverged: agent {agent} at iteration {iteration} (run {run})")
+    def __init__(self, agent, iteration, run, what="iterates"):
+        super().__init__(f"{what} diverged: agent {agent} at iteration {iteration} (run {run})")
         self.agent = agent
         self.iteration = iteration
         self.run = run
+        self.what = what
 
 
 class InsufficientData(AtcnetError):

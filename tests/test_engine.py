@@ -105,30 +105,29 @@ class TestRun:
 
 class TestLongTerm:
     def test_noise_free_model_contracts(self, two_agent):
+        # without observation noise the gradient noise vanishes at w_o, so the
+        # model, started off its limit points, contracts towards them
         models = quad_models([[1.0], [1.0]], sigma_v2=0.0)
         steps = an.StepSizeProfile(0.05, [1.0, 1.0])
         lp = np.array([[1.0], [1.0]])
-        state = an.long_term_state(models, lp)
-        state = engine.LongTermState(
-            error=np.array([[0.5], [-0.5]]), hessians=state.hessians, bias=state.bias
-        )
-        norms = []
-        for _ in range(300):
-            state = an.long_term_step(state, two_agent, steps, np.zeros((2, 1)))
-            norms.append(np.abs(state.error).max())
-        assert norms[-1] < 1e-8
-        assert norms[-1] < norms[0]
+        for noise_at in ("iterate", "limit_point"):
+            [paired] = an.run_paired_long_term(two_agent, models, steps, lp, iterations=300,
+                                               seed=2, noise_at=noise_at, stride=1,
+                                               w_init=lp + [[-0.5], [0.5]])
+            norms = paired.sq_error_model.max(axis=1)
+            assert norms[-1] < 1e-16
+            assert norms[-1] < norms[0]
 
     def test_bias_vanishes_at_sender_pareto_points(self, eight_partition):
         models = quad_models([[1.0]] * 3 + [[1.5]] * 2 + [[1.25]] * 3)
         points = an.receiving_limit_points([[1.0], [1.5]], eight_partition)
-        state = an.long_term_state(models, points)
+        _, bias = an.long_term_state(models, points)
         qs = an.q_weights(eight_partition, an.StepSizeProfile(0.0005, np.ones(8)))
         at = 0
         for s, size in enumerate(eight_partition.s_sizes):
             members = eight_partition.order[at : at + size]
             weighted = sum(
-                q * (-state.bias[k]) for q, k in zip(qs[s], members)
+                q * (-bias[k]) for q, k in zip(qs[s], members)
             )
             assert np.abs(weighted).max() < 1e-12
             at += size

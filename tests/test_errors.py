@@ -16,7 +16,7 @@ SAMPLE_ARGS = {
     errors.SingularSystem: ("singular",),
     errors.NotAnRAgent: (3,),
     errors.DimensionMismatch: ("3 models for 2 agents",),
-    errors.Diverged: (1, 2048, 3),
+    errors.Diverged: (1, 2048, 3, "linear model"),
     errors.InsufficientData: ("needs 2 runs",),
     errors.SingularAggregateHessian: ("singular",),
     errors.NonPositive: (-1.0,),

@@ -32,6 +32,10 @@ from conftest import EIGHT_AGENT, random_weak_matrix
 
 PRESET_SQ_ERROR_SHA256 = "e67162190fd86a224b333240b9ecb71a5b6e70169cac780b4fb6c18a6b92d0dd"
 PRESET_ITERATES_SHA256 = "e367d0e8d259aa0532bac180fa1c28ea47ae47a6038f82714e8a2e98c49ea39a"
+# sq_error, sq_error_model and max_state_gap of the paired runs in
+# ``test_paired_runs_bitwise``, taken while the linear companion still ran as a
+# second recursion beside the iterates
+PAIRED_SHA256 = "79afa0b4e2e525eeb1d5d22f5327efdafa553cb981c17b945bb3617d31db8986"
 
 # Per-agent sums of the recorded squared errors over every record and run,
 # and the iterates of each run at the last record, of the mixed-network run
@@ -66,9 +70,9 @@ def digest(trajectories, field):
     return h.hexdigest()
 
 
-def preset_network():
-    """The three-subnetwork-regression preset (M=1) and its limit points."""
-    config = load_preset("three-subnetwork-regression")
+def preset_network(name="three-subnetwork-regression"):
+    """A preset (by default three-subnetwork-regression, M=1) and its limit points."""
+    config = load_preset(name)
     partition = an.classify(config.matrix)
     stars = workflows.pareto_points(partition, config.models, config.step_sizes)
     points = an.receiving_limit_points(stars, partition)
@@ -110,6 +114,18 @@ class TestFrozenOutputs:
         assert digest(runs, "sq_error") == PRESET_SQ_ERROR_SHA256
         assert digest(runs, "iterates") == PRESET_ITERATES_SHA256
 
+    def test_paired_runs_bitwise(self):
+        h = hashlib.sha256()
+        logistic = preset_network("two-agent-logistic")
+        runs = engine.run_paired_long_term(*logistic, iterations=3000, seed=23, n_runs=3,
+                                           noise_at="limit_point", w_init=logistic[3])
+        runs += engine.run_paired_long_term(*preset_network(), iterations=3000, seed=19,
+                                            n_runs=2, noise_at="iterate")
+        for paired in runs:
+            for value in (paired.sq_error, paired.sq_error_model, np.float64(paired.max_state_gap)):
+                h.update(value.tobytes())
+        assert h.hexdigest() == PAIRED_SHA256
+
     def test_mixed_kinds_within_round_off(self):
         runs = engine.run_ensemble(*mixed_network(), iterations=1500, n_runs=2, master_seed=41,
                                    stride=10, record_iterates=True)
@@ -147,6 +163,47 @@ def per_agent_reference(a, models, steps, limit_points, iterations, n_runs, seed
             if (i + 1) % stride == 0:
                 sq_error[(i + 1) // stride - 1, r] = ((x - limit_points) ** 2).sum(axis=1)
     return sq_error
+
+
+def long_term_step(err, hessians, bias, a, steps, noise):
+    """One round of the constant-Hessian linear error recursion, written out; ``noise`` is
+    each agent's sample gradient less its true gradient, both where the sample was taken."""
+    mu = steps.mu[:, None]
+    damped = err - mu * np.einsum("kmn,kn->km", hessians, err)
+    return a.weights.T @ (damped + mu * (noise - bias))
+
+
+@st.composite
+def companion_cases(draw):
+    """(matrix, models, step sizes, limit points, runs, rounds): a random weak network of
+    2-d agents with interleaved quadratic, zeroed quadratic and, in some, logistic models;
+    the rounds pass one sample block and are a multiple of neither the check interval
+    nor the block."""
+    s_sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    r_sizes = draw(st.lists(st.integers(1, 2), min_size=0, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw, _, _ = random_weak_matrix(rng, s_sizes, r_sizes)
+    n = raw.shape[0]
+    kinds = 2 if draw(st.booleans()) else 3
+    models = []
+    # every kind on some agent, once there are agents enough, in a shuffled order
+    for k, kind in enumerate(rng.permutation(np.arange(n) % kinds)):
+        if kind < 2:
+            model = QuadraticCost(r_u=rng.uniform(0.5, 2.0, 2), sigma_v2=rng.uniform(0.001, 0.1),
+                                  w_o=rng.normal(size=2))
+            models.append(ZeroedObservations(model) if kind else model)
+        else:
+            mean = rng.normal(size=2)
+            models.append(LogisticCost(rho=rng.uniform(0.05, 0.5),
+                                       sampler=TwoClassGaussianSampler(mean, -mean),
+                                       eval_samples=1000, eval_seed=k))
+    a = an.validate(raw)
+    # the combination keeps limit points fixed: from any sender points, through W
+    lp = an.receiving_limit_points(rng.normal(size=(len(s_sizes), 2)), an.classify(a))
+    iterations = draw(st.integers(engine._BLOCK + 1, engine._BLOCK + 100)
+                      .filter(lambda t: t % engine._CHECK_EVERY))
+    return (a, models, an.StepSizeProfile(0.01, rng.uniform(0.3, 1.0, n)), lp,
+            draw(st.integers(2, 3)), iterations)
 
 
 class TestBatchedKernel:
@@ -199,47 +256,74 @@ class TestBatchedKernel:
                                 records=lambda rows: seen.append(np.geterr()))
         assert [(e["over"], e["invalid"]) for e in seen] == [("raise", "warn")] * 2
 
-    def test_companion_overflow_still_warns(self):
+    def test_companion_overflow_raises_diverged(self):
         # mu rho = 0.5 keeps the logistic iterates bounded, while mu H = 3 at the
-        # origin makes the linear companion grow by 2x a round until it overflows
+        # origin makes the linear companion grow by 2x a round; the companion written
+        # out passes the threshold in round 39, mid-interval, which the kernel reports
         a = an.validate([[1.0]])
-        models = [LogisticCost(rho=0.1, sampler=TwoClassGaussianSampler([1.0], [-1.0]))]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            [paired] = engine.run_paired_long_term(
-                a, models, an.StepSizeProfile(5.0, [1.0]), np.zeros((1, 1)), iterations=1200,
-                seed=3, noise_at="limit_point")
-        assert any("overflow" in str(w.message) for w in caught)
-        assert np.isfinite(paired.sq_error).all()
-        assert not np.isfinite(paired.sq_error_model).all()
+        [model] = models = [LogisticCost(rho=0.1, sampler=TwoClassGaussianSampler([1.0], [-1.0]))]
+        steps, lp = an.StepSizeProfile(5.0, [1.0]), np.zeros((1, 1))
+        hessians, bias = engine.long_term_state(models, lp)
+        block = model.draw_batch(np.random.default_rng([3, 0, 0]), engine._BLOCK)
+        err = np.zeros((1, 1))
+        for passes in range(1, engine._BLOCK + 1):
+            ghat = model.gradient_rows(lp[0], tuple(f[passes - 1] for f in block))
+            err = long_term_step(err, hessians, bias, a, steps, ghat - model.true_gradient(lp[0]))
+            if np.abs(err).max() > engine.DIVERGENCE_THRESHOLD:
+                break
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Diverged) as exc:
+                engine.run_paired_long_term(a, models, steps, lp, iterations=1200, seed=3,
+                                            noise_at="limit_point")
+            [alone] = engine.run_ensemble(a, models, steps, lp, iterations=1200, n_runs=1,
+                                          master_seed=3)
+        assert passes == 39
+        assert (exc.value.agent, exc.value.iteration, exc.value.run) == (0, passes, 0)
+        assert "linear model" in str(exc.value)
+        assert np.isfinite(alone.sq_error).all()
 
     @pytest.mark.parametrize("noise_at", ["iterate", "limit_point"])
-    def test_linear_companion_leaves_the_run_unchanged(self, noise_at):
-        args = preset_network()
-        paired = engine.run_paired_long_term(*args, iterations=1100, seed=4, n_runs=2,
-                                             noise_at=noise_at)
-        alone = engine.run_ensemble(*args, iterations=1100, n_runs=2, master_seed=4)
+    @settings(max_examples=6)
+    @given(case=companion_cases())
+    def test_linear_companion_leaves_the_run_unchanged(self, noise_at, case):
+        a, models, steps, lp, n_runs, iterations = case
+        quadratic = not any(isinstance(model, LogisticCost) for model in models)
+        alone = engine.run_ensemble(a, models, steps, lp, iterations, n_runs, master_seed=4,
+                                    stride=3)
+        paired = engine.run_paired_long_term(a, models, steps, lp, iterations, seed=4,
+                                             n_runs=n_runs, noise_at=noise_at, stride=3)
         for p, t in zip(paired, alone):
             assert np.array_equal(p.sq_error, t.sq_error)
+            # the linear model of quadratic costs is the recursion itself
+            if quadratic and noise_at == "iterate":
+                assert p.max_state_gap <= 1e-10
 
-    def test_iterate_noise_matches_per_agent_linear_model(self):
-        # logistic agents have no closed-form true gradient; the noise at the
-        # iterate still subtracts each agent's own true gradient there
+    @pytest.mark.parametrize("noise_at", ["iterate", "limit_point"])
+    def test_iterate_noise_matches_per_agent_linear_model(self, noise_at):
+        # logistic agents have no closed-form true gradient; the noise subtracts each
+        # agent's own true gradient where its sample gradient was taken. Both kinds
+        # interleave, so their gradients are scattered through index arrays
         a, models, steps, lp = mixed_network()
         [paired] = engine.run_paired_long_term(a, models, steps, lp, iterations=20, seed=6,
-                                               stride=1)
+                                               stride=1, noise_at=noise_at)
         rngs = [np.random.default_rng([6, 0, k]) for k in range(len(models))]
         blocks = [model.draw_batch(rng, engine._BLOCK) for model, rng in zip(models, rngs)]
+        hessians, bias = engine.long_term_state(models, lp)
         x = np.zeros(lp.shape)
-        state = engine.long_term_state(models, lp)
-        state = engine.LongTermState(error=lp - x, hessians=state.hessians, bias=state.bias)
+        err = lp - x
         for i in range(20):
-            ghat = np.array([model.gradient_rows(x[k], tuple(f[i] for f in blocks[k]))
-                             for k, model in enumerate(models)])
-            noise = ghat - np.array([model.true_gradient(x[k]) for k, model in enumerate(models)])
+            samples = [tuple(f[i] for f in block) for block in blocks]
+            ghat = np.array([model.gradient_rows(w, sample)
+                             for model, w, sample in zip(models, x, samples)])
+            if noise_at == "iterate":
+                noise = ghat - [model.true_gradient(w) for model, w in zip(models, x)]
+            else:
+                noise = np.array([model.gradient_rows(w, sample)
+                                  for model, w, sample in zip(models, lp, samples)]) + bias
             x = a.weights.T @ (x - steps.mu[:, None] * ghat)
-            state = engine.long_term_step(state, a, steps, noise)
-            np.testing.assert_allclose(paired.sq_error_model[i], (state.error ** 2).sum(axis=1),
+            err = long_term_step(err, hessians, bias, a, steps, noise)
+            np.testing.assert_allclose(paired.sq_error_model[i], (err ** 2).sum(axis=1),
                                        rtol=1e-12, atol=0)
 
 

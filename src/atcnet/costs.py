@@ -20,6 +20,7 @@ textbook formula.
 """
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -273,15 +274,20 @@ class TwoClassGaussianSampler(FeatureSampler):
 
 def quadratic_features(points: np.ndarray) -> np.ndarray:
     """Map 2-D points to the feature vector (5, x, y, x^2, y^2, x y)."""
-    x, y = points[:, 0], points[:, 1]
-    out = np.empty((x.shape[0], 6))
+    out = np.empty((points.shape[0], 6))
+    out[:, 1] = points[:, 0]
+    out[:, 2] = points[:, 1]
+    _fill_quadratic_features(out)
+    return out
+
+
+def _fill_quadratic_features(out: np.ndarray) -> None:
+    """Complete rows (_, x, y, _, _, _) of ``out`` in place to (5, x, y, x^2, y^2, x y)."""
+    x, y = out[:, 1], out[:, 2]
     out[:, 0] = 5.0
-    out[:, 1] = x
-    out[:, 2] = y
     np.multiply(x, x, out=out[:, 3])
     np.multiply(y, y, out=out[:, 4])
     np.multiply(x, y, out=out[:, 5])
-    return out
 
 
 @dataclass(frozen=True)
@@ -304,6 +310,7 @@ class EllipseSampler(FeatureSampler):
     dimension = 6
 
     def draw_into(self, rngs, gamma, h):
+        """Each point (x, y) is written straight into its row of ``h``, then mapped there."""
         a, b = self.semi_axes
         n = gamma.shape[1]
         # the outlier draw's size depends on the labels, so each stream runs the whole recipe
@@ -315,14 +322,13 @@ class EllipseSampler(FeatureSampler):
                 0.9 * np.sqrt(rng.random(n)),
                 rng.uniform(*self.outside_band, n),
             )
-            pts = np.empty((n, 2))
-            np.multiply(a * radius, np.cos(theta), out=pts[:, 0])
-            np.multiply(b * radius, np.sin(theta), out=pts[:, 1])
+            np.multiply(a * radius, np.cos(theta), out=h_run[:, 1])
+            np.multiply(b * radius, np.sin(theta), out=h_run[:, 2])
             if self.outlier_fraction > 0.0:
                 hit = (gamma_run > 0) & (rng.random(n) < self.outlier_fraction)
                 cluster = np.asarray(self.outlier_center) + self.outlier_std * rng.standard_normal((int(hit.sum()), 2))
-                pts[hit] = cluster
-            h_run[:] = quadratic_features(pts)
+                h_run[hit, 1:3] = cluster
+            _fill_quadratic_features(h_run)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +339,9 @@ class LogisticCost(CostModel):
     closed-form gradient, so ``true_gradient``, ``hessian``, ``true_loss``
     and ``noise_covariance`` are sample averages over a fixed internal
     design of ``eval_samples`` draws (seeded by ``eval_seed``), which keeps
-    them deterministic.
+    them deterministic. The design is held as signed features s = gamma h
+    and drawn on first use; a shallow copy of the model shares a design
+    already drawn and keeps one it draws to itself.
     """
 
     rho: float
@@ -352,20 +360,28 @@ class LogisticCost(CostModel):
         return self.eval_samples
 
     @cached_property
-    def _eval_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(self.eval_seed)
-        return self.sampler.draw(rng, self.eval_samples)
+    def _design(self) -> np.ndarray:
+        """The evaluation design as signed features s_i = gamma_i h_i, (eval_samples, M).
+
+        It is drawn in place (``draw_batch``, then ``_ready_fields``), and the
+        labels are dropped: gamma = +-1 only flips signs, so every product and
+        sum over s has the bits of the same one over gamma and h.
+        """
+        fields = self.draw_batch(np.random.default_rng(self.eval_seed), self.eval_samples)
+        return self._ready_fields(fields)[0]
 
     def prefix(self, rows):
-        """The same loss over views of the first ``rows`` rows of this design (no draw, no copy)."""
+        """The same loss over a view of the first ``rows`` rows of this design.
+
+        The first prefix draws this model's whole design; no prefix copies it.
+        """
         coarse = replace(self, eval_samples=rows)
-        coarse.__dict__["_eval_batch"] = tuple(field[:rows] for field in self._eval_batch)
+        coarse.__dict__["_design"] = self._design[:rows]
         return coarse
 
     def _design_pass(self, w):
-        """The margins z = gamma h.w over the evaluation design and 1 / (1 + exp(z)): one product with h."""
-        gamma, h = self._eval_batch
-        z = gamma * (h @ w)
+        """The margins z = s.w over the evaluation design and 1 / (1 + exp(z)): one product with s."""
+        z = self._design @ w
         return z, inv_one_plus_exp(z)
 
     def _loss(self, w, z, sig):
@@ -376,13 +392,12 @@ class LogisticCost(CostModel):
         return float(0.5 * self.rho * (w @ w) - data / z.shape[0])
 
     def _gradient(self, w, sig):
-        gamma, h = self._eval_batch
-        return self.rho * w - (gamma * sig) @ h / gamma.shape[0]
+        return self.rho * w - sig @ self._design / sig.shape[0]
 
     def _weighted_gram(self, weights):
-        """(1/n) sum_i weights_i h_i h_i^T over the evaluation design."""
-        _, h = self._eval_batch
-        return (h * weights[:, None]).T @ h / h.shape[0]
+        """(1/n) sum_i weights_i s_i s_i^T over the evaluation design."""
+        signed = self._design
+        return (signed * weights[:, None]).T @ signed / signed.shape[0]
 
     def _hessian(self, sig):
         return self.rho * np.eye(self.dimension) + self._weighted_gram(sig * (1.0 - sig))
@@ -407,14 +422,13 @@ class LogisticCost(CostModel):
     def noise_covariance(self, at):
         """Covariance of the sampled gradients over the evaluation design.
 
-        The gradient at sample i is rho w - a_i h_i with
-        a_i = gamma_i / (1 + exp(gamma_i h_i.w)), so with g = (1/n) sum_i a_i h_i
-        the covariance is (1/n) sum_i a_i^2 h_i h_i^T - g g^T.
+        The gradient at sample i is rho w - sigma_i s_i with
+        sigma_i = 1 / (1 + exp(s_i.w)), so with g = (1/n) sum_i sigma_i s_i
+        the covariance is (1/n) sum_i sigma_i^2 s_i s_i^T - g g^T.
         """
-        gamma, h = self._eval_batch
-        a = gamma * self._design_pass(np.asarray(at, dtype=float))[1]
-        mean = a @ h / gamma.shape[0]
-        return self._weighted_gram(a * a) - np.outer(mean, mean)
+        sig = self._design_pass(np.asarray(at, dtype=float))[1]
+        mean = sig @ self._design / sig.shape[0]
+        return self._weighted_gram(sig * sig) - np.outer(mean, mean)
 
     def true_loss(self, w):
         w = np.asarray(w, dtype=float)
@@ -472,6 +486,10 @@ class ZeroedObservations(CostModel):
 
     def prefix(self, rows):
         return ZeroedObservations(self.inner.prefix(rows))
+
+    def __copy__(self):
+        """A wrapper of a copy of the inner model, so a design the copy draws stays with it."""
+        return ZeroedObservations(copy.copy(self.inner))
 
     def true_gradient(self, w):
         return self.inner.true_gradient(w)

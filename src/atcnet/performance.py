@@ -8,6 +8,7 @@ agent's MSD is a squared-influence-weighted sum of sending-side MSDs.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -144,10 +145,25 @@ def pareto_solve(models: list[CostModel], q: np.ndarray, return_hessians: bool =
     return (w, [model.hessian(w) for model in models]) if return_hessians else w
 
 
+def _members(models, members):
+    """``models[k]`` for k in ``members``, each model with a design as a shallow copy.
+
+    A copy shares a design its model already holds and draws a missing one
+    for itself, so such a design is freed with the list: one sending
+    sub-network's designs live only while its theory runs.
+    """
+    return [copy.copy(models[k]) if models[k].design_rows is not None else models[k] for k in members]
+
+
 def solve_members(models, members, q):
-    """``pareto_solve`` of ``models[k]`` for k in ``members``, with Hessians; ``NoMinimizer`` names k."""
+    """``pareto_solve`` of ``models[k]`` for k in ``members`` (``_members``' copies), with Hessians."""
+    return _solve(_members(models, members), members, q)
+
+
+def _solve(sub_models, members, q):
+    """``pareto_solve`` of one sub-network's models, with Hessians; ``NoMinimizer`` names its agent id."""
     try:
-        return pareto_solve([models[k] for k in members], q, return_hessians=True)
+        return pareto_solve(sub_models, q, return_hessians=True)
     except NoMinimizer as exc:
         raise NoMinimizer(members[exc.model]) from None
 
@@ -225,18 +241,18 @@ def theoretical_msd(
 
     Hessians and gradient-noise covariances are evaluated at each sending
     sub-network's Pareto point, each from its model in closed form (a
-    logistic model's over its evaluation design, so the report draws no
-    random numbers). Without ``w_stars`` the points are solved for here, and
-    the Hessians come from the solve's last evaluation. Receiving agents
-    read W from the partition.
+    logistic model's over its seeded evaluation design, which lives only
+    while its sub-network's theory runs). Without ``w_stars`` the points are
+    solved for here, and the Hessians come from the solve's last evaluation.
+    Receiving agents read W from the partition.
     """
     subnetworks = []
     msd_values = []
     for s, (sl, q) in enumerate(zip(partition.s_slices, q_weights(partition, step_sizes))):
         members = partition.order[sl].tolist()
-        sub_models = [models[k] for k in members]
+        sub_models = _members(models, members)  # frees the previous sub-network's designs
         if w_stars is None:
-            star, sub_hessians = solve_members(models, members, q)
+            star, sub_hessians = _solve(sub_models, members, q)
         else:
             star = np.atleast_1d(np.asarray(w_stars[s], dtype=float))
             sub_hessians = [model.hessian(star) for model in sub_models]

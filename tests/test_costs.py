@@ -196,7 +196,8 @@ class TestLogisticNoiseCovariance:
 
     def test_equals_the_one_shot_covariance_over_its_design(self):
         model = self.model()
-        exact = sampled_covariance(model, self.point, model._eval_batch)
+        design = model.sampler.draw(np.random.default_rng(model.eval_seed), model.eval_samples)
+        exact = sampled_covariance(model, self.point, design)
         got = model.noise_covariance(self.point)
         assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -219,7 +220,7 @@ class TestHessians:
 
     def test_logistic_quarter_curvature_at_origin(self):
         model = make_logistic(rho=0.1)
-        gamma, h = model._eval_batch
+        gamma, h = model.sampler.draw(np.random.default_rng(model.eval_seed), model.eval_samples)
         expected = 0.1 * np.eye(2) + 0.25 * h.T @ h / h.shape[0]
         assert np.abs(model.hessian(np.zeros(2)) - expected).max() < 1e-12
 

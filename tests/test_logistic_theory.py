@@ -1,4 +1,5 @@
-"""Logistic theory path: pinned bits, one pass over each design per point, and the warm start.
+"""Logistic theory path: pinned bits, one pass over each design per point, the warm
+start, and how long each design lives.
 
 The digests were computed when ``EllipseSampler.draw`` and
 ``quadratic_features`` built their arrays with ``np.column_stack``, the
@@ -15,9 +16,11 @@ each design: the Pareto points moved by at most 2e-8, the MSDs by at most
 4e-8 dB. The Pareto digest was taken again when Newton became damped (an
 Armijo test on the loss, a step solved after a Jacobi scaling of H) and
 began to stop on the Newton decrement: the points moved by at most 2e-17,
-and the two-agent MSD report kept its bits.
+and the two-agent MSD report kept its bits. Every digest held when a design
+became one array of signed features gamma h, drawn in place.
 """
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,8 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atcnet import costs, workflows
-from atcnet.config import load_preset
+import atcnet as an
+from atcnet import costs, performance, workflows
+from atcnet.config import ExperimentConfig, RunControls, load_preset
 from atcnet.costs import (
     EllipseSampler,
     LogisticCost,
@@ -37,6 +41,8 @@ from atcnet.costs import (
 )
 from atcnet.errors import NoMinimizer
 from atcnet.performance import PARETO_TOL, pareto_solve
+
+from conftest import random_weak_matrix
 
 SHA256 = {
     "draw": "be123302ce533b506afdbc2b51b409c77257fed0ca52531e07666bc0057ac18b",
@@ -137,7 +143,7 @@ def test_gradient_and_hessian_match_separate_calls(model):
 def test_loss_read_off_the_sigmoid_matches_logaddexp(scale):
     """ln(1 + exp(-z)) read off the sigmoid, at margins up to about 1e4 in size."""
     model = ellipse_models()[0]
-    gamma, h = model._eval_batch
+    gamma, h = model.sampler.draw(np.random.default_rng(model.eval_seed), model.eval_samples)
     w = scale * np.linspace(-0.3, 0.4, model.dimension)
     direct = 0.5 * model.rho * (w @ w) + np.logaddexp(0.0, -gamma * (h @ w)).mean()
     assert model.true_loss(w) == pytest.approx(direct, rel=1e-14)
@@ -308,3 +314,96 @@ def test_scaling_a_feature_scales_its_coordinate_inversely(column, k, seed):
     scaled = pareto_solve([model(10.0**k)], [1.0])
     scaled[column] *= 10.0**k
     assert scaled == pytest.approx(base, rel=1e-8, abs=0)
+
+
+DESIGN_ROWS = 20000
+DESIGN_BYTES = DESIGN_ROWS * 6 * 8  # one (rows, 6) float64 design of signed ellipse features
+
+
+def two_subnetwork_config(zeroed=()):
+    """Logistic agents in sending sub-networks {0..3} and {4..6} and receivers {7, 8}.
+
+    The agents in ``zeroed`` wrap their logistic model in ``ZeroedObservations``.
+    """
+    raw, _, _ = random_weak_matrix(np.random.default_rng(3), (4, 3), (2,), shuffle=False)
+    n = raw.shape[0]
+    models = [
+        LogisticCost(0.1, EllipseSampler(semi_axes=(2.0 + 0.05 * k, 1.0)), eval_samples=DESIGN_ROWS, eval_seed=k)
+        for k in range(n)
+    ]
+    models = tuple(ZeroedObservations(m) if k in zeroed else m for k, m in enumerate(models))
+    run = RunControls(seed=1, iterations=300, monte_carlo_runs=2, stride=10)
+    return ExperimentConfig("two-subnetworks", an.validate(raw), models, an.StepSizeProfile(0.01, np.ones(n)), run, None)
+
+
+def logistic_of(model):
+    return model.inner if isinstance(model, ZeroedObservations) else model
+
+
+def holds_design(model):
+    return "_design" in vars(logistic_of(model))
+
+
+def count_design_draws(monkeypatch):
+    """A Counter of the full designs drawn from then on, keyed by their sampler's (distinct) semi-axes."""
+    drawn = Counter()
+    draw_into = EllipseSampler.draw_into
+
+    def logged(self, rngs, gamma, h):
+        if gamma.shape[1] == DESIGN_ROWS:
+            drawn[self.semi_axes] += 1
+        draw_into(self, rngs, gamma, h)
+
+    monkeypatch.setattr(EllipseSampler, "draw_into", logged)
+    return drawn
+
+
+def agents_drawn(config, drawn):
+    """{agent: design draws} from the Counter of ``count_design_draws``."""
+    by_axes = {logistic_of(m).sampler.semi_axes: k for k, m in enumerate(config.models)}
+    return {by_axes[axes]: count for axes, count in drawn.items()}
+
+
+class TestDesignLifetime:
+    """A logistic design lives only while its sending sub-network's theory runs."""
+
+    def test_theory_holds_one_sub_network_of_designs_at_a_time(self):
+        # measured 5.20 MB: the four designs of the larger sub-network (3.84 MB),
+        # one design-sized product and a few design columns; all seven designs
+        # held at once gave 9.45 MB
+        def run():
+            config = two_subnetwork_config()
+            performance.theoretical_msd(an.classify(config.matrix), list(config.models), config.step_sizes)
+
+        run()  # fills the interpreter's free lists, which tracemalloc counts as in use
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * DESIGN_BYTES + DESIGN_BYTES + 4 * DESIGN_ROWS * 8
+
+    def test_no_model_holds_a_design_after_the_theory(self):
+        config = two_subnetwork_config(zeroed=(5,))
+        partition = an.classify(config.matrix)
+        stars = workflows.pareto_points(partition, config.models, config.step_sizes)
+        assert not any(holds_design(m) for m in config.models)
+        performance.theoretical_msd(partition, list(config.models), config.step_sizes, stars)
+        assert not any(holds_design(m) for m in config.models)
+
+    def test_a_design_drawn_before_is_reused(self, monkeypatch):
+        config = two_subnetwork_config()
+        design = config.models[2]._design
+        drawn = count_design_draws(monkeypatch)
+        performance.theoretical_msd(an.classify(config.matrix), list(config.models), config.step_sizes)
+        assert agents_drawn(config, drawn) == {0: 1, 1: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+        assert vars(config.models[2])["_design"] is design
+
+    def test_msd_with_sim_draws_each_sending_design_once(self, monkeypatch):
+        """No design is drawn twice, none for a receiver, and none outlives the command."""
+        config = two_subnetwork_config(zeroed=(5,))
+        drawn = count_design_draws(monkeypatch)
+        workflows.msd(config, with_sim=True)
+        assert agents_drawn(config, drawn) == {k: 1 for k in range(7)}
+        assert not any(holds_design(m) for m in config.models)

@@ -1,22 +1,19 @@
 """Per-agent stochastic cost models.
 
-Each model exposes the true gradient and Hessian of its expected loss and
-the covariance of its gradient noise, instantaneous stochastic gradients
-computed from streaming samples (one broadcasting entry point,
-``gradient_rows``), and sampling with caller-owned random generators so
-parallel runs keep disjoint streams. The expected stochastic gradient
-equals the true gradient (zero-mean gradient noise).
-
-Sampling has one entry point, ``draw_into``: it fills caller-owned
-(runs, samples, ...) field arrays, one random stream per run, and applies
-the model's fixed transforms (Cholesky factor, noise scale, class means)
-once for all runs; ``draw_batch`` is ``draw_into`` on one stream. The
-diffusion kernel turns a block of drawn fields into gradient-ready ones in
-place (``_ready_fields``: 2u for the quadratic, gamma h for the
-logistic) and evaluates ``_ready_gradient`` on them every round;
-``gradient_rows`` is the same formula on fresh copies of the drawn fields.
-Scaling by 2 and by gamma = +-1 is exact, so both give the bits of the
-textbook formula.
+A model has one entry point per job. On the true side,
+``gradient_and_hessian`` gives the expected loss with its gradient and
+Hessian, ``true_gradient`` the gradient alone, and ``noise_covariance``
+the covariance of the gradient noise. On the sample side, ``draw_into``
+fills caller-owned (runs, samples, ...) arrays shaped by ``field_shapes``,
+one random stream per run, and applies the model's fixed transforms
+(Cholesky factor, noise scale, class means, label signs) once for all
+runs; ``draw_batch`` is ``draw_into`` on one stream. What ``draw_into``
+writes is the one sample format, (u, d) for the quadratic and the signed
+features s = gamma h for the logistic, and ``gradient_rows`` (the one
+broadcasting stochastic gradient) and ``sample_loss`` read it as it is.
+Doubling and gamma = +-1 are exact, so the gradients have the bits of the
+textbook formulas. The expected stochastic gradient equals the true
+gradient (zero-mean gradient noise).
 """
 from __future__ import annotations
 
@@ -66,14 +63,8 @@ class CostModel(ABC):
     def true_gradient(self, w: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def hessian(self, w: np.ndarray) -> np.ndarray: ...
-
     def gradient_and_hessian(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(true_loss(w), true_gradient(w), hessian(w))``; sampled models share one pass."""
-        return self.true_loss(w), self.true_gradient(w), self.hessian(w)
-
-    @abstractmethod
-    def true_loss(self, w: np.ndarray) -> float: ...
+        """The expected loss at ``w``, its gradient (``true_gradient(w)``) and its Hessian."""
 
     def separated_by(self, w: np.ndarray) -> bool:
         """Whether the loss is unregularized and w separates its design: no minimizer then."""
@@ -101,23 +92,16 @@ class CostModel(ABC):
     @abstractmethod
     def sample_loss(self, w: np.ndarray, sample: tuple) -> float: ...
 
-    def gradient_rows(self, w_rows: np.ndarray, fields: tuple, **params) -> np.ndarray:
+    @abstractmethod
+    def gradient_rows(self, w_rows: np.ndarray, fields: tuple, out=None, **params) -> np.ndarray:
         """Row-wise stochastic gradients: one sample and one point per row.
 
-        Points (..., M) and sample fields broadcast over their leading axes.
-        ``params`` override the attributes named in ``gradient_params``, for
-        instance with one value per agent that broadcasts like the points.
+        Points (..., M) and sample fields, as ``draw_into`` writes them,
+        broadcast over their leading axes; the gradients go into ``out`` when
+        given. ``params`` override the attributes named in
+        ``gradient_params``, for instance with one value per agent that
+        broadcasts like the points.
         """
-        ready = self._ready_fields(tuple(np.array(f, dtype=float) for f in fields))
-        return self._ready_gradient(w_rows, ready, **params)
-
-    @abstractmethod
-    def _ready_fields(self, fields: tuple) -> tuple:
-        """Turn drawn ``fields`` in place into the ones ``_ready_gradient`` reads."""
-
-    @abstractmethod
-    def _ready_gradient(self, w_rows, ready: tuple, out=None, **params) -> np.ndarray:
-        """``gradient_rows`` on gradient-ready fields, written into ``out`` when given."""
 
     @abstractmethod
     def noise_covariance(self, at: np.ndarray) -> np.ndarray:
@@ -169,12 +153,9 @@ class QuadraticCost(CostModel):
     def true_gradient(self, w):
         return 2.0 * self.r_u @ (np.asarray(w, dtype=float) - self.w_o)
 
-    def hessian(self, w):
-        return 2.0 * self.r_u
-
-    def true_loss(self, w):
+    def gradient_and_hessian(self, w):
         err = np.asarray(w, dtype=float) - self.w_o
-        return float(err @ self.r_u @ err + self.sigma_v2)
+        return float(err @ self.r_u @ err + self.sigma_v2), self.true_gradient(w), 2.0 * self.r_u
 
     @property
     def field_shapes(self):
@@ -196,18 +177,13 @@ class QuadraticCost(CostModel):
         u, d = sample
         return float((d - u @ w) ** 2)
 
-    def _ready_fields(self, fields):
+    def gradient_rows(self, w_rows, fields, out=None):
+        """2u (u.w - d), doubled as u (2 (u.w - d)): doubling is exact, so the bits agree."""
         u, d = fields
-        np.multiply(u, 2.0, out=u)
-        return u, d
-
-    def _ready_gradient(self, w_rows, ready, out=None):
-        """2u (u.w - d) read off u2 = 2u: u2.w is exactly 2 u.w, so halving it gives u.w."""
-        u2, d = ready
-        t = np.einsum("...m,...m->...", u2, w_rows)
-        t *= 0.5
+        t = np.einsum("...m,...m->...", u, w_rows)
         t -= d
-        return np.multiply(u2, t[..., None], out=out)
+        t *= 2.0
+        return np.multiply(u, t[..., None], out=out)
 
     def noise_covariance(self, at):
         """Gaussian-regressor closed form, exact at any evaluation point."""
@@ -336,12 +312,14 @@ class LogisticCost(CostModel):
     """Regularized logistic loss over a streaming label/feature source.
 
     The expected loss (rho / 2) ||w||^2 + E ln(1 + exp(-gamma h.w)) has no
-    closed-form gradient, so ``true_gradient``, ``hessian``, ``true_loss``
+    closed-form gradient, so ``true_gradient``, ``gradient_and_hessian``
     and ``noise_covariance`` are sample averages over a fixed internal
     design of ``eval_samples`` draws (seeded by ``eval_seed``), which keeps
-    them deterministic. The design is held as signed features s = gamma h
-    and drawn on first use; a shallow copy of the model shares a design
-    already drawn and keeps one it draws to itself.
+    them deterministic. A sample is one field, the signed features
+    s = gamma h: gamma = +-1 only flips signs, so every product and sum over
+    s has the bits of the same one over gamma and h. The design is drawn on
+    first use; a shallow copy of the model shares a design already drawn
+    and keeps one it draws to itself.
     """
 
     rho: float
@@ -361,14 +339,8 @@ class LogisticCost(CostModel):
 
     @cached_property
     def _design(self) -> np.ndarray:
-        """The evaluation design as signed features s_i = gamma_i h_i, (eval_samples, M).
-
-        It is drawn in place (``draw_batch``, then ``_ready_fields``), and the
-        labels are dropped: gamma = +-1 only flips signs, so every product and
-        sum over s has the bits of the same one over gamma and h.
-        """
-        fields = self.draw_batch(np.random.default_rng(self.eval_seed), self.eval_samples)
-        return self._ready_fields(fields)[0]
+        """The evaluation design: ``draw_batch``'s signed features, (eval_samples, M)."""
+        return self.draw_batch(np.random.default_rng(self.eval_seed), self.eval_samples)[0]
 
     def prefix(self, rows):
         """The same loss over a view of the first ``rows`` rows of this design.
@@ -385,8 +357,8 @@ class LogisticCost(CostModel):
         return z, inv_one_plus_exp(z)
 
     def _loss(self, w, z, sig):
-        """(rho / 2) ||w||^2 + mean ln(1 + exp(-z)), read off the sigmoid s = 1 / (1 + exp(z))
-        as ln(1 + exp(-z)) = -min(z, 0) - log1p(-min(s, 1 - s))."""
+        """(rho / 2) ||w||^2 + mean ln(1 + exp(-z)), read off the sigmoid sig = 1 / (1 + exp(z))
+        as ln(1 + exp(-z)) = -min(z, 0) - log1p(-min(sig, 1 - sig))."""
         m = np.minimum(sig, 1.0 - sig)
         data = np.minimum(z, 0.0).sum() + np.log1p(np.negative(m, out=m), out=m).sum()
         return float(0.5 * self.rho * (w @ w) - data / z.shape[0])
@@ -399,22 +371,17 @@ class LogisticCost(CostModel):
         signed = self._design
         return (signed * weights[:, None]).T @ signed / signed.shape[0]
 
-    def _hessian(self, sig):
-        return self.rho * np.eye(self.dimension) + self._weighted_gram(sig * (1.0 - sig))
-
     def true_gradient(self, w):
         w = np.asarray(w, dtype=float)
         return self._gradient(w, self._design_pass(w)[1])
-
-    def hessian(self, w):
-        return self._hessian(self._design_pass(np.asarray(w, dtype=float))[1])
 
     def gradient_and_hessian(self, w):
         w = np.asarray(w, dtype=float)
         z, sig = self._design_pass(w)
         loss = self._loss(w, z, sig)
         del z  # the loss's temporaries are gone before the Gram product
-        return loss, self._gradient(w, sig), self._hessian(sig)
+        hessian = self.rho * np.eye(self.dimension) + self._weighted_gram(sig * (1.0 - sig))
+        return loss, self._gradient(w, sig), hessian
 
     def separated_by(self, w):
         return self.rho == 0 and bool((self._design_pass(np.asarray(w, dtype=float))[0] > 0).all())
@@ -430,31 +397,25 @@ class LogisticCost(CostModel):
         mean = sig @ self._design / sig.shape[0]
         return self._weighted_gram(sig * sig) - np.outer(mean, mean)
 
-    def true_loss(self, w):
-        w = np.asarray(w, dtype=float)
-        return self._loss(w, *self._design_pass(w))
-
     @property
     def field_shapes(self):
-        return (), (self.dimension,)
+        return ((self.dimension,),)
 
     def draw_into(self, rngs, fields):
-        self.sampler.draw_into(rngs, *fields)
+        """The sampler's labels gamma and features h, multiplied into s = gamma h in place."""
+        (signed,) = fields
+        gamma = np.empty(signed.shape[:-1])
+        self.sampler.draw_into(rngs, gamma, signed)
+        np.multiply(signed, gamma[..., None], out=signed)
 
     def sample_loss(self, w, sample):
-        gamma, h = sample
+        (signed,) = sample
         w = np.asarray(w, dtype=float)
-        return float(0.5 * self.rho * (w @ w) + np.logaddexp(0.0, -gamma * (h @ w)))
+        return float(0.5 * self.rho * (w @ w) + np.logaddexp(0.0, -(signed @ w)))
 
-    def _ready_fields(self, fields):
-        gamma, h = fields
-        np.multiply(h, gamma[..., None], out=h)
-        return (h,)
-
-    def _ready_gradient(self, w_rows, ready, out=None, rho=None):
-        """Data term -gamma h / (1 + exp(gamma h.w)) plus the regularizer rho w, read off
-        the signed features gamma h: gamma = +-1 only flips signs, which round alike."""
-        (signed,) = ready
+    def gradient_rows(self, w_rows, fields, out=None, rho=None):
+        """Data term -s / (1 + exp(s.w)) plus the regularizer rho w, over signed features s."""
+        (signed,) = fields
         sig = inv_one_plus_exp(np.einsum("...m,...m->...", signed, w_rows))[..., None]
         grad = np.multiply(np.negative(sig), signed, out=out)
         grad += (self.rho if rho is None else rho) * w_rows
@@ -494,14 +455,8 @@ class ZeroedObservations(CostModel):
     def true_gradient(self, w):
         return self.inner.true_gradient(w)
 
-    def hessian(self, w):
-        return self.inner.hessian(w)
-
     def gradient_and_hessian(self, w):
         return self.inner.gradient_and_hessian(w)
-
-    def true_loss(self, w):
-        return self.inner.true_loss(w)
 
     def separated_by(self, w):
         return self.inner.separated_by(w)
@@ -518,11 +473,8 @@ class ZeroedObservations(CostModel):
     def sample_loss(self, w, sample):
         return self.inner.sample_loss(w, sample)
 
-    def _ready_fields(self, fields):
-        return self.inner._ready_fields(fields)
-
-    def _ready_gradient(self, w_rows, ready, out=None, **params):
-        return self.inner._ready_gradient(w_rows, ready, out, **params)
+    def gradient_rows(self, w_rows, fields, out=None, **params):
+        return self.inner.gradient_rows(w_rows, fields, out, **params)
 
     def noise_covariance(self, at):
         """outer(d, d): every sample gives the same zero-data gradient, d away from the true one."""

@@ -11,12 +11,13 @@ and a single run never depends on how many others execute alongside it.
 
 Each stream draws blocks of _BLOCK samples straight into the kernel's
 per-kind (runs, agents, _BLOCK, ...) field buffers through the cost model's
-``draw_into``; the kernel makes the fields gradient-ready in place once per
-block. The constant-Hessian linear model of ``run_paired_long_term`` is
-no second recursion: its errors are stacked under the iterates and go
-through the same adapt and combine. Divergence of either is checked once
-every _CHECK_EVERY rounds, over a reused buffer of those rounds' states,
-and reported as a check after every round would report it.
+``draw_into``, and each round's ``gradient_rows`` call reads the drawn
+fields as they are. The constant-Hessian linear model of
+``run_paired_long_term`` is no second recursion: its errors are stacked
+under the iterates and go through the same adapt and combine. Divergence
+of either is checked once every _CHECK_EVERY rounds, over a reused buffer
+of those rounds' states, and reported as a check after every round would
+report it.
 """
 from __future__ import annotations
 
@@ -110,13 +111,14 @@ class _Kernel:
     The rows are the runs' iterates, followed, for ``run_paired_long_term``,
     by the errors of each run's linear model; one adapt and one combine
     advance them all. Agents whose models share a gradient formula form one
-    kind. Each step makes one ``_ready_gradient`` call per kind and passes
+    kind. Each step makes one ``gradient_rows`` call per kind and passes
     the per-agent parameters as arrays that broadcast over runs; a kind
     whose agents are neighbours writes its gradients straight into the
     round's gradient array, any other kind is scattered into it. A kind's
     samples sit in one (runs, agents of the kind, _BLOCK, ...) buffer per
     field, so that each (run, agent) stream fills one contiguous piece, and
-    each round reads the sample at one position of the block axis. Every
+    each round reads the sample at one position of the block axis, as
+    ``draw_into`` wrote it. Every
     _CHECK_EVERY rounds the states of those rounds, kept in one reused
     buffer, are checked for divergence at once.
     """
@@ -145,30 +147,23 @@ class _Kernel:
             index = slice(agents[0], agents[-1] + 1) if contiguous else np.array(agents)
             self.kinds.append((index, sources[0], params, agents))
 
-    def draw(self, streams, buffers) -> list:
-        """Refill each kind's ``buffers`` with one block of samples per (run, agent).
-
-        Agent k of run r draws from ``streams[k][r]``. Returns each kind's
-        gradient-ready fields, made in place in its buffers and viewed with
-        the block axis first.
-        """
-        ready = []
-        for (_, source, _, agents), fields in zip(self.kinds, buffers):
+    def draw(self, streams, buffers) -> None:
+        """Refill each kind's ``buffers`` with one block of samples per (run, agent);
+        agent k of run r draws from ``streams[k][r]``."""
+        for (*_, agents), fields in zip(self.kinds, buffers):
             for at, k in enumerate(agents):
                 self.models[k].draw_into(streams[k], [f[:, at] for f in fields])
-            ready.append([np.moveaxis(f, 2, 0) for f in source._ready_fields(fields)])
-        return ready
 
-    def gradients(self, w: np.ndarray, ready, j, out: np.ndarray) -> None:
+    def gradients(self, w: np.ndarray, samples, j, out: np.ndarray) -> None:
         """Stochastic gradients at points ``w`` (..., N, M) on sample ``j`` into ``out``;
-        ``j = slice(None)`` takes the whole block, on a leading axis of ``out``."""
-        for (agents, source, params, _), fields in zip(self.kinds, ready):
+        ``j = slice(None)`` takes the whole block, on a leading axis of ``out``.
+        ``samples`` are each kind's fields viewed with the block axis first."""
+        for (agents, source, params, _), fields in zip(self.kinds, samples):
             sample = [f[j] for f in fields]
             if isinstance(agents, slice):
-                source._ready_gradient(w[..., agents, :], sample, out=out[..., agents, :],
-                                       **params)
+                source.gradient_rows(w[..., agents, :], sample, out=out[..., agents, :], **params)
             else:
-                out[..., agents, :] = source._ready_gradient(w[..., agents, :], sample, **params)
+                out[..., agents, :] = source.gradient_rows(w[..., agents, :], sample, **params)
 
     def run(
         self, limit_points, iterations, n_runs, seed, stride, *, w_init=None,
@@ -192,6 +187,8 @@ class _Kernel:
         n, m, wt = self.n, self.m, self.weights_t
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
         limit_points = np.asarray(limit_points, dtype=float)
         if limit_points.shape != (n, m):
             raise DimensionMismatch(
@@ -203,6 +200,7 @@ class _Kernel:
                   for shape in self.models[agents[0]].field_shapes)
             for *_, agents in self.kinds
         ]
+        samples = [[np.moveaxis(f, 2, 0) for f in fields] for fields in buffers]
         rec_iters = recorded_iterations(iterations, stride)
         n_rec = rec_iters.shape[0]
         # a block of _BLOCK rounds makes at most ceil(_BLOCK / stride) records;
@@ -211,6 +209,9 @@ class _Kernel:
         sq_error = np.empty((n_runs, n_rec, n)) if records is None else None
         iterates = np.empty((n_runs, n_rec, n, m)) if record_iterates else None
         tail_from = n_rec if burn_in_fraction is None else int(np.floor(burn_in_fraction * n_rec))
+        if burn_in_fraction is not None and tail_from == n_rec:
+            raise InsufficientData(f"{n_rec} records ({iterations} iterations at stride "
+                                   f"{stride}) leave none after burn-in")
         # running sums after burn-in, added in record order
         tail = np.zeros((n_runs, n, m))
         sq_tail = np.zeros((n_runs, n))
@@ -250,16 +251,16 @@ class _Kernel:
         for start in range(0, iterations, _BLOCK):
             if start // stride > sent:
                 hand_over(start // stride)
-            ready = self.draw(streams, buffers)
+            self.draw(streams, buffers)
             if noise_at == "limit_point":
                 # at the fixed limit points the gradient depends only on the sample
-                self.gradients(limit_points, ready, slice(None), limit_grads)
+                self.gradients(limit_points, samples, slice(None), limit_grads)
             # past a divergence the recursion runs on to the end of its check interval,
             # and every value it computes there is dropped
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(start, min(start + _BLOCK, iterations)):
                     j = i - start
-                    self.gradients(x, ready, j, ghat_x)
+                    self.gradients(x, samples, j, ghat_x)
                     if noise_at is not None:
                         # The linear model steps along H err - (noise - bias), where noise - bias
                         # is ghat(lp) at the limit point and ghat(x) - grad J(x) + grad J(lp) at x.
@@ -374,9 +375,8 @@ def long_term_state(models: list[CostModel], limit_points: np.ndarray):
     """(hessians (N, M, M), bias (N, M)) of the linear model, frozen at the limit points;
     bias_k is the negated true gradient there."""
     limit_points = np.asarray(limit_points, dtype=float)
-    hessians = np.array([model.hessian(p) for model, p in zip(models, limit_points)])
-    bias = -np.array([model.true_gradient(p) for model, p in zip(models, limit_points)])
-    return hessians, bias
+    parts = [model.gradient_and_hessian(p) for model, p in zip(models, limit_points)]
+    return np.array([hess for *_, hess in parts]), -np.array([grad for _, grad, _ in parts])
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,9 +445,16 @@ def estimate_msd(
         raise InsufficientData("MSD estimation needs at least 2 runs")
     if not 0.0 <= burn_in_fraction < 1.0:
         raise ValueError("burn_in_fraction must lie in [0, 1)")
+    if any(traj.sq_error is None for traj in trajectories):
+        raise InsufficientData(
+            "the trajectories streamed their squared errors (sq_error is None); "
+            "estimate the MSD from their tail means with msd_from_tails"
+        )
     t = trajectories[0].sq_error.shape[0]
     if any(traj.sq_error.shape != trajectories[0].sq_error.shape for traj in trajectories):
         raise DimensionMismatch("trajectories have inconsistent shapes")
+    if t == 0:
+        raise InsufficientData("MSD estimation needs at least 1 record per run")
     start = int(np.floor(burn_in_fraction * t))
     # cumsum adds row after row; a plain sum adds a single column pairwise
     return msd_from_tails(

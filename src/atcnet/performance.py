@@ -142,7 +142,7 @@ def pareto_solve(models: list[CostModel], q: np.ndarray, return_hessians: bool =
         if all(model.separated_by(w) for model in models):
             raise NoMinimizer(0)
         return (w, hessians) if return_hessians else w
-    return (w, [model.hessian(w) for model in models]) if return_hessians else w
+    return (w, [model.gradient_and_hessian(w)[2] for model in models]) if return_hessians else w
 
 
 def _members(models, members):
@@ -255,7 +255,7 @@ def theoretical_msd(
             star, sub_hessians = _solve(sub_models, members, q)
         else:
             star = np.atleast_1d(np.asarray(w_stars[s], dtype=float))
-            sub_hessians = [model.hessian(star) for model in sub_models]
+            sub_hessians = [model.gradient_and_hessian(star)[2] for model in sub_models]
         covariances = [model.noise_covariance(star) for model in sub_models]
         msd = msd_subnetwork(q, sub_hessians, covariances)
         msd_values.append(msd)

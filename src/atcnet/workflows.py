@@ -24,7 +24,7 @@ import numpy as np
 
 from . import engine, influence, performance
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientData
 from .topology import NetworkPartition, classify
 
 _CSV_CHUNK_ROWS = 1 << 16
@@ -421,8 +421,14 @@ def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Pa
     """Write per-run CSVs, the aggregate learning curve and summary.json.
 
     The trajectories must have kept their squared errors, as ``simulate``
-    without ``out_dir`` does.
+    without ``out_dir`` does; streamed ones raise ``InsufficientData``
+    before any file is made.
     """
+    if any(traj.sq_error is None for traj in result.trajectories):
+        raise InsufficientData(
+            "the trajectories streamed their squared errors (sq_error is None); "
+            "simulate(config, out_dir) writes these files as the runs go"
+        )
     out_dir = Path(out_dir)
     stride = int(result.trajectories[0].iterations[0])  # the first record follows `stride` rounds
     writer = _CsvWriter(out_dir, len(result.trajectories), stride)

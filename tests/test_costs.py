@@ -22,12 +22,12 @@ def make_logistic(rho=0.1, eval_samples=200000):
 class TestLogisticGradient:
     def test_midpoint_at_origin(self):
         h = np.array([1.0, 0.0])
-        g = make_logistic(rho=0.0).gradient_rows(np.zeros(2), (1.0, h))
+        g = make_logistic(rho=0.0).gradient_rows(np.zeros(2), (h,))
         assert g == pytest.approx([-0.5, 0.0], abs=1e-15)
 
     def test_regularizer_vanishes_at_origin(self):
         h = np.array([0.3, -2.0])
-        g = make_logistic(rho=1.0).gradient_rows(np.zeros(2), (-1.0, h))
+        g = make_logistic(rho=1.0).gradient_rows(np.zeros(2), (-h,))
         assert g == pytest.approx(0.5 * h, abs=1e-15)
 
     def test_saturated_sample_matches_finite_differences(self):
@@ -35,16 +35,16 @@ class TestLogisticGradient:
         w = np.array([10.0, 0.0])
         h = np.array([1.0, 0.0])
         model = make_logistic(rho=0.0)
-        sample = (1.0, h)
+        sample = (h,)
         analytic = model.gradient_rows(w, sample)
         numeric = finite_difference_gradient(lambda v: model.sample_loss(v, sample), w)
         assert np.abs(analytic - numeric).max() <= 1e-6 * max(np.abs(numeric).max(), 1e-9)
 
     def test_no_overflow_for_huge_margins(self):
         model = make_logistic(rho=0.0)
-        g = model.gradient_rows(np.array([1000.0]), (1.0, np.array([1.0])))
+        g = model.gradient_rows(np.array([1000.0]), (np.array([1.0]),))
         assert np.isfinite(g).all()
-        g = model.gradient_rows(np.array([-1000.0]), (1.0, np.array([1.0])))
+        g = model.gradient_rows(np.array([-1000.0]), (np.array([1.0]),))
         assert np.isfinite(g).all()
 
     def test_stable_sigmoid_extremes(self):
@@ -60,7 +60,7 @@ class TestFiniteDifferenceGradient:
 
     def test_quadratic_true_loss_flat_at_minimizer(self):
         model = QuadraticCost(r_u=1.0, sigma_v2=0.3, w_o=[1.0, -2.0])
-        got = finite_difference_gradient(model.true_loss, model.w_o)
+        got = finite_difference_gradient(lambda w: model.gradient_and_hessian(w)[0], model.w_o)
         assert np.abs(got).max() < 1e-8
 
     def test_gradient_consistency_both_models(self):
@@ -87,8 +87,8 @@ class TestQuadraticCost:
     def test_hessian_is_constant_twice_covariance(self):
         r = np.array([[2.0, 0.3], [0.3, 1.0]])
         model = QuadraticCost(r_u=r, sigma_v2=0.1, w_o=[0.0, 0.0])
-        assert np.array_equal(model.hessian([0.0, 0.0]), 2.0 * r)
-        assert np.array_equal(model.hessian([5.0, -3.0]), 2.0 * r)
+        assert np.array_equal(model.gradient_and_hessian([0.0, 0.0])[2], 2.0 * r)
+        assert np.array_equal(model.gradient_and_hessian([5.0, -3.0])[2], 2.0 * r)
 
     def test_scalar_r_u_becomes_identity_multiple(self):
         model = QuadraticCost(r_u=3.0, sigma_v2=0.0, w_o=[0.0, 0.0, 0.0])
@@ -114,8 +114,8 @@ class TestQuadraticCost:
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_gradients_keep_the_textbook_bits(m):
-    """Gradient-ready fields (2u; gamma h) give the bits of the plain formulas,
-    signed zeros included: rows with u, d, h, gamma or w at +-0.0 are mixed in."""
+    """The drawn fields ((u, d); the signed features gamma h) give the bits of the plain
+    formulas, signed zeros included: rows with u, d, h, gamma or w at +-0.0 are mixed in."""
     rng = np.random.default_rng(m)
     u, h, w = (rng.normal(size=(40, m)) for _ in range(3))
     d = rng.normal(size=40)
@@ -129,7 +129,7 @@ def test_gradients_keep_the_textbook_bits(m):
     logistic = LogisticCost(rho=0.3, sampler=TwoClassGaussianSampler(np.ones(m), -np.ones(m)))
     z = gamma * dot(h, w)
     reference = -(gamma * inv_one_plus_exp(z))[..., None] * h + 0.3 * w
-    assert logistic.gradient_rows(w, (gamma, h)).tobytes() == reference.tobytes()
+    assert logistic.gradient_rows(w, (gamma[:, None] * h,)).tobytes() == reference.tobytes()
 
 
 def sampled_covariance(model, point, batch):
@@ -143,7 +143,11 @@ def fresh_covariance(model, point, n, seed):
 
 
 def test_every_model_must_give_its_noise_covariance():
-    assert "noise_covariance" in CostModel.__abstractmethods__
+    """It is one of the seven abstract entry points, one per job; the set is pinned whole."""
+    assert CostModel.__abstractmethods__ == {
+        "draw_into", "field_shapes", "gradient_and_hessian", "gradient_rows",
+        "noise_covariance", "sample_loss", "true_gradient",
+    }
 
 
 class TestNoiseCovariance:
@@ -196,8 +200,8 @@ class TestLogisticNoiseCovariance:
 
     def test_equals_the_one_shot_covariance_over_its_design(self):
         model = self.model()
-        design = model.sampler.draw(np.random.default_rng(model.eval_seed), model.eval_samples)
-        exact = sampled_covariance(model, self.point, design)
+        gamma, h = model.sampler.draw(np.random.default_rng(model.eval_seed), model.eval_samples)
+        exact = sampled_covariance(model, self.point, (gamma[:, None] * h,))
         got = model.noise_covariance(self.point)
         assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -216,18 +220,18 @@ class TestLogisticNoiseCovariance:
 class TestHessians:
     def test_quadratic_identity_covariance(self):
         model = QuadraticCost(r_u=2.0, sigma_v2=0.0, w_o=[0.0, 0.0])
-        assert np.array_equal(model.hessian([0.0, 0.0]), 4.0 * np.eye(2))
+        assert np.array_equal(model.gradient_and_hessian([0.0, 0.0])[2], 4.0 * np.eye(2))
 
     def test_logistic_quarter_curvature_at_origin(self):
         model = make_logistic(rho=0.1)
         gamma, h = model.sampler.draw(np.random.default_rng(model.eval_seed), model.eval_samples)
         expected = 0.1 * np.eye(2) + 0.25 * h.T @ h / h.shape[0]
-        assert np.abs(model.hessian(np.zeros(2)) - expected).max() < 1e-12
+        assert np.abs(model.gradient_and_hessian(np.zeros(2))[2] - expected).max() < 1e-12
 
     def test_logistic_hessian_against_gradient_differences(self):
         model = make_logistic(rho=0.05)
         w = np.array([0.2, -0.4])
-        hess = model.hessian(w)
+        hess = model.gradient_and_hessian(w)[2]
         eps = 1e-5
         for i in range(2):
             step = np.zeros(2)
@@ -239,7 +243,7 @@ class TestHessians:
         quad = QuadraticCost(r_u=[[1.0, 0.3], [0.3, 2.0]], sigma_v2=0.1, w_o=[0.0, 0.0])
         logi = make_logistic()
         for model, point in ((quad, [0.7, -0.2]), (logi, [0.5, 0.5])):
-            h = model.hessian(np.asarray(point))
+            h = model.gradient_and_hessian(np.asarray(point))[2]
             assert np.abs(h - h.T).max() <= 1e-10
 
 

@@ -95,6 +95,19 @@ class TestRun:
         tail = np.mean([t.iterates[-1000:].mean(axis=0) for t in runs], axis=0)
         assert np.abs(tail - lp).max() < 0.02
 
+    def test_stride_below_one_rejected(self, two_agent_setup):
+        a, models, steps = two_agent_setup
+        with pytest.raises(ValueError, match="stride"):
+            an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=10, n_runs=1,
+                            master_seed=0, stride=0)
+
+    def test_burn_in_over_no_records_is_insufficient(self, two_agent_setup):
+        # stride > iterations records nothing: no tail to average, rather than 0 / 0
+        a, models, steps = two_agent_setup
+        with pytest.raises(InsufficientData, match="0 records"):
+            an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=5, n_runs=2,
+                            master_seed=0, stride=10, burn_in_fraction=0.5)
+
     def test_divergence_reports_run(self, two_agent):
         models = quad_models([[1.0], [1.0]], sigma_v2=0.0, r_u=100.0)
         steps = an.StepSizeProfile(1.0, [1.0, 1.0])
@@ -190,6 +203,18 @@ class TestEstimateMsd:
         with pytest.raises(InsufficientData):
             an.estimate_msd([traj])
 
+    def test_zero_records_are_insufficient(self):
+        traj = engine.Trajectory(iterations=np.arange(0), sq_error=np.empty((0, 2)), iterates=None)
+        with pytest.raises(InsufficientData, match="record"):
+            an.estimate_msd([traj, traj])
+
+    def test_streamed_trajectories_are_insufficient(self, two_agent_setup):
+        a, models, steps = two_agent_setup
+        runs = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=2,
+                               master_seed=1, records=lambda rows: None)
+        with pytest.raises(InsufficientData, match="streamed"):
+            an.estimate_msd(runs)
+
     def test_extreme_burn_in_uses_last_sample(self):
         values = np.arange(100, dtype=float).reshape(100, 1)
         def traj(run):
@@ -226,3 +251,14 @@ class TestTrajectoryCsv:
         first = lines[1].split(",")
         assert first[0] == "10" and first[1] == "0"
         assert float(first[2]) == traj.sq_error[0, 0]
+
+    def test_streamed_trajectories_write_no_file(self, two_agent_setup, tmp_path):
+        a, models, steps = two_agent_setup
+        runs = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=2,
+                               master_seed=1, records=lambda rows: None)
+        result = workflows.SimulationResult(
+            partition=None, limit_points=None, trajectories=runs, estimate=None, payload={}
+        )
+        with pytest.raises(InsufficientData, match="streamed"):
+            workflows.write_simulation_outputs(result, tmp_path / "out")
+        assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in it (no linter runs on the package)."""
+"""Every name a module of the package imports is used in it, and every private name it
+defines is used in the package (no linter runs on the package)."""
 import ast
 from pathlib import Path
 
@@ -17,3 +18,36 @@ def test_every_import_is_used(path):
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
             imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
     assert imported <= used, f"imported but never used: {sorted(imported - used)}"
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_private_name_is_used():
+    """Each private function, class, method and module constant is read somewhere in the
+    package: as a name, an attribute, an imported name or a string such as a ``__dict__`` key."""
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and is_private(name.id):
+                            defined.setdefault(name.id, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if is_private(node.name):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unused = {name: where for name, where in defined.items() if name not in read}
+    assert not unused, f"private names defined but never used: {unused}"

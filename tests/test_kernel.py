@@ -365,15 +365,14 @@ class TestSampling:
         sampler = TwoClassGaussianSampler([1.0, 0.5, -0.2], [-1.0, -0.5, 0.3],
                                           cov=[[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.4]],
                                           p_pos=0.3)
-        gamma, h = self.fill(LogisticCost(rho=0.1, sampler=sampler))
+        (signed,) = self.fill(LogisticCost(rho=0.1, sampler=sampler))
         chol = np.linalg.cholesky(sampler.cov)
         for r in range(self.RUNS):
             rng = np.random.default_rng([4, r])
             ref_gamma = np.where(rng.random(self.N) < sampler.p_pos, 1.0, -1.0)
             means = np.where(ref_gamma[:, None] > 0, sampler.mean_pos, sampler.mean_neg)
             ref_h = means + rng.standard_normal((self.N, 3)) @ chol.T
-            assert gamma[r].tobytes() == ref_gamma.tobytes()
-            assert h[r].tobytes() == ref_h.tobytes()
+            assert signed[r].tobytes() == (ref_gamma[:, None] * ref_h).tobytes()
 
     @pytest.mark.parametrize("model", [
         QuadraticCost(r_u=[[1.0, 0.3], [0.3, 2.0]], sigma_v2=0.2, w_o=[1.0, -1.0]),

@@ -133,10 +133,8 @@ def test_msd_within_newton_tolerance_of_cold_start(two_agent_msd_payload):
 )
 def test_gradient_and_hessian_match_separate_calls(model):
     w = np.linspace(-0.3, 0.4, model.dimension)
-    loss, grad, hess = model.gradient_and_hessian(w)
-    assert loss == model.true_loss(w)
+    grad = model.gradient_and_hessian(w)[1]
     assert np.array_equal(grad, model.true_gradient(w))
-    assert np.array_equal(hess, model.hessian(w))
 
 
 @pytest.mark.parametrize("scale", [1.0, 30.0, 1e3])
@@ -146,7 +144,7 @@ def test_loss_read_off_the_sigmoid_matches_logaddexp(scale):
     gamma, h = model.sampler.draw(np.random.default_rng(model.eval_seed), model.eval_samples)
     w = scale * np.linspace(-0.3, 0.4, model.dimension)
     direct = 0.5 * model.rho * (w @ w) + np.logaddexp(0.0, -gamma * (h @ w)).mean()
-    assert model.true_loss(w) == pytest.approx(direct, rel=1e-14)
+    assert model.gradient_and_hessian(w)[0] == pytest.approx(direct, rel=1e-14)
 
 
 def count_design_passes(monkeypatch, log):
@@ -229,7 +227,8 @@ def cold_newton(models, q):
         grad = sum(qk * m.true_gradient(w) for qk, m in zip(q, models))
         if np.abs(grad).max() < 1e-12:
             return w
-        w = w - np.linalg.solve(sum(qk * m.hessian(w) for qk, m in zip(q, models)), grad)
+        hess = sum(qk * m.gradient_and_hessian(w)[2] for qk, m in zip(q, models))
+        w = w - np.linalg.solve(hess, grad)
     raise AssertionError("reference Newton did not converge")
 
 

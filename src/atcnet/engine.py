@@ -18,9 +18,16 @@ under the iterates and go through the same adapt and combine. Divergence
 of either is checked once every _CHECK_EVERY rounds, over a reused buffer
 of those rounds' states, and reported as a check after every round would
 report it.
+
+The kernel hands over the states it records, a sample block at a time,
+and ``_measure`` turns them into squared errors against the limit points
+and record-order tail sums. The runs themselves never read the limit
+points, so ``estimate_ensemble`` can start them before the points are
+known and keep the states after the burn-in until they come.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +125,11 @@ class _Kernel:
     samples sit in one (runs, agents of the kind, _BLOCK, ...) buffer per
     field, so that each (run, agent) stream fills one contiguous piece, and
     each round reads the sample at one position of the block axis, as
-    ``draw_into`` wrote it. Every
-    _CHECK_EVERY rounds the states of those rounds, kept in one reused
-    buffer, are checked for divergence at once.
+    ``draw_into`` wrote it. Every _CHECK_EVERY rounds the states of those
+    rounds, kept in one reused buffer, are checked for divergence at once.
+    Every recorded state is copied into one reused record buffer, which is
+    handed over a sample block at a time; ``_measure`` turns it into
+    squared errors and tail sums.
     """
 
     def __init__(self, a: CombinationMatrix, models, step_sizes: StepSizeProfile):
@@ -147,6 +156,20 @@ class _Kernel:
             index = slice(agents[0], agents[-1] + 1) if contiguous else np.array(agents)
             self.kinds.append((index, sources[0], params, agents))
 
+    def points(self, limit_points) -> np.ndarray:
+        """``limit_points`` as an (N, M) float array; any other shape raises DimensionMismatch."""
+        limit_points = np.asarray(limit_points, dtype=float)
+        if limit_points.shape != (self.n, self.m):
+            raise DimensionMismatch(
+                f"limit points have shape {limit_points.shape}, expected {(self.n, self.m)}"
+            )
+        return limit_points
+
+    def sample_bytes(self, n_runs: int) -> int:
+        """Bytes of the sample buffers that ``run`` fills for ``n_runs`` runs."""
+        floats = sum(math.prod(shape) for model in self.models for shape in model.field_shapes)
+        return 8 * n_runs * _BLOCK * floats
+
     def draw(self, streams, buffers) -> None:
         """Refill each kind's ``buffers`` with one block of samples per (run, agent);
         agent k of run r draws from ``streams[k][r]``."""
@@ -166,18 +189,19 @@ class _Kernel:
                 out[..., agents, :] = source.gradient_rows(w[..., agents, :], sample, **params)
 
     def run(
-        self, limit_points, iterations, n_runs, seed, stride, *, w_init=None,
-        record_iterates=False, burn_in_fraction=None, noise_at=None, records=None,
-    ) -> dict:
-        """Iterate from ``w_init`` over independent (seed, run, agent) streams.
+        self, iterations, n_runs, seed, stride, states, *, w_init=None, noise_at=None,
+        limit_points=None,
+    ):
+        """Iterate from ``w_init`` (zero by default) over independent (seed, run, agent) streams.
 
-        Returns read-only records with runs on the first axis. With
-        ``noise_at`` set, the errors of the linear model of
-        ``run_paired_long_term`` are stacked under the iterates and advance
-        with them. The squared errors go into one block buffer that is
-        handed over at each sample-block boundary and once at the end: to
-        ``records`` when given, as a (runs, records, N) view valid only until
-        the call returns, and otherwise into the returned ``sq_error``.
+        The state after every ``stride``-th round goes into one record
+        buffer. ``states`` receives it at each sample-block boundary and once
+        at the end, as a (records, rows, N, M) view of the records made since
+        its previous call; the view is valid only until the call returns,
+        and the call may overwrite it. The rows are the runs' iterates and,
+        with ``noise_at`` set, under them the errors of the linear model of
+        ``run_paired_long_term`` around ``limit_points``; then each run's
+        largest gap between the two errors, over every round, is returned.
 
         A diverging run, or linear model, goes on to the end of its check
         interval, where the first entry beyond the threshold raises
@@ -185,43 +209,24 @@ class _Kernel:
         overflows raise no warning.
         """
         n, m, wt = self.n, self.m, self.weights_t
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        limit_points = np.asarray(limit_points, dtype=float)
-        if limit_points.shape != (n, m):
-            raise DimensionMismatch(
-                f"limit points have shape {limit_points.shape}, expected {(n, m)}"
-            )
-        streams = [[np.random.default_rng([seed, r, k]) for r in range(n_runs)] for k in range(n)]
+        # the buffers come before the streams, so that far too many runs fail at once
         buffers = [
             tuple(np.empty((n_runs, len(agents), _BLOCK) + shape)
                   for shape in self.models[agents[0]].field_shapes)
             for *_, agents in self.kinds
         ]
         samples = [[np.moveaxis(f, 2, 0) for f in fields] for fields in buffers]
-        rec_iters = recorded_iterations(iterations, stride)
-        n_rec = rec_iters.shape[0]
-        # a block of _BLOCK rounds makes at most ceil(_BLOCK / stride) records;
-        # records lead, so the records of a block are one contiguous piece
-        block = np.empty((-(-_BLOCK // stride), n_runs, n))
-        sq_error = np.empty((n_runs, n_rec, n)) if records is None else None
-        iterates = np.empty((n_runs, n_rec, n, m)) if record_iterates else None
-        tail_from = n_rec if burn_in_fraction is None else int(np.floor(burn_in_fraction * n_rec))
-        if burn_in_fraction is not None and tail_from == n_rec:
-            raise InsufficientData(f"{n_rec} records ({iterations} iterations at stride "
-                                   f"{stride}) leave none after burn-in")
-        # running sums after burn-in, added in record order
-        tail = np.zeros((n_runs, n, m))
-        sq_tail = np.zeros((n_runs, n))
         # the iterates, and under them the linear model's errors, of the rounds since the
         # last divergence check, and one round's gradients
         n_rows = n_runs if noise_at is None else 2 * n_runs
         checked = np.empty((_CHECK_EVERY, n_rows, n, m))
         grads = np.empty((n_rows, n, m))
+        # a block of _BLOCK rounds makes at most ceil(_BLOCK / stride) records;
+        # records lead, so the records of a block are one contiguous piece
+        block = np.empty((-(-_BLOCK // stride), n_rows, n, m))
         # mu laid out like the gradients: one flat multiply instead of a broadcast one
         mu_rows = np.broadcast_to(self.mu, grads.shape).copy()
+        streams = [[np.random.default_rng([seed, r, k]) for r in range(n_runs)] for k in range(n)]
 
         # views of each slot's iterates and model errors, and of the iterates' gradients;
         # the last slot, which round 0 does not write, holds the initial state
@@ -232,25 +237,15 @@ class _Kernel:
         if noise_at is not None:
             hessians, bias = long_term_state(self.models, limit_points)
             err[:] = limit_points - x
-            sq_model = np.empty((n_runs, n_rec, n))
             max_gap = np.zeros(n_runs)
         if noise_at == "limit_point":
             limit_grads = np.empty((_BLOCK, n_runs, n, m))
 
         sent = 0  # records handed over so far
-
-        def hand_over(upto):
-            nonlocal sent
-            rows = block[: upto - sent].transpose(1, 0, 2)
-            if records is None:
-                sq_error[:, sent:upto] = rows
-            else:
-                records(rows)
-            sent = upto
-
         for start in range(0, iterations, _BLOCK):
             if start // stride > sent:
-                hand_over(start // stride)
+                states(block[: start // stride - sent])
+                sent = start // stride
             self.draw(streams, buffers)
             if noise_at == "limit_point":
                 # at the fixed limit points the gradient depends only on the sample
@@ -285,29 +280,56 @@ class _Kernel:
                             gap = np.abs((limit_points - since[:, :n_runs]) - since[:, n_runs:])
                             np.maximum(max_gap, gap.max(axis=(0, 2, 3)), out=max_gap)
                     if (i + 1) % stride == 0:
-                        rec_at = i // stride
-                        diff = x - limit_points
-                        row = block[rec_at - sent]
-                        row[:] = np.einsum("rkm,rkm->rk", diff, diff)
-                        if record_iterates:
-                            iterates[:, rec_at] = x
-                        if rec_at >= tail_from:
-                            tail += x
-                            sq_tail += row
-                        if noise_at is not None:
-                            sq_model[:, rec_at] = np.einsum("rkm,rkm->rk", err, err)
-        if n_rec > sent:
-            hand_over(n_rec)
-        out = {"iterations": rec_iters, "sq_error": sq_error, "iterates": iterates}
-        if burn_in_fraction is not None:
-            out["mean_iterate_tail"] = tail / (n_rec - tail_from)
-            out["mean_sq_error_tail"] = sq_tail / (n_rec - tail_from)
-        if noise_at is not None:
-            out.update(sq_error_model=sq_model, max_state_gap=max_gap)
-        for value in out.values():
-            if value is not None:
-                value.setflags(write=False)
-        return out
+                        block[i // stride - sent] = state
+        if iterations // stride > sent:
+            states(block[: iterations // stride - sent])
+        return max_gap if noise_at is not None else None
+
+
+def _read_only(value):
+    """``value``, an array or None, made read-only."""
+    if value is not None:
+        value.setflags(write=False)
+    return value
+
+
+def _record_counts(iterations: int, stride: int, burn_in_fraction: float | None = None):
+    """(records, first record after the burn-in) of a run, once its controls are checked;
+    without a burn-in no record follows it."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    n_rec = iterations // stride
+    if burn_in_fraction is None:
+        return n_rec, n_rec
+    if not 0.0 <= burn_in_fraction < 1.0:
+        raise ValueError("burn_in_fraction must lie in [0, 1)")
+    tail_from = int(np.floor(burn_in_fraction * n_rec))
+    if tail_from == n_rec:
+        raise InsufficientData(f"{n_rec} records ({iterations} iterations at stride "
+                               f"{stride}) leave none after burn-in")
+    return n_rec, tail_from
+
+
+def _measure(states, limit_points, tail=None, sq_tail=None, skip=0) -> np.ndarray:
+    """Squared errors (records, runs, N) of recorded states (records, runs, N, M) against
+    the limit points.
+
+    The records from ``skip`` on are added, in record order, to the running
+    sums ``tail`` (runs, N, M) of the states and ``sq_tail`` (runs, N) of
+    their squared errors, where given. The errors are taken in place, so
+    ``states`` is overwritten with them.
+    """
+    if tail is not None:
+        for x in states[skip:]:
+            tail += x
+    errors = np.subtract(states, limit_points, out=states)
+    sq = np.einsum("trkm,trkm->trk", errors, errors)
+    if sq_tail is not None:
+        for row in sq[skip:]:
+            sq_tail += row
+    return sq
 
 
 def run_ensemble(
@@ -334,7 +356,7 @@ def run_ensemble(
         Number of synchronous rounds, starting from all-zero iterates.
     stride : int
         Squared errors are recorded after every ``stride``-th round.
-    burn_in_fraction : float, optional
+    burn_in_fraction : float in [0, 1), optional
         When given, each Trajectory carries ``mean_iterate_tail`` and
         ``mean_sq_error_tail``: the means of the recorded iterates and
         squared errors after this fraction of the records, accumulated
@@ -344,31 +366,106 @@ def run_ensemble(
         Called at each 1024-sample block boundary, and once at the end, with
         a (runs, records, N) view of the squared errors recorded since its
         previous call; lets a caller write them out while the runs go on.
-        The view is one reused buffer, valid only until the call returns.
-        With ``records``, the runs keep no squared errors: each
-        Trajectory's ``sq_error`` is None.
+        The view is valid only until the call returns. With ``records``,
+        the runs keep no squared errors: each Trajectory's ``sq_error`` is
+        None.
 
     Returns one Trajectory per run. Deterministic in (master_seed, config).
     """
-    rec = _Kernel(a, models, step_sizes).run(
-        limit_points, iterations, n_runs, master_seed, stride, record_iterates=record_iterates,
-        burn_in_fraction=burn_in_fraction, records=records,
-    )
+    kernel = _Kernel(a, models, step_sizes)
+    limit_points = kernel.points(limit_points)
+    n_rec, tail_from = _record_counts(iterations, stride, burn_in_fraction)
+    sq_error = np.empty((n_runs, n_rec, kernel.n)) if records is None else None
+    iterates = np.empty((n_runs, n_rec, kernel.n, kernel.m)) if record_iterates else None
+    tail, sq_tail = np.zeros((n_runs, kernel.n, kernel.m)), np.zeros((n_runs, kernel.n))
+    done = 0  # records measured so far
 
-    def of_run(name, r):
-        value = rec.get(name)
+    def take(states):
+        nonlocal done
+        upto = done + states.shape[0]
+        if record_iterates:
+            iterates[:, done:upto] = states.transpose(1, 0, 2, 3)
+        sq = _measure(states, limit_points, tail, sq_tail, max(tail_from - done, 0))
+        if records is None:
+            sq_error[:, done:upto] = sq.transpose(1, 0, 2)
+        else:
+            records(sq.transpose(1, 0, 2))
+        done = upto
+
+    kernel.run(iterations, n_runs, master_seed, stride, take)
+    means = (None, None)
+    if burn_in_fraction is not None:
+        means = (tail / (n_rec - tail_from), sq_tail / (n_rec - tail_from))
+    iters = _read_only(recorded_iterations(iterations, stride))
+    sq_error, iterates, tail_mean, sq_tail_mean = map(_read_only, (sq_error, iterates, *means))
+
+    def of_run(value, r):
         return None if value is None else value[r]
 
     return [
         Trajectory(
-            iterations=rec["iterations"],
-            sq_error=of_run("sq_error", r),
-            iterates=of_run("iterates", r),
-            mean_iterate_tail=of_run("mean_iterate_tail", r),
-            mean_sq_error_tail=of_run("mean_sq_error_tail", r),
+            iterations=iters,
+            sq_error=of_run(sq_error, r),
+            iterates=of_run(iterates, r),
+            mean_iterate_tail=of_run(tail_mean, r),
+            mean_sq_error_tail=of_run(sq_tail_mean, r),
         )
         for r in range(n_runs)
     ]
+
+
+def estimate_ensemble(
+    a: CombinationMatrix,
+    models: list[CostModel],
+    step_sizes: StepSizeProfile,
+    limit_points,
+    iterations: int,
+    n_runs: int,
+    master_seed: int,
+    stride: int = DEFAULT_STRIDE,
+    burn_in_fraction: float = DEFAULT_BURN_IN,
+) -> MsdEstimate:
+    """The MSD estimate of the runs of ``run_ensemble``, whose limit points may come late.
+
+    ``limit_points(wait)`` returns the (N, M) limit points. The runs call it
+    at every sample-block boundary, where it may return None while the
+    points are not known yet, and with ``wait`` true when they cannot go on
+    without them; it may raise to stop the runs. Until the points come, the
+    runs keep copies of the recorded states after the burn-in, at most as
+    many bytes as their sample buffers, and then wait for them, so memory
+    does not grow with the run length. The estimate has the bits of
+    ``msd_from_tails`` over ``run_ensemble``'s ``mean_sq_error_tail``.
+    """
+    if n_runs < 2:
+        raise InsufficientData("MSD estimation needs at least 2 runs")
+    kernel = _Kernel(a, models, step_sizes)
+    n_rec, tail_from = _record_counts(iterations, stride, float(burn_in_fraction))
+    bound = kernel.sample_bytes(n_runs)
+    sq_tail = np.zeros((n_runs, kernel.n))
+    held, points, done = [], None, 0
+
+    def settle(wait):
+        nonlocal points
+        given = limit_points(wait)
+        if points is None and given is not None:
+            points = kernel.points(given)
+            for states in held:
+                _measure(states, points, sq_tail=sq_tail)
+            held.clear()
+
+    def take(states):
+        nonlocal done
+        states, done = states[max(tail_from - done, 0):], done + states.shape[0]
+        settle(points is None and sum(h.nbytes for h in held) + states.nbytes > bound)
+        if points is None:
+            held.append(states.copy())
+        else:
+            _measure(states, points, sq_tail=sq_tail)
+
+    kernel.run(iterations, n_runs, master_seed, stride, take)
+    if points is None:
+        settle(True)
+    return msd_from_tails(sq_tail / (n_rec - tail_from))
 
 
 def long_term_state(models: list[CostModel], limit_points: np.ndarray):
@@ -424,11 +521,24 @@ def run_paired_long_term(
     """
     if noise_at not in ("iterate", "limit_point"):
         raise ValueError("noise_at must be 'iterate' or 'limit_point'")
-    rec = _Kernel(a, models, step_sizes).run(
-        limit_points, iterations, n_runs, seed, stride, w_init=w_init, noise_at=noise_at
-    )
-    runs = zip(rec["sq_error"], rec["sq_error_model"], rec["max_state_gap"].tolist())
-    return [PairedRun(rec["iterations"], sq, sq_model, gap) for sq, sq_model, gap in runs]
+    kernel = _Kernel(a, models, step_sizes)
+    limit_points = kernel.points(limit_points)
+    n_rec, _ = _record_counts(iterations, stride)
+    sq_error, sq_model = np.empty((2, n_runs, n_rec, kernel.n))
+    done = 0  # records measured so far
+
+    def take(states):
+        nonlocal done
+        upto = done + states.shape[0]
+        sq_error[:, done:upto] = _measure(states[:, :n_runs], limit_points).transpose(1, 0, 2)
+        sq_model[:, done:upto] = _measure(states[:, n_runs:], 0.0).transpose(1, 0, 2)
+        done = upto
+
+    gaps = kernel.run(iterations, n_runs, seed, stride, take, w_init=w_init, noise_at=noise_at,
+                      limit_points=limit_points)
+    iters = _read_only(recorded_iterations(iterations, stride))
+    runs = zip(_read_only(sq_error), _read_only(sq_model), gaps.tolist())
+    return [PairedRun(iters, sq, sq_m, gap) for sq, sq_m, gap in runs]
 
 
 def estimate_msd(

@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import pickle
 import shutil
 import uuid
 from dataclasses import dataclass, field
@@ -250,9 +251,12 @@ def _discard(rows) -> None:
 def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     """Theoretical MSD report; optionally attach Monte-Carlo comparisons.
 
-    With ``with_sim``, the Monte-Carlo ensemble of ``simulate`` runs after
-    the theory, around the same Pareto and limit points; its run controls
-    are checked before the theory starts.
+    With ``with_sim``, the run controls are checked first; then a spawned
+    worker process (see ``_EnsembleWorker``) starts the Monte-Carlo ensemble
+    of ``simulate`` while this process computes the theory, and measures
+    the runs once it is handed the limit points the theory gives. The
+    worker is started with ``spawn``, so a script calling this with
+    ``with_sim=True`` needs the ``if __name__ == "__main__":`` guard.
     """
     models = list(config.require_models())
     step_sizes = config.require_step_sizes()
@@ -262,8 +266,12 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
             raise ConfigError(
                 "comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs"
             )
-    partition = classify(config.matrix)
-    report = performance.theoretical_msd(partition, models, step_sizes)
+    with _EnsembleWorker(config) if with_sim else contextlib.nullcontext() as worker:
+        partition = classify(config.matrix)
+        report = performance.theoretical_msd(partition, models, step_sizes)
+        if worker is not None:
+            stars = [sub.w_star for sub in report.subnetworks]
+            estimate = worker.estimate(influence.receiving_limit_points(stars, partition))
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -287,9 +295,6 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
         ],
     }
     if with_sim:
-        stars = [sub.w_star for sub in report.subnetworks]
-        lp = influence.receiving_limit_points(stars, partition)
-        estimate = _ensemble(config, lp, records=_discard)[1]
         rows = performance.compare(report, estimate)
         by_agent = {row.agent_id: row for row in rows}
         payload["comparison"] = [
@@ -478,7 +483,59 @@ def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, stride: int)
             conn.send(reply)
 
 
-class _OutputWriter:
+class _Child:
+    """A spawned daemon process running ``target(conn, *args)``, and this end ``conn`` of
+    their pipe.
+
+    The new interpreter imports atcnet before it runs ``target``, so a script
+    that starts one needs the ``if __name__ == "__main__":`` guard. Leaving
+    the ``with`` block closes the pipe and waits for the process.
+    """
+
+    def __init__(self, target, name: str, *args):
+        import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
+
+        ctx = multiprocessing.get_context("spawn")
+        self.conn, child = ctx.Pipe()
+        # Only small values go as arguments: once pickled arguments outgrow the OS
+        # pipe buffer, starting the process blocks until it has imported atcnet.
+        self.process = ctx.Process(target=target, args=(child, *args), name=name, daemon=True)
+        self.process.start()
+        child.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.conn.close()
+        self.process.join()
+
+    def _reply(self):
+        """The process's answer: its result, its error, or an error saying it exited."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self.process.join()
+            return ChildProcessError(f"{self.process.name} exited with code {self.process.exitcode}")
+
+    def _result(self):
+        """The process's result; its error, or one saying it exited, is raised."""
+        reply = self._reply()
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def _send(self, data) -> None:
+        """Send the bytes ``data``; an error the process has already answered with is raised."""
+        if self.conn.poll():  # before its result, the process only speaks to report a failure
+            raise self._reply()
+        try:
+            self.conn.send_bytes(data)
+        except OSError:
+            raise self._reply() from None
+
+
+class _OutputWriter(_Child):
     """A spawned process that writes a simulation's CSVs while its runs go on.
 
     ``send`` is the ``records`` callback of ``engine.run_ensemble``: it sends
@@ -491,53 +548,80 @@ class _OutputWriter:
     """
 
     def __init__(self, out_dir: Path, n_runs: int, n_agents: int, stride: int):
-        import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
-
-        ctx = multiprocessing.get_context("spawn")
-        self.conn, child = ctx.Pipe()
-        # Only sizes go as arguments: once pickled arguments outgrow the OS pipe
-        # buffer, starting the process blocks until it has imported atcnet.
-        self.process = ctx.Process(
-            target=_write_streamed,
-            args=(child, str(out_dir), n_runs, n_agents, stride),
-            name="atcnet-writer",
-            daemon=True,
+        super().__init__(
+            _write_streamed, "atcnet-writer", str(out_dir), n_runs, n_agents, stride
         )
-        self.process.start()
-        child.close()
-
-    def __enter__(self) -> "_OutputWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.conn.close()
-        self.process.join()
-
-    def _reply(self):
-        """The writer's answer: its paths, its error, or an error saying it exited."""
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            self.process.join()
-            return OSError(f"output writer exited with code {self.process.exitcode}")
 
     def send(self, rows: np.ndarray) -> None:
         self._send(np.ascontiguousarray(rows.transpose(1, 0, 2)))
 
-    def _send(self, data) -> None:
-        if self.conn.poll():  # before commit, the writer only speaks to report a failure
-            raise self._reply()
-        try:
-            self.conn.send_bytes(data)
-        except OSError:
-            raise self._reply() from None
-
     def commit(self) -> list[Path]:
         self._send(b"")  # an empty message: the writer moves its files into place
-        reply = self._reply()
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
+        return self._result()
+
+
+def _estimate_ensemble(conn) -> None:
+    """Body of ``_EnsembleWorker``'s process.
+
+    Receives a config on ``conn`` and starts its Monte-Carlo runs at once;
+    the limit points follow on ``conn`` (``engine.estimate_ensemble`` says
+    how the runs wait for them). Answers with the ``MsdEstimate`` or with the
+    exception the runs raised. It returns without an answer on an interrupt
+    (Ctrl-C), and at the next sample block once the pipe closes, as when the
+    parent dies: the runs look at the pipe every block.
+    """
+    try:
+        config = conn.recv()
+        reply = engine.estimate_ensemble(
+            config.matrix,
+            list(config.require_models()),
+            config.require_step_sizes(),
+            # after the limit points the parent sends nothing: the pipe is readable once it closes
+            lambda wait: conn.recv() if wait or conn.poll() else None,
+            iterations=config.require_iterations(),
+            n_runs=config.run.monte_carlo_runs,
+            master_seed=config.run.seed,
+            stride=config.run.stride,
+            burn_in_fraction=config.run.burn_in_fraction,
+        )
+    except (EOFError, KeyboardInterrupt):
+        return
+    except Exception as exc:
+        reply = exc
+    with contextlib.suppress(OSError):
+        conn.send(reply)
+
+
+class _EnsembleWorker(_Child):
+    """A spawned process that runs ``msd``'s Monte-Carlo ensemble while the theory is computed.
+
+    It is handed the config before the theory runs, and the theory draws its
+    logistic designs on copies of the models, so the config goes without
+    them. ``estimate`` hands it the limit points and returns its
+    ``MsdEstimate``, or raises the error the runs raised. Leaving the
+    ``with`` block before ``estimate`` has answered stops the process, so a
+    failure here never waits for the runs.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        super().__init__(_estimate_ensemble, "atcnet-ensemble")
+        self.answered = False
+        try:
+            self._send(pickle.dumps(config))
+        except BaseException:  # a failed send, or Ctrl-C while it waits: no ``with`` stops it
+            self.__exit__()
+            raise
+
+    def __exit__(self, *exc_info) -> None:
+        if not self.answered:
+            self.process.terminate()
+        super().__exit__(*exc_info)
+
+    def estimate(self, lp: np.ndarray) -> engine.MsdEstimate:
+        self._send(pickle.dumps(lp))
+        estimate = self._result()
+        self.answered = True
+        return estimate
 
 
 def human_summary(payload: dict) -> str:

@@ -589,6 +589,40 @@ def _group(pgid: int) -> list[int]:
     return members
 
 
+def _workers(pgid: int) -> list[int]:
+    """The spawned ``multiprocessing`` workers in process group ``pgid``."""
+    workers = []
+    for pid in _group(pgid):
+        try:
+            if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes():
+                workers.append(pid)
+        except OSError:  # the process exited while we looked
+            continue
+    return workers
+
+
+def _cpu_seconds(pid: int) -> float:
+    """User and system CPU time process ``pid`` has used; 0 once it is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return 0.0
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def started_workers(monkeypatch) -> list:
+    """A list to which every ``_EnsembleWorker`` started from now on is appended."""
+    workers = []
+    init = workflows._EnsembleWorker.__init__
+
+    def start(self, config):
+        workers.append(self)
+        init(self, config)
+
+    monkeypatch.setattr(workflows._EnsembleWorker, "__init__", start)
+    return workers
+
+
 def _tree(root: Path) -> dict:
     """Every file (with its bytes) and directory under ``root``."""
     return {
@@ -669,16 +703,66 @@ class TestMsdWorkflow:
 
     @pytest.mark.parametrize("error", [an.errors.NoConvergence(1), KeyboardInterrupt()])
     def test_failed_theory_stops_the_ensemble(self, monkeypatch, error):
-        # the theory comes first, so its failure never waits for the runs
+        # the ensemble starts before the theory; a failing theory stops it instead of
+        # waiting for its 10**6 rounds
+        workers = started_workers(monkeypatch)
+
         def failing(*args, **kwargs):
             raise error
 
-        ensembles = count_calls(monkeypatch, workflows, "_ensemble")
         monkeypatch.setattr(workflows.performance, "theoretical_msd", failing)
         config = parse_config(eight_agent_config(iterations=10**6, stride=100))
         with pytest.raises(type(error)):
             workflows.msd(config, with_sim=True)
-        assert ensembles == []
+        [worker] = workers
+        assert worker.process.exitcode == -signal.SIGTERM
+        assert multiprocessing.active_children() == []
+
+    def test_worker_gets_the_config_without_a_design(self, monkeypatch):
+        # the worker is handed the config before the theory draws any design; the two
+        # 200 000-row designs of two-agent-logistic would pickle to 6.4 MB
+        sent = []
+        send = workflows._Child._send
+        monkeypatch.setattr(workflows._Child, "_send",
+                            lambda self, data: sent.append(len(data)) or send(self, data))
+        preset = load_preset("two-agent-logistic")
+        config = dataclasses.replace(
+            preset, run=dataclasses.replace(preset.run, iterations=300, monte_carlo_runs=2)
+        )
+        workflows.msd(config, with_sim=True)
+        assert len(sent) == 2 and max(sent) < 10_000
+
+    @pytest.mark.parametrize("points", [False, True], ids=["before-points", "after-points"])
+    def test_ensemble_worker_exits_when_its_parent_dies(self, points):
+        # the parent starts a worker on a long run, may hand it limit points, and is killed
+        data = eight_agent_config(iterations=10**7, stride=1000)
+        script = (
+            "import os, pickle, signal, numpy as np\n"
+            "from atcnet import workflows\n"
+            "from atcnet.config import parse_config\n"
+            "if __name__ == '__main__':\n"
+            f"    w = workflows._EnsembleWorker(parse_config({data!r}))\n"
+            f"    if {points}:\n"
+            "        w._send(pickle.dumps(np.ones((8, 1))))\n"
+            "    print(w.process.pid, flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        # the worker keeps the stdout pipe open while it lives, so it is read a line at a time
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        with proc.stdout:
+            worker = int(proc.stdout.readline())
+        assert proc.wait(timeout=120) == -signal.SIGKILL
+        # it has only to start and finish one sample block of 2 runs x 8 agents
+        deadline = time.monotonic() + 20
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = _running(worker)
+        if alive:
+            os.kill(worker, signal.SIGKILL)
+        assert not alive
 
     def test_zero_noise_guarded(self):
         data = eight_agent_config()
@@ -932,16 +1016,71 @@ class TestCli:
         assert cli.main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: atcnet")
 
-    def test_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        message = "Unable to allocate 7.28 TiB for an array with shape (10000000000000,)"
-
-        def no_memory(iterations, stride):
-            raise MemoryError(message)
-
-        monkeypatch.setattr(an.engine, "recorded_iterations", no_memory)
-        argv = ["msd", "--with-sim", "--config", "three-subnetwork-regression"]
-        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    def test_allocation_failure_exit_code(self, tmp_path, capsys):
+        # the worker's first allocation, its runs' tail sums, asks for 10**15 x 8 floats
+        path = self.write_config(tmp_path, eight_agent_config(monte_carlo_runs=10**15))
+        argv = ["msd", "--with-sim", "--config", path, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        message = ("Unable to allocate 56.8 PiB for an array with shape (1000000000000000, 8) "
+                   "and data type float64")
         assert capsys.readouterr().err.splitlines() == [f"out of memory: {message}"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("when", ["theory", "hand-over"])
+    def test_killed_worker_exit_code(self, tmp_path, capsys, monkeypatch, when):
+        # the worker is killed while the theory runs, or once it has the limit points
+        workers = started_workers(monkeypatch)
+
+        def kill_worker():
+            [worker] = workers
+            worker.process.kill()
+            worker.process.join()
+
+        if when == "theory":
+            theory = workflows.performance.theoretical_msd
+            monkeypatch.setattr(workflows.performance, "theoretical_msd",
+                                lambda *args: kill_worker() or theory(*args))
+        else:
+            reply = workflows._EnsembleWorker._reply
+            monkeypatch.setattr(workflows._EnsembleWorker, "_reply",
+                                lambda self: kill_worker() or reply(self))
+        path = self.write_config(tmp_path, eight_agent_config(iterations=10**6, stride=100))
+        argv = ["msd", "--with-sim", "--config", path, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"I/O error: atcnet-ensemble exited with code {-signal.SIGKILL}\n"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
+    def test_interrupted_msd_with_sim_exit_code(self, tmp_path):
+        # Ctrl-C in a terminal sends SIGINT to the whole process group: the CLI and its worker
+        path = self.write_config(tmp_path, eight_agent_config(iterations=10**7, stride=1000))
+        out = tmp_path / "out"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "atcnet.cli", "msd", "--with-sim", "--config", path,
+             "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            # the worker is in its runs once it has used a second of CPU time
+            deadline = time.monotonic() + 60
+            while not any(_cpu_seconds(pid) > 1.0 for pid in _workers(proc.pid)):
+                assert proc.poll() is None and time.monotonic() < deadline, "no worker ran"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert err == "interrupted\n"
+        assert not out.exists()
+        deadline = time.monotonic() + 30
+        while _group(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _group(proc.pid) == []
 
     def test_other_package_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def no_convergence(models, q, return_hessians=False):

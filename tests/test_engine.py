@@ -108,6 +108,18 @@ class TestRun:
             an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=5, n_runs=2,
                             master_seed=0, stride=10, burn_in_fraction=0.5)
 
+    @pytest.mark.parametrize("fraction", [-1.0, 1.5])
+    def test_burn_in_outside_unit_interval_rejected(self, two_agent_setup, fraction):
+        # -1.0 once summed every record and divided by twice their count; 1.5 gave -0.
+        a, models, steps = two_agent_setup
+        with pytest.raises(ValueError, match="burn_in_fraction"):
+            an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=2000, n_runs=2,
+                            master_seed=2, burn_in_fraction=fraction)
+        with pytest.raises(ValueError, match="burn_in_fraction"):
+            engine.estimate_ensemble(a, models, steps, lambda wait: np.zeros((2, 1)),
+                                     iterations=2000, n_runs=2, master_seed=2,
+                                     burn_in_fraction=fraction)
+
     def test_divergence_reports_run(self, two_agent):
         models = quad_models([[1.0], [1.0]], sigma_v2=0.0, r_u=100.0)
         steps = an.StepSizeProfile(1.0, [1.0, 1.0])

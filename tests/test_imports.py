@@ -1,6 +1,10 @@
 """Every name a module of the package imports is used in it, and every private name it
-defines is used in the package (no linter runs on the package)."""
+defines is used in the package (no linter runs on the package); importing the CLI
+starts no process."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,23 @@ def test_every_private_name_is_used():
                 read.add(node.value)
     unused = {name: where for name, where in defined.items() if name not in read}
     assert not unused, f"private names defined but never used: {unused}"
+
+
+def test_cli_import_starts_no_process():
+    """``import atcnet.cli`` loads no ``multiprocessing`` and starts no worker: every
+    command's start-up pays for neither."""
+    script = (
+        "import os, sys\n"
+        "import atcnet.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'))\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    print('a child')\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.splitlines() == ["[]", "no child"]

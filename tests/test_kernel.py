@@ -487,3 +487,58 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5e6
+
+
+class TestLateLimitPoints:
+    """``estimate_ensemble``, whose limit points may come after the runs start."""
+
+    @pytest.mark.parametrize("stride, burn_in", [(10, 0.5), (7, 0.3), (1, 0.0)])
+    def test_late_points_give_the_bits_of_run_ensemble(self, stride, burn_in):
+        args, lp = preset_network()[:3], preset_network()[3]
+        kwargs = dict(iterations=2500, n_runs=3, master_seed=4, stride=stride)
+        runs = engine.run_ensemble(*args, lp, **kwargs, burn_in_fraction=burn_in)
+        kept = engine.msd_from_tails([t.mean_sq_error_tail for t in runs])
+        for points in (lambda wait: lp, lambda wait: lp if wait else None):
+            late = engine.estimate_ensemble(*args, points, **kwargs, burn_in_fraction=burn_in)
+            assert np.array_equal(late.per_agent, kept.per_agent)
+            assert np.array_equal(late.halfwidth, kept.halfwidth)
+
+    @pytest.mark.parametrize("iterations", [400, 4000])
+    def test_held_states_stop_at_the_sample_buffers(self, iterations):
+        # one scalar quadratic agent draws u and d: 2 x 8 bytes a sample against a
+        # state of 8, so 2 runs hold at most 2048 records (32 KB) before they wait;
+        # stride 1 without burn-in makes 400 or 4000 of them
+        a, models, steps, lp = single_agent()
+        kernel = engine._Kernel(a, models, steps)
+        bound = kernel.sample_bytes(2)
+        assert bound == 2 * engine._BLOCK * 2 * 8
+
+        asked = []
+
+        def late(wait):
+            asked.append(wait)
+            return lp if wait else None
+
+        def estimate(points):
+            return lambda: engine.estimate_ensemble(a, models, steps, points, iterations,
+                                                    n_runs=2, master_seed=5, stride=1,
+                                                    burn_in_fraction=0.0)
+
+        estimate(late)()  # fills the interpreter's free lists, which tracemalloc counts as in use
+        asked.clear()
+        prompt = traced_peak(estimate(lambda wait: lp))
+        held = traced_peak(estimate(late))
+        records = 2 * iterations * 8
+        assert held - prompt <= min(records, bound) + 4096
+        # 1024-record blocks: the third would pass the bound, so the runs wait there
+        assert asked == ([False, True] if iterations == 400 else [False, False, True, False])
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

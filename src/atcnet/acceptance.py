@@ -59,12 +59,12 @@ def _three_subnetwork():
 @lru_cache(maxsize=None)
 def _regression_run(mu_scale: float):
     """Monte-Carlo estimate and theory for the regression preset (cached)."""
-    config, partition = _three_subnetwork()
+    config = load_preset("three-subnetwork-regression")
     config = replace(config, step_sizes=config.step_sizes.scaled(mu_scale))
-    stars = workflows.pareto_points(partition, config.models, config.step_sizes)
-    lp = influence.receiving_limit_points(stars, partition)
-    estimate = workflows._ensemble(config, lp, records=workflows._discard)[1]
-    return estimate, performance.theoretical_msd(partition, config.models, config.step_sizes, stars)
+    result = workflows.simulate(config)
+    return result.estimate, performance.theoretical_msd(
+        result.partition, config.models, config.step_sizes
+    )
 
 
 def _check_influence_matrix() -> tuple[bool, str]:
@@ -154,17 +154,15 @@ def _check_step_size_scaling() -> tuple[bool, str]:
 
 def _check_leader_follower() -> tuple[bool, str]:
     config = load_preset("two-agent-logistic")
-    partition = classify(config.matrix)
-    stars = workflows.pareto_points(partition, config.models, config.step_sizes)
-    lp = influence.receiving_limit_points(stars, partition)
-    trajectories = workflows._ensemble(config, lp, records=workflows._discard)[0]
+    result = workflows.simulate(config)
+    sender = result.limit_points[result.partition.s_agents[0]]
     tol = 10.0 * np.sqrt(config.step_sizes.mu_max)
-    mean_r = np.mean([traj.mean_iterate_tail for traj in trajectories], axis=0)[1]
-    dist = float(np.linalg.norm(mean_r - stars[0]))
+    mean_r = np.mean([traj.mean_iterate_tail for traj in result.trajectories], axis=0)[1]
+    dist = float(np.linalg.norm(mean_r - sender))
 
     # The receiver's own data must prefer a visibly different solution.
     own = performance.pareto_solve([config.models[1]], np.array([1.0]))
-    own_dist = float(np.linalg.norm(own - stars[0]))
+    own_dist = float(np.linalg.norm(own - sender))
     passed = dist <= tol and own_dist > tol
     return passed, (
         f"|mean iterate(R) - sender solution| = {dist:.4f} <= {tol:.4f}; "

@@ -298,7 +298,7 @@ def parse_config(data: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     section = _value(data, "", "step_sizes", dict, None)
     if section is not None:
         step_sizes = StepSizeProfile(
-            mu_max=_value(section, "step_sizes", "mu_max", rule=_AT_LEAST_0),
+            mu_max=_value(section, "step_sizes", "mu_max", rule=("> 0", lambda x: x > 0)),
             tau=_numbers(
                 section, "step_sizes", "tau", [1.0] * n, n,
                 rule=("in (0, 1]", lambda tau: (tau > 0) & (tau <= 1)),

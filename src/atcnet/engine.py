@@ -293,11 +293,14 @@ def _read_only(value):
     return value
 
 
-def _record_counts(iterations: int, stride: int, burn_in_fraction: float | None = None):
+def _record_counts(iterations: int, n_runs: int, stride: int,
+                   burn_in_fraction: float | None = None):
     """(records, first record after the burn-in) of a run, once its controls are checked;
     without a burn-in no record follows it."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_rec = iterations // stride
@@ -374,7 +377,7 @@ def run_ensemble(
     """
     kernel = _Kernel(a, models, step_sizes)
     limit_points = kernel.points(limit_points)
-    n_rec, tail_from = _record_counts(iterations, stride, burn_in_fraction)
+    n_rec, tail_from = _record_counts(iterations, n_runs, stride, burn_in_fraction)
     sq_error = np.empty((n_runs, n_rec, kernel.n)) if records is None else None
     iterates = np.empty((n_runs, n_rec, kernel.n, kernel.m)) if record_iterates else None
     tail, sq_tail = np.zeros((n_runs, kernel.n, kernel.m)), np.zeros((n_runs, kernel.n))
@@ -439,7 +442,7 @@ def estimate_ensemble(
     if n_runs < 2:
         raise InsufficientData("MSD estimation needs at least 2 runs")
     kernel = _Kernel(a, models, step_sizes)
-    n_rec, tail_from = _record_counts(iterations, stride, float(burn_in_fraction))
+    n_rec, tail_from = _record_counts(iterations, n_runs, stride, float(burn_in_fraction))
     bound = kernel.sample_bytes(n_runs)
     sq_tail = np.zeros((n_runs, kernel.n))
     held, points, done = [], None, 0
@@ -523,7 +526,7 @@ def run_paired_long_term(
         raise ValueError("noise_at must be 'iterate' or 'limit_point'")
     kernel = _Kernel(a, models, step_sizes)
     limit_points = kernel.points(limit_points)
-    n_rec, _ = _record_counts(iterations, stride)
+    n_rec, _ = _record_counts(iterations, n_runs, stride)
     sq_error, sq_model = np.empty((2, n_runs, n_rec, kernel.n))
     done = 0  # records measured so far
 

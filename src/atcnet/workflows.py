@@ -25,7 +25,7 @@ import numpy as np
 
 from . import engine, influence, performance
 from .config import ExperimentConfig
-from .errors import ConfigError, InsufficientData
+from .errors import ConfigError
 from .topology import NetworkPartition, classify
 
 _CSV_CHUNK_ROWS = 1 << 16
@@ -143,26 +143,26 @@ class SimulationResult:
 def simulate(config: ExperimentConfig, out_dir: Path | None = None) -> SimulationResult:
     """Monte-Carlo diffusion per the config's run controls.
 
-    With ``out_dir``, the files of ``write_simulation_outputs`` are written
-    too: the run CSVs and the learning curve by a spawned writer process
-    while the runs go on (see ``_OutputWriter``), then summary.json. The
-    records are then streamed, not kept: the trajectories carry no
-    ``sq_error``, and memory does not grow with the run length. If the
+    The runs stream their squared errors and keep no history: the
+    trajectories carry no ``sq_error``, only each run's tail means, and
+    memory does not grow with the run length (``engine.run_ensemble`` keeps
+    the records when a caller needs them). With ``out_dir``, a spawned
+    writer process writes the run CSVs and the learning curve while the runs
+    go on (see ``_OutputWriter``), then summary.json is written. If the
     simulation fails, ``out_dir`` is left as it was. The writer is started
     with ``spawn``, so a script calling this with ``out_dir`` needs the
     ``if __name__ == "__main__":`` guard.
     """
     config.require_iterations()
-    models = config.require_models()
-    step_sizes = config.require_step_sizes()
-    if step_sizes.n != config.n:
+    config.require_models()
+    if config.require_step_sizes().n != config.n:
         raise ConfigError("step sizes and matrix disagree on agent count")
     if out_dir is None:
-        return _simulate_config(config, models, step_sizes)
+        return _simulate(config, _discard)
     out_dir = Path(out_dir)
     sizes = (config.run.monte_carlo_runs, config.n, config.run.stride)
     with _OutputWriter(out_dir, *sizes) as writer:
-        result = _simulate_config(config, models, step_sizes, records=writer.send)
+        result = _simulate(config, writer.send)
         result.written = writer.commit()
     summary_path = out_dir / "summary.json"
     write_json(result.payload, summary_path)
@@ -170,23 +170,24 @@ def simulate(config: ExperimentConfig, out_dir: Path | None = None) -> Simulatio
     return result
 
 
-def _simulate_config(config, models, step_sizes, records=None) -> SimulationResult:
-    """Structure and Pareto solutions of ``config``, then ``_simulate``."""
-    partition = classify(config.matrix)
-    stars = pareto_points(partition, models, step_sizes)
-    return _simulate(config, partition, stars, records=records)
+def _simulate(config: ExperimentConfig, records) -> SimulationResult:
+    """Structure, Pareto solutions and limit points of ``config``, then its Monte-Carlo runs.
 
-
-def _simulate(
-    config: ExperimentConfig, partition: NetworkPartition, stars, records=None
-) -> SimulationResult:
-    """Monte-Carlo diffusion on the partition and Pareto solutions of ``config``.
-
-    ``records`` is handed to ``engine.run_ensemble``.
+    ``records`` is handed to ``engine.run_ensemble``. The MSD estimate comes
+    from the runs' tail means, and is None with fewer than two runs.
     """
+    models = list(config.require_models())
     step_sizes = config.require_step_sizes()
-    lp = influence.receiving_limit_points(stars, partition)
-    trajectories, estimate = _ensemble(config, lp, records=records)
+    partition = classify(config.matrix)
+    lp = influence.receiving_limit_points(pareto_points(partition, models, step_sizes), partition)
+    trajectories = engine.run_ensemble(
+        config.matrix, models, step_sizes, lp, **_run_controls(config), records=records
+    )
+    estimate = (
+        engine.msd_from_tails([traj.mean_sq_error_tail for traj in trajectories])
+        if len(trajectories) >= 2
+        else None
+    )
     payload: dict = {
         "name": config.name,
         "generated_at": _timestamp(),
@@ -215,33 +216,15 @@ def _simulate(
     )
 
 
-def _ensemble(
-    config: ExperimentConfig, lp: np.ndarray, records=None
-) -> tuple[list[engine.Trajectory], engine.MsdEstimate | None]:
-    """The Monte-Carlo runs of ``config`` around limit points ``lp``, and their MSD estimate.
-
-    The estimate is None with fewer than two runs; it comes from the runs'
-    streamed tail means, so it needs no kept records. ``records`` is handed
-    to ``engine.run_ensemble``; with it, the runs keep no squared errors.
-    """
-    trajectories = engine.run_ensemble(
-        config.matrix,
-        list(config.require_models()),
-        config.require_step_sizes(),
-        lp,
-        iterations=config.require_iterations(),
-        n_runs=config.run.monte_carlo_runs,
-        master_seed=config.run.seed,
-        stride=config.run.stride,
-        burn_in_fraction=config.run.burn_in_fraction,
-        records=records,
-    )
-    estimate = (
-        engine.msd_from_tails([traj.mean_sq_error_tail for traj in trajectories])
-        if len(trajectories) >= 2
-        else None
-    )
-    return trajectories, estimate
+def _run_controls(config: ExperimentConfig) -> dict:
+    """The run controls of ``config``, as keyword arguments of ``engine``'s ensemble runs."""
+    return {
+        "iterations": config.require_iterations(),
+        "n_runs": config.run.monte_carlo_runs,
+        "master_seed": config.run.seed,
+        "stride": config.run.stride,
+        "burn_in_fraction": config.run.burn_in_fraction,
+    }
 
 
 def _discard(rows) -> None:
@@ -422,40 +405,19 @@ class _CsvWriter:
         _append_rows(self.curve, prefixes, db)
 
 
-def write_simulation_outputs(result: SimulationResult, out_dir: Path) -> list[Path]:
-    """Write per-run CSVs, the aggregate learning curve and summary.json.
-
-    The trajectories must have kept their squared errors, as ``simulate``
-    without ``out_dir`` does; streamed ones raise ``InsufficientData``
-    before any file is made.
-    """
-    if any(traj.sq_error is None for traj in result.trajectories):
-        raise InsufficientData(
-            "the trajectories streamed their squared errors (sq_error is None); "
-            "simulate(config, out_dir) writes these files as the runs go"
-        )
-    out_dir = Path(out_dir)
-    stride = int(result.trajectories[0].iterations[0])  # the first record follows `stride` rounds
-    writer = _CsvWriter(out_dir, len(result.trajectories), stride)
-    writer.write([traj.sq_error for traj in result.trajectories])
-    summary_path = out_dir / "summary.json"
-    write_json(result.payload, summary_path)
-    return [*writer.paths, summary_path]
-
-
-def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, stride: int):
+def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, stride: int) -> list[Path]:
     """Body of ``_OutputWriter``'s process.
 
     Stages the CSVs in a new directory under ``out_dir`` from the record
     blocks received on ``conn``. An empty message moves them into place and
-    answers with their paths; an error is answered with the exception. If
-    the pipe closes first, or an interrupt (Ctrl-C) arrives, everything this
-    process created is removed.
+    returns their paths. Unless they were moved, everything this process
+    created is removed: on an error, when the pipe closes first, or on an
+    interrupt (Ctrl-C).
     """
     out = Path(out_dir)
     runs_dir = out / "runs"
     created = [d for d in (runs_dir, *runs_dir.parents) if not d.exists()]
-    staging, reply = None, None
+    staging, moved = None, None
     try:
         runs_dir.mkdir(parents=True, exist_ok=True)
         # named before it is made, so an interrupt just after mkdir still finds it
@@ -464,28 +426,41 @@ def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, stride: int)
         writer = _CsvWriter(staging, n_runs, stride)
         while data := conn.recv_bytes():
             writer.write(np.frombuffer(data).reshape(-1, n_runs, n_agents).transpose(1, 0, 2))
-        reply = [out / path.relative_to(staging) for path in writer.paths]
-        for path, target in zip(writer.paths, reply):
+        targets = [out / path.relative_to(staging) for path in writer.paths]
+        for path, target in zip(writer.paths, targets):
             os.replace(path, target)
-    except (EOFError, KeyboardInterrupt):
-        pass
-    except Exception as exc:
-        reply = exc
+        moved = targets
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
-        if not isinstance(reply, list):
+        if moved is None:
             for d in created:  # deepest first; a directory that is not empty stays
                 with contextlib.suppress(OSError):
                     d.rmdir()
-    if reply is not None:
-        with contextlib.suppress(OSError):
-            conn.send(reply)
+    return moved
+
+
+def _serve(conn, body, *args) -> None:
+    """What a ``_Child``'s process runs: ``body(conn, *args)``, answered on ``conn``.
+
+    The answer is the body's return value or the exception it raised. When
+    the pipe closes first (``EOFError``), as when the parent dies, or on an
+    interrupt (Ctrl-C), the process returns without an answer; an answer
+    the parent can no longer receive is dropped.
+    """
+    try:
+        reply = body(conn, *args)
+    except (EOFError, KeyboardInterrupt):
+        return
+    except Exception as exc:
+        reply = exc
+    with contextlib.suppress(OSError):
+        conn.send(reply)
 
 
 class _Child:
-    """A spawned daemon process running ``target(conn, *args)``, and this end ``conn`` of
-    their pipe.
+    """A spawned daemon process serving ``target(conn, *args)`` (see ``_serve``), and this
+    end ``conn`` of their pipe.
 
     The new interpreter imports atcnet before it runs ``target``, so a script
     that starts one needs the ``if __name__ == "__main__":`` guard. Leaving
@@ -499,7 +474,9 @@ class _Child:
         self.conn, child = ctx.Pipe()
         # Only small values go as arguments: once pickled arguments outgrow the OS
         # pipe buffer, starting the process blocks until it has imported atcnet.
-        self.process = ctx.Process(target=target, args=(child, *args), name=name, daemon=True)
+        self.process = ctx.Process(
+            target=_serve, args=(child, target, *args), name=name, daemon=True
+        )
         self.process.start()
         child.close()
 
@@ -560,36 +537,24 @@ class _OutputWriter(_Child):
         return self._result()
 
 
-def _estimate_ensemble(conn) -> None:
+def _estimate_ensemble(conn) -> engine.MsdEstimate:
     """Body of ``_EnsembleWorker``'s process.
 
     Receives a config on ``conn`` and starts its Monte-Carlo runs at once;
     the limit points follow on ``conn`` (``engine.estimate_ensemble`` says
-    how the runs wait for them). Answers with the ``MsdEstimate`` or with the
-    exception the runs raised. It returns without an answer on an interrupt
-    (Ctrl-C), and at the next sample block once the pipe closes, as when the
-    parent dies: the runs look at the pipe every block.
+    how the runs wait for them), and the runs' ``MsdEstimate`` is returned.
+    The runs look at the pipe every sample block, so they stop at the next
+    one once it closes, as when the parent dies.
     """
-    try:
-        config = conn.recv()
-        reply = engine.estimate_ensemble(
-            config.matrix,
-            list(config.require_models()),
-            config.require_step_sizes(),
-            # after the limit points the parent sends nothing: the pipe is readable once it closes
-            lambda wait: conn.recv() if wait or conn.poll() else None,
-            iterations=config.require_iterations(),
-            n_runs=config.run.monte_carlo_runs,
-            master_seed=config.run.seed,
-            stride=config.run.stride,
-            burn_in_fraction=config.run.burn_in_fraction,
-        )
-    except (EOFError, KeyboardInterrupt):
-        return
-    except Exception as exc:
-        reply = exc
-    with contextlib.suppress(OSError):
-        conn.send(reply)
+    config = conn.recv()
+    return engine.estimate_ensemble(
+        config.matrix,
+        list(config.require_models()),
+        config.require_step_sizes(),
+        # after the limit points the parent sends nothing: the pipe is readable once it closes
+        lambda wait: conn.recv() if wait or conn.poll() else None,
+        **_run_controls(config),
+    )
 
 
 class _EnsembleWorker(_Child):

@@ -229,6 +229,8 @@ class TestParseConfig:
             # ended with a traceback
             ("models", 2, {**QUADRATIC_1D, "r_u": 1.0, "w_o": []}, "models[2].w_o"),
             ("models", 2, logistic_sampler(mean_pos=[], mean_neg=[]), "models[2].sampler.mean_pos"),
+            # a zero step size once parsed, and every command then failed naming no field
+            ("step_sizes", "mu_max", 0, "step_sizes.mu_max"),
         ],
     )
     def test_bad_field_rejected_by_name(self, tmp_path, capsys, section, key, value, field):
@@ -500,17 +502,18 @@ class TestAnalyzeWorkflow:
 class TestSimulateWorkflow:
     def test_outputs_and_determinism(self, tmp_path):
         config = parse_config(eight_agent_config())
-        result = workflows.simulate(config)
+        result = workflows.simulate(config, tmp_path / "a")
         assert len(result.trajectories) == 2
-        first = workflows.write_simulation_outputs(result, tmp_path / "a")
-        again = workflows.write_simulation_outputs(workflows.simulate(config), tmp_path / "b")
+        first = result.written
+        again = workflows.simulate(config, tmp_path / "b").written
+        assert len(first) == len(again) == 4
         for p1, p2 in zip(first, again):
             if p1.suffix == ".csv":
                 assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_headers(self, tmp_path):
         config = parse_config(eight_agent_config())
-        workflows.write_simulation_outputs(workflows.simulate(config), tmp_path)
+        workflows.simulate(config, tmp_path)
         run0 = (tmp_path / "runs" / "run_0.csv").read_text().splitlines()
         assert run0[0] == "iteration,agent_id,sq_error"
         curve = (tmp_path / "learning_curve.csv").read_text().splitlines()
@@ -523,15 +526,7 @@ class TestSimulateWorkflow:
             np.array([[0.0, 1e-300], [0.0, 0.1], [0.0, 12345.678]]),
             np.array([[0.0, 1.0 / 3.0], [0.0, 2.5e-05], [0.0, 7.0]]),
         ]
-        trajectories = [
-            an.Trajectory(iterations=np.array([10, 20, 30]), sq_error=values, iterates=None)
-            for values in sq_error
-        ]
-        result = workflows.SimulationResult(
-            partition=None, limit_points=None, trajectories=trajectories, estimate=None,
-            payload={},
-        )
-        workflows.write_simulation_outputs(result, tmp_path)
+        workflows._CsvWriter(tmp_path, n_runs=2, stride=10).write(sq_error)
         assert (tmp_path / "runs" / "run_0.csv").read_text() == RUN_0_CSV
         assert (tmp_path / "learning_curve.csv").read_text() == LEARNING_CURVE_CSV
 
@@ -798,7 +793,7 @@ def traced_peak(fn) -> int:
 
 
 class TestStreamedRecords:
-    @pytest.mark.parametrize("command", ["simulate", "msd --with-sim"])
+    @pytest.mark.parametrize("command", ["simulate", "simulate without out_dir", "msd --with-sim"])
     def test_memory_does_not_grow_with_the_run(self, tmp_path, command):
         # the longer run's history would take 2 runs x 4000 records x 3 agents x 8 bytes;
         # what does grow is the (records,) iteration array the trajectories share
@@ -806,6 +801,8 @@ class TestStreamedRecords:
             config = three_agent_config(iterations)
             if command == "simulate":
                 return lambda: workflows.simulate(config, tmp_path / str(iterations))
+            if command == "simulate without out_dir":
+                return lambda: workflows.simulate(config)
             return lambda: workflows.msd(config, with_sim=True)
 
         run(4000)()  # fills the interpreter's free lists, which tracemalloc counts as in use
@@ -1130,20 +1127,25 @@ class TestCli:
         streamed, direct = tmp_path / "streamed", tmp_path / "direct"
         assert cli.main(["simulate", "--config", path, "--out", str(streamed)]) == 0
         assert f"wrote 5 files under {streamed}" in capsys.readouterr().out
-        written = workflows.write_simulation_outputs(
-            workflows.simulate(parse_config(data)), direct
-        )
-        assert _tree(streamed).keys() == _tree(direct).keys() == {
+        assert _tree(streamed).keys() == {
             "runs", "runs/run_0.csv", "runs/run_1.csv", "runs/run_2.csv",
             "learning_curve.csv", "summary.json",
         }
-        for p in written:
+        # the same runs with their records kept, written in one block
+        config = parse_config(data)
+        result = workflows.simulate(config)
+        kept = an.run_ensemble(
+            config.matrix, list(config.models), config.step_sizes, result.limit_points,
+            iterations=2500, n_runs=3, master_seed=config.run.seed, stride=7,
+        )
+        writer = workflows._CsvWriter(direct, n_runs=3, stride=7)
+        writer.write([traj.sq_error for traj in kept])
+        for p in writer.paths:
             name = p.relative_to(direct)
-            if p.suffix == ".csv":
-                assert (streamed / name).read_bytes() == p.read_bytes(), name
-        summaries = [json.loads((d / "summary.json").read_text()) for d in (streamed, direct)]
-        assert workflows.comparison_payload(summaries[0]) == workflows.comparison_payload(
-            summaries[1]
+            assert (streamed / name).read_bytes() == p.read_bytes(), name
+        summary = json.loads((streamed / "summary.json").read_text())
+        assert workflows.comparison_payload(summary) == workflows.comparison_payload(
+            result.payload
         )
         assert len((streamed / "runs" / "run_0.csv").read_text().splitlines()) == 1 + 357 * 8
         assert multiprocessing.active_children() == []

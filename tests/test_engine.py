@@ -120,6 +120,17 @@ class TestRun:
                                      iterations=2000, n_runs=2, master_seed=2,
                                      burn_in_fraction=fraction)
 
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_run_count_below_one_rejected(self, two_agent_setup, n_runs):
+        # 0 once failed in a numpy reduction or broadcast, -1 on a negative dimension
+        a, models, steps = two_agent_setup
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=n_runs,
+                            master_seed=2)
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            engine.run_paired_long_term(a, models, steps, np.zeros((2, 1)), iterations=20,
+                                        seed=2, n_runs=n_runs)
+
     def test_divergence_reports_run(self, two_agent):
         models = quad_models([[1.0], [1.0]], sigma_v2=0.0, r_u=100.0)
         steps = an.StepSizeProfile(1.0, [1.0, 1.0])
@@ -253,24 +264,10 @@ class TestTrajectoryCsv:
         a, models, steps = two_agent_setup
         [traj] = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=1,
                                  master_seed=1, stride=10)
-        result = workflows.SimulationResult(
-            partition=None, limit_points=None, trajectories=[traj], estimate=None, payload={}
-        )
-        workflows.write_simulation_outputs(result, tmp_path)
+        workflows._CsvWriter(tmp_path, n_runs=1, stride=10).write([traj.sq_error])
         lines = (tmp_path / "runs" / "run_0.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,agent_id,sq_error"
         assert len(lines) == 1 + 2 * 2  # two recorded iterations x two agents
         first = lines[1].split(",")
         assert first[0] == "10" and first[1] == "0"
         assert float(first[2]) == traj.sq_error[0, 0]
-
-    def test_streamed_trajectories_write_no_file(self, two_agent_setup, tmp_path):
-        a, models, steps = two_agent_setup
-        runs = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=2,
-                               master_seed=1, records=lambda rows: None)
-        result = workflows.SimulationResult(
-            partition=None, limit_points=None, trajectories=runs, estimate=None, payload={}
-        )
-        with pytest.raises(InsufficientData, match="streamed"):
-            workflows.write_simulation_outputs(result, tmp_path / "out")
-        assert not (tmp_path / "out").exists()

@@ -1,7 +1,9 @@
 """Every name a module of the package imports is used in it, and every private name it
 defines is used in the package (no linter runs on the package); importing the CLI
-starts no process."""
+starts no process; the names the benchmark reads from the package exist."""
 import ast
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).parents[1] / "src" / "atcnet"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -75,3 +78,36 @@ def test_cli_import_starts_no_process():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.stdout.splitlines() == ["[]", "no child"]
+
+
+def test_names_the_benchmark_reads_exist():
+    """``perfbench/`` is kept fixed while the package changes, so what it reads must stay:
+    each name it imports from atcnet, the ``Trajectory`` fields its tracer sizes, and the
+    parameters it passes or reads by name."""
+    statements = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(module.partition(".")[0] == "atcnet" for module in modules):
+                statements.append(ast.unparse(node))
+    assert len(statements) >= 8, statements
+    for statement in statements:
+        exec(statement, {})
+
+    from atcnet import cli, engine, performance, workflows
+
+    assert {"iterations", "sq_error", "iterates"} <= {
+        f.name for f in dataclasses.fields(engine.Trajectory)
+    }
+    for fn, name in [
+        (engine.run_ensemble, "iterations"),
+        (performance.theoretical_msd, "w_stars"),
+        (workflows.write_json, "path"),
+    ]:
+        assert name in inspect.signature(fn).parameters, (fn.__name__, name)
+    assert callable(workflows.pareto_points) and callable(cli.load_config) and callable(cli.main)

@@ -26,6 +26,9 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+# rows per block of a logistic design walk: the fastest of 2048-65536 measured, with small temporaries
+BLOCK_ROWS = 8192
+
 
 def inv_one_plus_exp(z):
     """1 / (1 + exp(z)) without overflow, branching on the sign of z."""
@@ -273,7 +276,8 @@ class EllipseSampler(FeatureSampler):
     Class +1 points concentrate inside the ellipse (x/a)^2 + (y/b)^2 = 1,
     class -1 points fill a radial band outside it. A fraction of the +1
     draws can be relocated to a Gaussian cluster away from the origin to
-    model outlier data. Features are the quadratic map of the 2-D point.
+    model outlier data. Features are the quadratic map of the 2-D point. A
+    draw of n points needs two (n,) scratch arrays besides its outputs.
     """
 
     semi_axes: tuple[float, float] = (2.0, 1.0)
@@ -286,24 +290,32 @@ class EllipseSampler(FeatureSampler):
     dimension = 6
 
     def draw_into(self, rngs, gamma, h):
-        """Each point (x, y) is written straight into its row of ``h``, then mapped there."""
+        """Per stream, uniforms for the labels, angles, inner and outer radii (and outliers)
+        in that order, drawn into ``gamma`` and two scratch arrays; the labels go into
+        ``gamma`` last, and each point straight into its row of ``h``, mapped there."""
         a, b = self.semi_axes
-        n = gamma.shape[1]
+        lo, hi = self.outside_band
+        theta, radius = np.empty(gamma.shape[1]), np.empty(gamma.shape[1])
         # the outlier draw's size depends on the labels, so each stream runs the whole recipe
-        for rng, gamma_run, h_run in zip(rngs, gamma, h):
-            gamma_run[:] = np.where(rng.random(n) < self.p_pos, 1.0, -1.0)
-            theta = rng.uniform(0.0, 2.0 * np.pi, n)
-            radius = np.where(
-                gamma_run > 0,
-                0.9 * np.sqrt(rng.random(n)),
-                rng.uniform(*self.outside_band, n),
-            )
-            np.multiply(a * radius, np.cos(theta), out=h_run[:, 1])
-            np.multiply(b * radius, np.sin(theta), out=h_run[:, 2])
+        for rng, spare, h_run in zip(rngs, gamma, h):
+            positive = rng.random(out=spare) < self.p_pos
+            np.multiply(rng.random(out=theta), 2.0 * np.pi, out=theta)  # rng.uniform(0, 2 pi)'s bits
+            np.sqrt(rng.random(out=radius), out=radius)
+            radius *= 0.9  # inside: 0.9 sqrt(u)
+            rng.random(out=spare)
+            spare *= hi - lo
+            spare += lo  # outside: rng.uniform(lo, hi)'s bits
+            np.copyto(radius, spare, where=~positive)
+            np.multiply(radius, a, out=h_run[:, 1])
+            np.multiply(radius, b, out=h_run[:, 2])
+            h_run[:, 1] *= np.cos(theta, out=radius)
+            h_run[:, 2] *= np.sin(theta, out=theta)
             if self.outlier_fraction > 0.0:
-                hit = (gamma_run > 0) & (rng.random(n) < self.outlier_fraction)
+                hit = positive & (rng.random(out=spare) < self.outlier_fraction)
                 cluster = np.asarray(self.outlier_center) + self.outlier_std * rng.standard_normal((int(hit.sum()), 2))
                 h_run[hit, 1:3] = cluster
+            np.multiply(positive, 2.0, out=spare)
+            spare -= 1.0  # the labels: +1 inside, -1 outside
             _fill_quadratic_features(h_run)
 
 
@@ -313,13 +325,13 @@ class LogisticCost(CostModel):
 
     The expected loss (rho / 2) ||w||^2 + E ln(1 + exp(-gamma h.w)) has no
     closed-form gradient, so ``true_gradient``, ``gradient_and_hessian``
-    and ``noise_covariance`` are sample averages over a fixed internal
-    design of ``eval_samples`` draws (seeded by ``eval_seed``), which keeps
-    them deterministic. A sample is one field, the signed features
-    s = gamma h: gamma = +-1 only flips signs, so every product and sum over
-    s has the bits of the same one over gamma and h. The design is drawn on
-    first use; a shallow copy of the model shares a design already drawn
-    and keeps one it draws to itself.
+    and ``noise_covariance`` are sample averages over a fixed design of
+    ``eval_samples`` draws (seeded by ``eval_seed``), summed over blocks of
+    its rows, so that nothing design-sized is formed. A sample is one field,
+    the signed features s = gamma h: gamma = +-1 only flips signs, so every
+    product and sum over s has the bits of the same one over gamma and h.
+    The design is drawn on first use; a shallow copy of the model shares a
+    design already drawn and keeps one it draws to itself.
     """
 
     rho: float
@@ -351,40 +363,39 @@ class LogisticCost(CostModel):
         coarse.__dict__["_design"] = self._design[:rows]
         return coarse
 
-    def _design_pass(self, w):
-        """The margins z = s.w over the evaluation design and 1 / (1 + exp(z)): one product with s."""
-        z = self._design @ w
-        return z, inv_one_plus_exp(z)
-
-    def _loss(self, w, z, sig):
-        """(rho / 2) ||w||^2 + mean ln(1 + exp(-z)), read off the sigmoid sig = 1 / (1 + exp(z))
-        as ln(1 + exp(-z)) = -min(z, 0) - log1p(-min(sig, 1 - sig))."""
-        m = np.minimum(sig, 1.0 - sig)
-        data = np.minimum(z, 0.0).sum() + np.log1p(np.negative(m, out=m), out=m).sum()
-        return float(0.5 * self.rho * (w @ w) - data / z.shape[0])
-
-    def _gradient(self, w, sig):
-        return self.rho * w - sig @ self._design / sig.shape[0]
-
-    def _weighted_gram(self, weights):
-        """(1/n) sum_i weights_i s_i s_i^T over the evaluation design."""
-        signed = self._design
-        return (signed * weights[:, None]).T @ signed / signed.shape[0]
+    def _pass(self, w, loss=False, weight=None):
+        """Means over the design, walked in blocks of ``BLOCK_ROWS`` rows: of ln(1 + exp(-z)) when
+        ``loss``, of sig s, and of weight(sig) s s^T when a ``weight`` is given, with z = s.w and
+        sig = 1 / (1 + exp(z)) formed once per block. The loss is read off the sigmoid as
+        -min(z, 0) - log1p(-min(sig, 1 - sig)); a mean not asked for is 0."""
+        rows, m = self._design.shape
+        data, first, second = 0.0, np.zeros(m), np.zeros((m, m))
+        for start in range(0, rows, BLOCK_ROWS):
+            block = self._design[start : start + BLOCK_ROWS]
+            z = block @ w
+            sig = inv_one_plus_exp(z)
+            if loss:
+                small = np.minimum(sig, 1.0 - sig)
+                data -= np.minimum(z, 0.0).sum() + np.log1p(np.negative(small, out=small), out=small).sum()
+            first += sig @ block
+            if weight is not None:
+                second += (block * weight(sig)[:, None]).T @ block
+        return data / rows, first / rows, second / rows
 
     def true_gradient(self, w):
         w = np.asarray(w, dtype=float)
-        return self._gradient(w, self._design_pass(w)[1])
+        return self.rho * w - self._pass(w)[1]
 
     def gradient_and_hessian(self, w):
         w = np.asarray(w, dtype=float)
-        z, sig = self._design_pass(w)
-        loss = self._loss(w, z, sig)
-        del z  # the loss's temporaries are gone before the Gram product
-        hessian = self.rho * np.eye(self.dimension) + self._weighted_gram(sig * (1.0 - sig))
-        return loss, self._gradient(w, sig), hessian
+        data, mean, gram = self._pass(w, loss=True, weight=lambda sig: sig * (1.0 - sig))
+        hessian = self.rho * np.eye(self.dimension) + gram
+        return float(0.5 * self.rho * (w @ w) + data), self.rho * w - mean, hessian
 
     def separated_by(self, w):
-        return self.rho == 0 and bool((self._design_pass(np.asarray(w, dtype=float))[0] > 0).all())
+        """rho = 0 and every margin s.w positive; the walk stops at the first block with one that is not."""
+        w, blocks = np.asarray(w, dtype=float), range(0, self.eval_samples, BLOCK_ROWS)
+        return self.rho == 0 and all((self._design[i : i + BLOCK_ROWS] @ w > 0).all() for i in blocks)
 
     def noise_covariance(self, at):
         """Covariance of the sampled gradients over the evaluation design.
@@ -393,9 +404,8 @@ class LogisticCost(CostModel):
         sigma_i = 1 / (1 + exp(s_i.w)), so with g = (1/n) sum_i sigma_i s_i
         the covariance is (1/n) sum_i sigma_i^2 s_i s_i^T - g g^T.
         """
-        sig = self._design_pass(np.asarray(at, dtype=float))[1]
-        mean = sig @ self._design / sig.shape[0]
-        return self._weighted_gram(sig * sig) - np.outer(mean, mean)
+        _, mean, gram = self._pass(np.asarray(at, dtype=float), weight=np.square)
+        return gram - np.outer(mean, mean)
 
     @property
     def field_shapes(self):

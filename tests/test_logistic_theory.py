@@ -17,7 +17,12 @@ each design: the Pareto points moved by at most 2e-8, the MSDs by at most
 Armijo test on the loss, a step solved after a Jacobi scaling of H) and
 began to stop on the Newton decrement: the points moved by at most 2e-17,
 and the two-agent MSD report kept its bits. Every digest held when a design
-became one array of signed features gamma h, drawn in place.
+became one array of signed features gamma h, drawn in place. The Pareto and
+MSD digests were taken again when the loss, gradient, Hessian and noise
+covariance began to be summed over blocks of ``BLOCK_ROWS`` design rows,
+which round differently: the Pareto points moved by at most 1.4e-15, the
+two-agent MSD by 2.2e-14 dB. The draw digests held when the ellipse draw
+began to fill scratch arrays in place of full-length temporaries.
 """
 import hashlib
 import tracemalloc
@@ -48,8 +53,8 @@ SHA256 = {
     "draw": "be123302ce533b506afdbc2b51b409c77257fed0ca52531e07666bc0057ac18b",
     "draw_outliers": "3b8e7aa6e46cab375a567d44da59fd54800fa06e210ee0e8656ccb44a68dfcf5",
     "quadratic_features": "0a644e71510687bc96b29f3eb7350bbb5d55f883426c57ce12c6b0e72396ddb6",
-    "pareto": "e5171c3479abd7a2c857c490dd53e58dfcc13d5a07ddc55dcfe02b4eb87c59b9",
-    "msd_two_agent_logistic": "a8b13484e0ce50022b6fd580b788dc34786c7e29de85a363ada8bd2d17ccca31",
+    "pareto": "c90f8f6cd551072d7f01b8f0d7b45e5d7403c9309abb81278be1ecba4ad90be3",
+    "msd_two_agent_logistic": "21ebdb8bb50715e6e19cb1a08c17ec27351e96ee8224035ff9fe8eefdc339b3d",
 }
 
 
@@ -76,6 +81,45 @@ def test_ellipse_draw_bits():
     assert digest(*EllipseSampler().draw(np.random.default_rng(5), 5000)) == SHA256["draw"]
     with_outliers = EllipseSampler(outlier_fraction=0.2).draw(np.random.default_rng(6), 5000)
     assert digest(*with_outliers) == SHA256["draw_outliers"]
+
+
+def reference_ellipse_draw(sampler, rng, n):
+    """The ellipse recipe with a full-length array for every step: labels, points and features."""
+    a, b = sampler.semi_axes
+    gamma = np.where(rng.random(n) < sampler.p_pos, 1.0, -1.0)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    radius = np.where(gamma > 0, 0.9 * np.sqrt(rng.random(n)), rng.uniform(*sampler.outside_band, n))
+    points = np.column_stack([a * radius * np.cos(theta), b * radius * np.sin(theta)])
+    if sampler.outlier_fraction > 0.0:
+        hit = (gamma > 0) & (rng.random(n) < sampler.outlier_fraction)
+        cluster = np.asarray(sampler.outlier_center) + sampler.outlier_std * rng.standard_normal((int(hit.sum()), 2))
+        points[hit] = cluster
+    return gamma, quadratic_features(points)
+
+
+@st.composite
+def ellipse_samplers(draw):
+    finite = {"allow_nan": False, "allow_infinity": False}
+    lo = draw(st.floats(0.0, 3.0, **finite))
+    return EllipseSampler(
+        semi_axes=(draw(st.floats(0.1, 5.0, **finite)), draw(st.floats(0.1, 5.0, **finite))),
+        outside_band=(lo, lo + draw(st.floats(0.0, 3.0, **finite))),
+        p_pos=draw(st.floats(0.0, 1.0, **finite)),
+        outlier_fraction=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, **finite)),
+        outlier_center=(draw(st.floats(-10.0, 10.0, **finite)), draw(st.floats(-10.0, 10.0, **finite))),
+        outlier_std=draw(st.floats(0.0, 3.0, **finite)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(ellipse_samplers(), st.sampled_from([1, 2, 7, 1001, 40001]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_ellipse_draw_matches_the_full_length_recipe(sampler, n, runs, seed):
+    """Every stream of ``draw_into`` has the bits of the recipe drawn on its own."""
+    gamma, h = np.empty((runs, n)), np.empty((runs, n, 6))
+    sampler.draw_into([np.random.default_rng([seed, r]) for r in range(runs)], gamma, h)
+    for r in range(runs):
+        expected = reference_ellipse_draw(sampler, np.random.default_rng([seed, r]), n)
+        assert digest(gamma[r], h[r]) == digest(*expected)
 
 
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
@@ -147,20 +191,71 @@ def test_loss_read_off_the_sigmoid_matches_logaddexp(scale):
     assert model.gradient_and_hessian(w)[0] == pytest.approx(direct, rel=1e-14)
 
 
+def whole_design_theory(model, w):
+    """Loss, gradient, Hessian, noise covariance and separation from one product with the whole design."""
+    signed, rho = model._design, model.rho
+    n = signed.shape[0]
+    z = signed @ w
+    sig = costs.inv_one_plus_exp(z)
+    m = np.minimum(sig, 1.0 - sig)
+    loss = 0.5 * rho * (w @ w) - (np.minimum(z, 0.0).sum() + np.log1p(-m).sum()) / n
+    mean = sig @ signed / n
+
+    def weighted_gram(weights):
+        return (signed * weights[:, None]).T @ signed / n
+
+    hessian = rho * np.eye(signed.shape[1]) + weighted_gram(sig * (1.0 - sig))
+    covariance = weighted_gram(sig * sig) - np.outer(mean, mean)
+    return loss, rho * w - mean, hessian, covariance, rho == 0 and bool((z > 0).all())
+
+
+def assert_close(got, expected, rtol=1e-13):
+    """Agreement within ``rtol`` of the largest entry of ``expected``."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("rows", [costs.BLOCK_ROWS // 3, costs.BLOCK_ROWS, 2 * costs.BLOCK_ROWS + 5])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 30.0])
+def test_blocked_pass_matches_whole_design_formulas(rows, scale):
+    model = LogisticCost(0.1, EllipseSampler(outlier_fraction=0.05), eval_samples=rows, eval_seed=rows)
+    w = scale * np.linspace(-0.3, 0.4, model.dimension)
+    loss, grad, hessian, covariance, _ = whole_design_theory(model, w)
+    got = model.gradient_and_hessian(w)
+    assert got[0] == pytest.approx(loss, rel=1e-13)
+    assert_close(got[1], grad)
+    assert_close(got[2], hessian)
+    assert_close(model.noise_covariance(w), covariance)
+    assert np.array_equal(got[1], model.true_gradient(w))
+
+
+@pytest.mark.parametrize("rows", [costs.BLOCK_ROWS // 3, costs.BLOCK_ROWS, 2 * costs.BLOCK_ROWS + 5])
+@pytest.mark.parametrize("flip", [None, 0, -1], ids=["separated", "first-row", "last-row"])
+def test_separation_is_checked_on_every_block(rows, flip):
+    """Unregularized and with positive margins s.w, but for one row whose margin is flipped to 0 or below."""
+    model = LogisticCost(0.0, TwoClassGaussianSampler([1.0, 1.0], [-1.0, -1.0]), eval_samples=rows)
+    design = np.random.default_rng(rows).uniform(0.5, 1.5, (rows, 2))
+    w = np.array([1.0, 2.0])
+    if flip is not None:
+        design[flip] = [2.0, -1.0] if flip == 0 else -design[flip]  # the first row's margin is 0, the last row's negative
+    model.__dict__["_design"] = design
+    assert model.separated_by(w) == whole_design_theory(model, w)[4] == (flip is None)
+
+
 def count_design_passes(monkeypatch, log):
-    """Log ("pass", rows) for each sigmoid over a design and ("step",) for each solve."""
-    sigmoid = costs.inv_one_plus_exp
+    """Log ("pass", rows) for each walk over a design and ("step",) for each solve."""
+    walk = LogisticCost._pass
     solve = np.linalg.solve
 
-    def counted(z):
-        log.append(("pass", np.shape(z)[0]))
-        return sigmoid(z)
+    def counted(self, w, **sums):
+        log.append(("pass", self.design_rows))
+        return walk(self, w, **sums)
 
     def counted_solve(a, b):
         log.append(("step",))
         return solve(a, b)
 
-    monkeypatch.setattr(costs, "inv_one_plus_exp", counted)
+    monkeypatch.setattr(LogisticCost, "_pass", counted)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
 
 
@@ -363,25 +458,42 @@ def agents_drawn(config, drawn):
     return {by_axes[axes]: count for axes, count in drawn.items()}
 
 
+def traced_peak(run):
+    """Peak bytes traced by ``tracemalloc`` during a second call of ``run``."""
+    run()  # fills the interpreter's free lists, which tracemalloc counts as in use
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDesignLifetime:
     """A logistic design lives only while its sending sub-network's theory runs."""
 
     def test_theory_holds_one_sub_network_of_designs_at_a_time(self):
-        # measured 5.20 MB: the four designs of the larger sub-network (3.84 MB),
-        # one design-sized product and a few design columns; all seven designs
-        # held at once gave 9.45 MB
+        # measured 4.58 MB: the four designs of the larger sub-network (3.84 MB)
+        # and the draw's few design columns; all seven designs held at once gave
+        # 9.45 MB, and a design-sized product per Hessian 5.20 MB
         def run():
             config = two_subnetwork_config()
             performance.theoretical_msd(an.classify(config.matrix), list(config.models), config.step_sizes)
 
-        run()  # fills the interpreter's free lists, which tracemalloc counts as in use
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * DESIGN_BYTES + DESIGN_BYTES + 4 * DESIGN_ROWS * 8
+        assert traced_peak(run) <= 4 * DESIGN_BYTES + 6 * DESIGN_ROWS * 8
+
+    def test_theory_at_a_point_allocates_nothing_design_sized(self):
+        """One Hessian and one noise covariance over a 200 000-row design (9.6 MB)
+        allocate blocks of rows only: measured 0.72 MB."""
+        model = LogisticCost(0.1, EllipseSampler(outlier_fraction=0.01))
+        model._design
+        w = np.linspace(-0.3, 0.4, model.dimension)
+
+        def run():
+            model.gradient_and_hessian(w)
+            model.noise_covariance(w)
+
+        assert traced_peak(run) < 1_000_000
 
     def test_no_model_holds_a_design_after_the_theory(self):
         config = two_subnetwork_config(zeroed=(5,))

@@ -241,14 +241,22 @@ class TwoClassGaussianSampler(FeatureSampler):
         return np.linalg.cholesky(self.cov)
 
     def draw_into(self, rngs, gamma, h):
-        """A uniform (n,) for the labels, then z (n, M) per stream; h = mean + z L^T."""
+        """Per stream, a uniform (n,) for the labels, then z (n, M); h = mean + z L^T.
+
+        The labels go into ``gamma`` and h into ``h`` in place: z L^T a block of rows at a
+        time (an ``out`` that overlaps the input copies only that block), then each class
+        mean is added to its rows."""
         for rng, gamma_run, h_run in zip(rngs, gamma, h):
-            rng.random(out=gamma_run)
+            positive = rng.random(out=gamma_run) < self.p_pos
             rng.standard_normal(out=h_run)
-        positive = gamma < self.p_pos
-        gamma[...] = np.where(positive, 1.0, -1.0)
-        np.matmul(h, self._chol.T, out=h)
-        h += np.where(positive[..., None], self.mean_pos, self.mean_neg)
+            np.multiply(positive, 2.0, out=gamma_run)
+            gamma_run -= 1.0
+            for start in range(0, len(h_run), BLOCK_ROWS):
+                block = h_run[start : start + BLOCK_ROWS]
+                np.matmul(block, self._chol.T, out=block)
+            np.add(h_run, self.mean_pos, out=h_run, where=positive[:, None])
+            np.logical_not(positive, out=positive)
+            np.add(h_run, self.mean_neg, out=h_run, where=positive[:, None])
 
 
 def quadratic_features(points: np.ndarray) -> np.ndarray:

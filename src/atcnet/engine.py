@@ -364,7 +364,7 @@ def run_ensemble(
         ``mean_sq_error_tail``: the means of the recorded iterates and
         squared errors after this fraction of the records, accumulated
         without storing them. ``msd_from_tails`` turns the latter into an
-        ``MsdEstimate`` equal to ``estimate_msd`` on the kept records.
+        ``MsdEstimate`` of the runs.
     records : callable, optional
         Called at each 1024-sample block boundary, and once at the end, with
         a (runs, records, N) view of the squared errors recorded since its
@@ -542,37 +542,6 @@ def run_paired_long_term(
     iters = _read_only(recorded_iterations(iterations, stride))
     runs = zip(_read_only(sq_error), _read_only(sq_model), gaps.tolist())
     return [PairedRun(iters, sq, sq_m, gap) for sq, sq_m, gap in runs]
-
-
-def estimate_msd(
-    trajectories: list[Trajectory],
-    burn_in_fraction: float = DEFAULT_BURN_IN,
-) -> MsdEstimate:
-    """Average post-burn-in squared errors within runs, then across runs.
-
-    Each run's records are added in record order, as the kernel adds its
-    running tail sums, so this equals ``msd_from_tails`` on the streamed
-    runs bit for bit.
-    """
-    if len(trajectories) < 2:
-        raise InsufficientData("MSD estimation needs at least 2 runs")
-    if not 0.0 <= burn_in_fraction < 1.0:
-        raise ValueError("burn_in_fraction must lie in [0, 1)")
-    if any(traj.sq_error is None for traj in trajectories):
-        raise InsufficientData(
-            "the trajectories streamed their squared errors (sq_error is None); "
-            "estimate the MSD from their tail means with msd_from_tails"
-        )
-    t = trajectories[0].sq_error.shape[0]
-    if any(traj.sq_error.shape != trajectories[0].sq_error.shape for traj in trajectories):
-        raise DimensionMismatch("trajectories have inconsistent shapes")
-    if t == 0:
-        raise InsufficientData("MSD estimation needs at least 1 record per run")
-    start = int(np.floor(burn_in_fraction * t))
-    # cumsum adds row after row; a plain sum adds a single column pairwise
-    return msd_from_tails(
-        [np.cumsum(traj.sq_error[start:], axis=0)[-1] / (t - start) for traj in trajectories]
-    )
 
 
 def msd_from_tails(tails) -> MsdEstimate:

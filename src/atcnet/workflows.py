@@ -1,7 +1,7 @@
 """Experiment orchestration shared by the CLI and the test suite.
 
 Produces plain-dict payloads (JSON-ready, lossless round-trip) and CSV
-artifacts, keeping file layout and schemas in one place:
+artifacts (written by the process ``child`` runs), with this file layout:
 
 * ``analysis.json``    network structure, W, limit points, influence vectors
 * ``runs/run_<k>.csv`` per-run squared errors (iteration, agent_id, sq_error)
@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import pickle
-import shutil
-import uuid
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,8 +25,6 @@ from . import engine, influence, performance
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .topology import NetworkPartition, classify
-
-_CSV_CHUNK_ROWS = 1 << 16
 
 
 def _jsonable(value):
@@ -146,12 +142,10 @@ def simulate(config: ExperimentConfig, out_dir: Path | None = None) -> Simulatio
     The runs stream their squared errors and keep no history: the
     trajectories carry no ``sq_error``, only each run's tail means, and
     memory does not grow with the run length (``engine.run_ensemble`` keeps
-    the records when a caller needs them). With ``out_dir``, a spawned
-    writer process writes the run CSVs and the learning curve while the runs
-    go on (see ``_OutputWriter``), then summary.json is written. If the
-    simulation fails, ``out_dir`` is left as it was. The writer is started
-    with ``spawn``, so a script calling this with ``out_dir`` needs the
-    ``if __name__ == "__main__":`` guard.
+    the records when a caller needs them). With ``out_dir``, a writer
+    process (``python -m atcnet.child``, see ``_OutputWriter``) writes the
+    run CSVs and the learning curve while the runs go on, then summary.json
+    is written. If the simulation fails, ``out_dir`` is left as it was.
     """
     config.require_iterations()
     config.require_models()
@@ -234,12 +228,11 @@ def _discard(rows) -> None:
 def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     """Theoretical MSD report; optionally attach Monte-Carlo comparisons.
 
-    With ``with_sim``, the run controls are checked first; then a spawned
-    worker process (see ``_EnsembleWorker``) starts the Monte-Carlo ensemble
-    of ``simulate`` while this process computes the theory, and measures
-    the runs once it is handed the limit points the theory gives. The
-    worker is started with ``spawn``, so a script calling this with
-    ``with_sim=True`` needs the ``if __name__ == "__main__":`` guard.
+    With ``with_sim``, the run controls are checked first; then a worker
+    process (``python -m atcnet.child``, see ``_EnsembleWorker``) starts the
+    Monte-Carlo ensemble of ``simulate`` while this process computes the
+    theory, and measures the runs once it is handed the limit points the
+    theory gives.
     """
     models = list(config.require_models())
     step_sizes = config.require_step_sizes()
@@ -249,7 +242,11 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
             raise ConfigError(
                 "comparison needs monte_carlo_runs >= 2", field="run.monte_carlo_runs"
             )
-    with _EnsembleWorker(config) if with_sim else contextlib.nullcontext() as worker:
+    with (
+        _EnsembleWorker(config.matrix, models, step_sizes, _run_controls(config))
+        if with_sim
+        else contextlib.nullcontext()
+    ) as worker:
         partition = classify(config.matrix)
         report = performance.theoretical_msd(partition, models, step_sizes)
         if worker is not None:
@@ -354,146 +351,55 @@ def write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _append_rows(path: Path, prefixes: list[str], flat: list[float]) -> None:
-    """Append one row ``prefix + repr(value)`` per value to ``path``.
-
-    ``prefixes`` holds the ``iteration,agent_id,`` of each row, in the
-    row-major order of ``flat``; rows are joined and written in bounded chunks.
-    """
-    with path.open("a") as fh:
-        for at in range(0, len(flat), _CSV_CHUNK_ROWS):
-            chunk = slice(at, at + _CSV_CHUNK_ROWS)
-            fh.write("".join([f"{p}{v!r}\n" for p, v in zip(prefixes[chunk], flat[chunk])]))
-
-
-class _CsvWriter:
-    """Writes ``runs/run_<r>.csv`` and ``learning_curve.csv`` under ``out_dir``, a block at a time.
-
-    Each ``write`` appends the next records of every run and their across-run
-    mean in dB. The mean adds the runs in order and divides by their count,
-    as ``np.mean(..., axis=0)`` does, so blocks of any size give the same bytes.
-    """
-
-    def __init__(self, out_dir: Path, n_runs: int, stride: int):
-        (out_dir / "runs").mkdir(parents=True, exist_ok=True)
-        self.runs = [out_dir / "runs" / f"run_{r}.csv" for r in range(n_runs)]
-        self.curve = out_dir / "learning_curve.csv"
-        self.stride = stride
-        self.done = 0  # records written so far; record d was taken after (d + 1) * stride rounds
-        for path in self.runs:
-            path.write_text("iteration,agent_id,sq_error\n")
-        self.curve.write_text("iteration,agent_id,mean_sq_error_db\n")
-
-    @property
-    def paths(self) -> list[Path]:
-        return [*self.runs, self.curve]
-
-    def write(self, rows) -> None:
-        """Append the next records: one (records, N) array per run."""
-        count, n = rows[0].shape
-        first = (self.done + 1) * self.stride
-        iters = range(first, first + count * self.stride, self.stride)
-        self.done += count
-        prefixes = [f"{it},{k}," for it in iters for k in range(n)]
-        for path, values in zip(self.runs, rows):
-            _append_rows(path, prefixes, values.ravel().tolist())
-        mean = rows[0].copy()
-        for values in rows[1:]:
-            mean += values
-        mean /= len(rows)
-        db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in mean.ravel().tolist()]
-        _append_rows(self.curve, prefixes, db)
-
-
-def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, stride: int) -> list[Path]:
-    """Body of ``_OutputWriter``'s process.
-
-    Stages the CSVs in a new directory under ``out_dir`` from the record
-    blocks received on ``conn``. An empty message moves them into place and
-    returns their paths. Unless they were moved, everything this process
-    created is removed: on an error, when the pipe closes first, or on an
-    interrupt (Ctrl-C).
-    """
-    out = Path(out_dir)
-    runs_dir = out / "runs"
-    created = [d for d in (runs_dir, *runs_dir.parents) if not d.exists()]
-    staging, moved = None, None
-    try:
-        runs_dir.mkdir(parents=True, exist_ok=True)
-        # named before it is made, so an interrupt just after mkdir still finds it
-        staging = out / f".staging-{uuid.uuid4().hex}"
-        staging.mkdir()
-        writer = _CsvWriter(staging, n_runs, stride)
-        while data := conn.recv_bytes():
-            writer.write(np.frombuffer(data).reshape(-1, n_runs, n_agents).transpose(1, 0, 2))
-        targets = [out / path.relative_to(staging) for path in writer.paths]
-        for path, target in zip(writer.paths, targets):
-            os.replace(path, target)
-        moved = targets
-    finally:
-        if staging is not None:
-            shutil.rmtree(staging, ignore_errors=True)
-        if moved is None:
-            for d in created:  # deepest first; a directory that is not empty stays
-                with contextlib.suppress(OSError):
-                    d.rmdir()
-    return moved
-
-
-def _serve(conn, body, *args) -> None:
-    """What a ``_Child``'s process runs: ``body(conn, *args)``, answered on ``conn``.
-
-    The answer is the body's return value or the exception it raised. When
-    the pipe closes first (``EOFError``), as when the parent dies, or on an
-    interrupt (Ctrl-C), the process returns without an answer; an answer
-    the parent can no longer receive is dropped.
-    """
-    try:
-        reply = body(conn, *args)
-    except (EOFError, KeyboardInterrupt):
-        return
-    except Exception as exc:
-        reply = exc
-    with contextlib.suppress(OSError):
-        conn.send(reply)
-
-
 class _Child:
-    """A spawned daemon process serving ``target(conn, *args)`` (see ``_serve``), and this
-    end ``conn`` of their pipe.
+    """A process running ``python -m atcnet.child`` on ``body`` (see ``child._serve``), and
+    this end ``conn`` of the socket pair they talk over.
 
-    The new interpreter imports atcnet before it runs ``target``, so a script
-    that starts one needs the ``if __name__ == "__main__":`` guard. Leaving
-    the ``with`` block closes the pipe and waits for the process.
+    The process is sent ``args`` first. It inherits its end of the pair (through
+    ``pass_fds``, so on POSIX only), this process's standard output and error,
+    and its ``sys.path`` as ``PYTHONPATH``; it sees the pair close when this
+    process dies. Leaving the ``with`` block closes the pair and reaps the process.
     """
 
-    def __init__(self, target, name: str, *args):
-        import multiprocessing  # imported here: it would add ~8 ms to every command's start-up
+    def __init__(self, body: str, name: str, *args):
+        # imported here: multiprocessing would add ~8 ms to every command's start-up
+        import socket
+        import subprocess
+        from multiprocessing.connection import Connection
 
-        ctx = multiprocessing.get_context("spawn")
-        self.conn, child = ctx.Pipe()
-        # Only small values go as arguments: once pickled arguments outgrow the OS
-        # pipe buffer, starting the process blocks until it has imported atcnet.
-        self.process = ctx.Process(
-            target=_serve, args=(child, target, *args), name=name, daemon=True
-        )
-        self.process.start()
-        child.close()
+        self.name = name
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            self.process = subprocess.Popen(
+                [sys.executable, "-m", f"{__package__}.child", str(theirs.fileno()), body],
+                stdin=subprocess.DEVNULL, pass_fds=[theirs.fileno()],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            self.conn = Connection(ours.detach())
+        try:
+            self._send(pickle.dumps(args))
+        except BaseException:  # a failed send, or Ctrl-C while it waits: no ``with`` reaps it
+            self.__exit__()
+            raise
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.conn.close()
-        self.process.join()
+        try:
+            self.process.wait()
+        except BaseException:  # Ctrl-C while it waits: the process is not left running
+            self.process.kill()
+            self.process.wait()
+            raise
 
     def _reply(self):
         """The process's answer: its result, its error, or an error saying it exited."""
         try:
             return self.conn.recv()
         except (EOFError, OSError):
-            self.process.join()
-            return ChildProcessError(f"{self.process.name} exited with code {self.process.exitcode}")
+            return ChildProcessError(f"{self.name} exited with code {self.process.wait()}")
 
     def _result(self):
         """The process's result; its error, or one saying it exited, is raised."""
@@ -513,20 +419,20 @@ class _Child:
 
 
 class _OutputWriter(_Child):
-    """A spawned process that writes a simulation's CSVs while its runs go on.
+    """A process that writes a simulation's CSVs while its runs go on.
 
     ``send`` is the ``records`` callback of ``engine.run_ensemble``: it sends
     each block of squared errors as raw float64 bytes, records first, which
     is how the kernel lays out its block, so the block goes without a copy.
     ``commit`` moves the files into ``out_dir`` and returns their paths. Leaving the ``with``
-    block closes the pipe and waits for the process; before ``commit`` that
+    block closes the connection and waits for the process; before ``commit`` that
     makes the writer remove what it wrote. An error in the writer is raised
     here at the next ``send`` or at ``commit``.
     """
 
     def __init__(self, out_dir: Path, n_runs: int, n_agents: int, stride: int):
         super().__init__(
-            _write_streamed, "atcnet-writer", str(out_dir), n_runs, n_agents, stride
+            "_write_streamed", "atcnet-writer", str(out_dir), n_runs, n_agents, stride
         )
 
     def send(self, rows: np.ndarray) -> None:
@@ -537,45 +443,20 @@ class _OutputWriter(_Child):
         return self._result()
 
 
-def _estimate_ensemble(conn) -> engine.MsdEstimate:
-    """Body of ``_EnsembleWorker``'s process.
-
-    Receives a config on ``conn`` and starts its Monte-Carlo runs at once;
-    the limit points follow on ``conn`` (``engine.estimate_ensemble`` says
-    how the runs wait for them), and the runs' ``MsdEstimate`` is returned.
-    The runs look at the pipe every sample block, so they stop at the next
-    one once it closes, as when the parent dies.
-    """
-    config = conn.recv()
-    return engine.estimate_ensemble(
-        config.matrix,
-        list(config.require_models()),
-        config.require_step_sizes(),
-        # after the limit points the parent sends nothing: the pipe is readable once it closes
-        lambda wait: conn.recv() if wait or conn.poll() else None,
-        **_run_controls(config),
-    )
-
-
 class _EnsembleWorker(_Child):
-    """A spawned process that runs ``msd``'s Monte-Carlo ensemble while the theory is computed.
+    """A process that runs ``msd``'s Monte-Carlo ensemble while the theory is computed.
 
-    It is handed the config before the theory runs, and the theory draws its
-    logistic designs on copies of the models, so the config goes without
-    them. ``estimate`` hands it the limit points and returns its
-    ``MsdEstimate``, or raises the error the runs raised. Leaving the
-    ``with`` block before ``estimate`` has answered stops the process, so a
-    failure here never waits for the runs.
+    It is handed the matrix, models, step sizes and run controls before the
+    theory runs, and the theory draws its logistic designs on copies of the
+    models, so the models go without them. ``estimate`` hands it the limit
+    points and returns its ``MsdEstimate``, or raises the error the runs
+    raised. Leaving the ``with`` block before ``estimate`` has answered stops
+    the process, so a failure here never waits for the runs.
     """
 
-    def __init__(self, config: ExperimentConfig):
-        super().__init__(_estimate_ensemble, "atcnet-ensemble")
+    def __init__(self, a, models, step_sizes, controls: dict):
         self.answered = False
-        try:
-            self._send(pickle.dumps(config))
-        except BaseException:  # a failed send, or Ctrl-C while it waits: no ``with`` stops it
-            self.__exit__()
-            raise
+        super().__init__("_estimate_ensemble", "atcnet-ensemble", a, models, step_sizes, controls)
 
     def __exit__(self, *exc_info) -> None:
         if not self.answered:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import settings
 
 import atcnet as an
+from atcnet.engine import DEFAULT_BURN_IN, Trajectory, msd_from_tails
+from atcnet.errors import DimensionMismatch, InsufficientData
 
 # Eight agents, two sending sub-networks {0,1,2} and {3,4}, one receiving
 # sub-network {5,6,7}; same weights as the three-subnetwork preset.
@@ -75,6 +77,38 @@ def random_weak_matrix(rng, s_sizes=(3, 2), r_sizes=(2, 2), shuffle=True):
     s_groups = set(groups[: len(s_sizes)])
     r_groups = set(groups[len(s_sizes) :])
     return shuffled, s_groups, r_groups
+
+
+def estimate_msd(
+    trajectories: list[Trajectory],
+    burn_in_fraction: float = DEFAULT_BURN_IN,
+):
+    """Reference MSD estimate over kept records: post-burn-in squared errors averaged within
+    runs, then across runs.
+
+    Each run's records are added in record order, as the kernel adds its
+    running tail sums, so this equals ``msd_from_tails`` on the streamed
+    runs bit for bit.
+    """
+    if len(trajectories) < 2:
+        raise InsufficientData("MSD estimation needs at least 2 runs")
+    if not 0.0 <= burn_in_fraction < 1.0:
+        raise ValueError("burn_in_fraction must lie in [0, 1)")
+    if any(traj.sq_error is None for traj in trajectories):
+        raise InsufficientData(
+            "the trajectories streamed their squared errors (sq_error is None); "
+            "estimate the MSD from their tail means with msd_from_tails"
+        )
+    t = trajectories[0].sq_error.shape[0]
+    if any(traj.sq_error.shape != trajectories[0].sq_error.shape for traj in trajectories):
+        raise DimensionMismatch("trajectories have inconsistent shapes")
+    if t == 0:
+        raise InsufficientData("MSD estimation needs at least 1 record per run")
+    start = int(np.floor(burn_in_fraction * t))
+    # cumsum adds row after row; a plain sum adds a single column pairwise
+    return msd_from_tails(
+        [np.cumsum(traj.sq_error[start:], axis=0)[-1] / (t - start) for traj in trajectories]
+    )
 
 
 # Property tests draw the same examples on every run, and keep no example database.

@@ -4,7 +4,6 @@ import functools
 import hashlib
 import importlib
 import json
-import multiprocessing
 import operator
 import os
 import signal
@@ -23,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atcnet as an
-from atcnet import cli, workflows
+from atcnet import child, cli, workflows
 from atcnet.config import PRESET_NAMES, _YAML_LOADER, load_config, load_preset, parse_config
 from atcnet.errors import ConfigError
 
@@ -526,7 +525,7 @@ class TestSimulateWorkflow:
             np.array([[0.0, 1e-300], [0.0, 0.1], [0.0, 12345.678]]),
             np.array([[0.0, 1.0 / 3.0], [0.0, 2.5e-05], [0.0, 7.0]]),
         ]
-        workflows._CsvWriter(tmp_path, n_runs=2, stride=10).write(sq_error)
+        child._CsvWriter(tmp_path, n_runs=2, stride=10).write(sq_error)
         assert (tmp_path / "runs" / "run_0.csv").read_text() == RUN_0_CSV
         assert (tmp_path / "learning_curve.csv").read_text() == LEARNING_CURVE_CSV
 
@@ -584,12 +583,21 @@ def _group(pgid: int) -> list[int]:
     return members
 
 
+def _no_child() -> bool:
+    """Whether this process has no child: none running, and none exited but not reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def _workers(pgid: int) -> list[int]:
-    """The spawned ``multiprocessing`` workers in process group ``pgid``."""
+    """The ``atcnet.child`` processes in process group ``pgid``."""
     workers = []
     for pid in _group(pgid):
         try:
-            if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes():
+            if b"atcnet.child" in Path(f"/proc/{pid}/cmdline").read_bytes():
                 workers.append(pid)
         except OSError:  # the process exited while we looked
             continue
@@ -610,9 +618,9 @@ def started_workers(monkeypatch) -> list:
     workers = []
     init = workflows._EnsembleWorker.__init__
 
-    def start(self, config):
+    def start(self, *args):
         workers.append(self)
-        init(self, config)
+        init(self, *args)
 
     monkeypatch.setattr(workflows._EnsembleWorker, "__init__", start)
     return workers
@@ -686,7 +694,7 @@ class TestMsdWorkflow:
         payload = workflows.comparison_payload(workflows.msd(with_sim_config(name), with_sim=True))
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         assert digest == MSD_WITH_SIM_SHA256[name]
-        assert multiprocessing.active_children() == []
+        assert _no_child()
 
     @pytest.mark.parametrize("key, value", [("monte_carlo_runs", 1), ("iterations", None)])
     def test_with_sim_checks_run_controls_before_the_theory(self, monkeypatch, key, value):
@@ -712,8 +720,8 @@ class TestMsdWorkflow:
         with pytest.raises(type(error)):
             workflows.msd(config, with_sim=True)
         [worker] = workers
-        assert worker.process.exitcode == -signal.SIGTERM
-        assert multiprocessing.active_children() == []
+        assert worker.process.returncode == -signal.SIGTERM
+        assert _no_child()
 
     def test_worker_gets_the_config_without_a_design(self, monkeypatch):
         # the worker is handed the config before the theory draws any design; the two
@@ -738,7 +746,9 @@ class TestMsdWorkflow:
             "from atcnet import workflows\n"
             "from atcnet.config import parse_config\n"
             "if __name__ == '__main__':\n"
-            f"    w = workflows._EnsembleWorker(parse_config({data!r}))\n"
+            f"    c = parse_config({data!r})\n"
+            "    w = workflows._EnsembleWorker(c.matrix, list(c.models), c.step_sizes,\n"
+            "                                  workflows._run_controls(c))\n"
             f"    if {points}:\n"
             "        w._send(pickle.dumps(np.ones((8, 1))))\n"
             "    print(w.process.pid, flush=True)\n"
@@ -861,7 +871,7 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "out" / "msd_report.json").read_text())
         assert len(payload["comparison"]) == 8
-        assert multiprocessing.active_children() == []
+        assert _no_child()
 
     def test_msd_with_sim_divergence_exit_code(self, tmp_path, capsys):
         data = eight_agent_config(iterations=4000, stride=7, monte_carlo_runs=3)
@@ -871,7 +881,7 @@ class TestCli:
         assert cli.main(["msd", "--config", path, "--with-sim", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "divergence: iterates diverged: agent 4 at iteration 1082 (run 2)\n" in err
-        assert multiprocessing.active_children() == []
+        assert _no_child()
         assert not out.exists()
 
     def test_interrupted_simulate_exit_code(self, tmp_path):
@@ -1023,7 +1033,7 @@ class TestCli:
         message = ("Unable to allocate 56.8 PiB for an array with shape (1000000000000000, 8) "
                    "and data type float64")
         assert capsys.readouterr().err.splitlines() == [f"out of memory: {message}"]
-        assert multiprocessing.active_children() == []
+        assert _no_child()
 
     @pytest.mark.parametrize("when", ["theory", "hand-over"])
     def test_killed_worker_exit_code(self, tmp_path, capsys, monkeypatch, when):
@@ -1033,7 +1043,7 @@ class TestCli:
         def kill_worker():
             [worker] = workers
             worker.process.kill()
-            worker.process.join()
+            worker.process.wait()
 
         if when == "theory":
             theory = workflows.performance.theoretical_msd
@@ -1048,7 +1058,7 @@ class TestCli:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"I/O error: atcnet-ensemble exited with code {-signal.SIGKILL}\n"
-        assert multiprocessing.active_children() == []
+        assert _no_child()
         assert not (tmp_path / "out").exists()
 
     def test_interrupted_msd_with_sim_exit_code(self, tmp_path):
@@ -1140,7 +1150,7 @@ class TestCli:
             config.matrix, list(config.models), config.step_sizes, result.limit_points,
             iterations=2500, n_runs=3, master_seed=config.run.seed, stride=7,
         )
-        writer = workflows._CsvWriter(direct, n_runs=3, stride=7)
+        writer = child._CsvWriter(direct, n_runs=3, stride=7)
         writer.write([traj.sq_error for traj in kept])
         for p in writer.paths:
             name = p.relative_to(direct)
@@ -1150,7 +1160,7 @@ class TestCli:
             result.payload
         )
         assert len((streamed / "runs" / "run_0.csv").read_text().splitlines()) == 1 + 357 * 8
-        assert multiprocessing.active_children() == []
+        assert _no_child()
 
     def test_failed_simulate_leaves_outputs_as_they_were(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1170,7 +1180,7 @@ class TestCli:
         for target in (out, fresh):
             assert cli.main(["simulate", "--config", path, "--out", str(target)]) == 2
             assert f"divergence: {exc.value}\n" in capsys.readouterr().err
-            assert multiprocessing.active_children() == []
+            assert _no_child()
         assert _tree(out) == before
         assert not (tmp_path / "fresh").exists()
 
@@ -1183,7 +1193,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "I/O error" in err and "Not a directory" in err
         assert "Traceback" not in err
-        assert multiprocessing.active_children() == []
+        assert _no_child()
 
     def test_seed_override(self, tmp_path):
         path = self.write_config(tmp_path, eight_agent_config())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,46 @@ class TestSamplers:
         assert h.shape == (5000, 2)
         assert h[gamma > 0, 0].mean() > 1.5
         assert h[gamma < 0, 0].mean() < -1.5
+
+    @pytest.mark.parametrize(
+        "m, n, runs, cov, p_pos",
+        [(1, 1, 1, 1.0, 0.5), (2, 200_000, 1, [[2.0, 0.3], [0.3, 1.0]], 0.3),
+         (3, 20_001, 3, [1.0, 2.0, 3.0], 0.7), (6, 1024, 5, 2.0, 0.5),
+         (2, 8193, 2, [[1.0, 0.9], [0.9, 1.0]], 0.0)],
+    )
+    def test_two_class_draw_keeps_the_whole_array_recipe(self, m, n, runs, cov, p_pos):
+        # the draw used to form the labels and class means as full-length arrays
+        def reference(sampler, rngs, gamma, h):
+            for rng, gamma_run, h_run in zip(rngs, gamma, h):
+                rng.random(out=gamma_run)
+                rng.standard_normal(out=h_run)
+            positive = gamma < sampler.p_pos
+            gamma[...] = np.where(positive, 1.0, -1.0)
+            np.matmul(h, np.linalg.cholesky(sampler.cov).T, out=h)
+            h += np.where(positive[..., None], sampler.mean_pos, sampler.mean_neg)
+
+        rng = np.random.default_rng(n)
+        sampler = TwoClassGaussianSampler(rng.standard_normal(m), rng.standard_normal(m),
+                                          cov=cov, p_pos=p_pos)
+        drawn = np.empty((runs, n)), np.empty((runs, n, m))
+        expected = np.empty((runs, n)), np.empty((runs, n, m))
+        sampler.draw_into([np.random.default_rng(r) for r in range(runs)], *drawn)
+        reference(sampler, [np.random.default_rng(r) for r in range(runs)], *expected)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+
+    def test_two_class_draw_makes_no_full_length_temporary(self):
+        # at M = 2 the labels LogisticCost draws into take half the design, so 1.5 designs
+        # is the floor; the class mask and one block of rows add 0.1. The draw once formed
+        # the labels and the class means as full-length temporaries, and peaked at 2.6
+        model = make_logistic()
+        model.draw_batch(np.random.default_rng(0), 10)  # imports and caches come first
+        tracemalloc.start()
+        try:
+            (design,) = model.draw_batch(np.random.default_rng(0), 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * design.nbytes
 
     def test_quadratic_feature_map(self):
         pts = np.array([[2.0, -3.0]])

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import atcnet as an
-from atcnet import engine, workflows
+from atcnet import child, engine
 from atcnet.costs import QuadraticCost
 from atcnet.errors import Diverged, InsufficientData
+
+from conftest import estimate_msd
+
 
 def quad_models(w_os, sigma_v2=0.01, r_u=1.0):
     return [QuadraticCost(r_u=r_u, sigma_v2=sigma_v2, w_o=w) for w in w_os]
@@ -215,7 +218,7 @@ class TestEstimateMsd:
                 sq_error=np.full((10, 3), 2.5),
                 iterates=None,
             )
-        est = an.estimate_msd([traj(0), traj(1)], burn_in_fraction=0.5)
+        est = estimate_msd([traj(0), traj(1)], burn_in_fraction=0.5)
         assert np.array_equal(est.per_agent, [2.5, 2.5, 2.5])
         assert np.array_equal(est.halfwidth, [0.0, 0.0, 0.0])
 
@@ -224,19 +227,19 @@ class TestEstimateMsd:
             iterations=np.array([10]), sq_error=np.ones((1, 1)), iterates=None,
         )
         with pytest.raises(InsufficientData):
-            an.estimate_msd([traj])
+            estimate_msd([traj])
 
     def test_zero_records_are_insufficient(self):
         traj = engine.Trajectory(iterations=np.arange(0), sq_error=np.empty((0, 2)), iterates=None)
         with pytest.raises(InsufficientData, match="record"):
-            an.estimate_msd([traj, traj])
+            estimate_msd([traj, traj])
 
     def test_streamed_trajectories_are_insufficient(self, two_agent_setup):
         a, models, steps = two_agent_setup
         runs = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=2,
                                master_seed=1, records=lambda rows: None)
         with pytest.raises(InsufficientData, match="streamed"):
-            an.estimate_msd(runs)
+            estimate_msd(runs)
 
     def test_extreme_burn_in_uses_last_sample(self):
         values = np.arange(100, dtype=float).reshape(100, 1)
@@ -244,7 +247,7 @@ class TestEstimateMsd:
             return engine.Trajectory(
                 iterations=np.arange(1, 101), sq_error=values.copy(), iterates=None,
             )
-        est = an.estimate_msd([traj(0), traj(1)], burn_in_fraction=0.99)
+        est = estimate_msd([traj(0), traj(1)], burn_in_fraction=0.99)
         assert est.per_agent[0] == 99.0
 
     def test_single_agent_lms_reference(self):
@@ -255,7 +258,7 @@ class TestEstimateMsd:
         steps = an.StepSizeProfile(mu, [1.0])
         runs = an.run_ensemble(a, [model], steps, np.array([[0.5]]),
                                iterations=20000, n_runs=8, master_seed=2)
-        est = an.estimate_msd(runs, burn_in_fraction=0.5)
+        est = estimate_msd(runs, burn_in_fraction=0.5)
         assert est.per_agent[0] == pytest.approx(mu * sv2, rel=0.2)
 
 
@@ -264,7 +267,7 @@ class TestTrajectoryCsv:
         a, models, steps = two_agent_setup
         [traj] = an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=20, n_runs=1,
                                  master_seed=1, stride=10)
-        workflows._CsvWriter(tmp_path, n_runs=1, stride=10).write([traj.sq_error])
+        child._CsvWriter(tmp_path, n_runs=1, stride=10).write([traj.sq_error])
         lines = (tmp_path / "runs" / "run_0.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,agent_id,sq_error"
         assert len(lines) == 1 + 2 * 2  # two recorded iterations x two agents

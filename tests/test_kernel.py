@@ -28,7 +28,7 @@ from atcnet.costs import (
 )
 from atcnet.errors import Diverged
 
-from conftest import EIGHT_AGENT, random_weak_matrix
+from conftest import EIGHT_AGENT, estimate_msd, random_weak_matrix
 
 PRESET_SQ_ERROR_SHA256 = "e67162190fd86a224b333240b9ecb71a5b6e70169cac780b4fb6c18a6b92d0dd"
 PRESET_ITERATES_SHA256 = "e367d0e8d259aa0532bac180fa1c28ea47ae47a6038f82714e8a2e98c49ea39a"
@@ -232,7 +232,7 @@ class TestBatchedKernel:
             assert np.array_equal(traj.mean_sq_error_tail,
                                   record_order_mean(traj.sq_error[start:]))
         streamed = engine.msd_from_tails([t.mean_sq_error_tail for t in runs])
-        kept = engine.estimate_msd(runs, 0.4)
+        kept = estimate_msd(runs, 0.4)
         assert np.array_equal(streamed.per_agent, kept.per_agent)
         assert np.array_equal(streamed.halfwidth, kept.halfwidth)
 

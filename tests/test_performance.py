@@ -11,6 +11,8 @@ from atcnet.errors import (
     SingularAggregateHessian,
 )
 
+from conftest import estimate_msd
+
 
 def quad(w_o, r_u=1.0, sv2=0.01):
     return QuadraticCost(r_u=r_u, sigma_v2=sv2, w_o=w_o)
@@ -217,7 +219,7 @@ class TestVectorHeterogeneousNetwork:
             a, models, steps, points,
             iterations=40000, n_runs=8, master_seed=17,
         )
-        rows = an.compare(report, an.estimate_msd(runs, 0.5), threshold_db=1.0)
+        rows = an.compare(report, estimate_msd(runs, 0.5), threshold_db=1.0)
         assert not any(row.flagged for row in rows)
 
 

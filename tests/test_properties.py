@@ -12,7 +12,7 @@ import atcnet as an
 from atcnet import engine, workflows
 from atcnet.costs import LogisticCost, QuadraticCost, TwoClassGaussianSampler, ZeroedObservations
 
-from conftest import random_weak_matrix
+from conftest import estimate_msd, random_weak_matrix
 
 ROUND_OFF = 1e-13
 
@@ -158,7 +158,7 @@ def test_streamed_runs_match_kept_runs(net, controls):
     history = np.stack([t.sq_error for t in kept])
     assert np.array_equal(np.concatenate(blocks, axis=1), history)
     estimate = engine.msd_from_tails([t.mean_sq_error_tail for t in streamed])
-    reference = an.estimate_msd(kept, burn_in)
+    reference = estimate_msd(kept, burn_in)
     assert np.array_equal(estimate.per_agent, reference.per_agent)
     assert np.array_equal(estimate.halfwidth, reference.halfwidth)
     # run r does not depend on the runs after it: r + 1 runs give it bit for bit

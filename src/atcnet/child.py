@@ -1,7 +1,7 @@
 """The processes a command starts beside it: ``simulate``'s CSV writer and ``msd``'s worker.
 
 ``workflows._Child`` runs ``python -m atcnet.child FD BODY``: the process serves
-the function named ``BODY`` (``_write_streamed`` or ``_estimate_ensemble``) on
+the function named ``BODY`` (``_write_streamed`` or ``_ensemble_msd``) on
 the connection over the socket at file descriptor ``FD`` (see ``_serve``). It
 imports numpy and what its body reads, and nothing only the command needs:
 the writer imports no other atcnet module, and the worker only ``engine`` and
@@ -109,19 +109,19 @@ def _write_streamed(conn, out_dir: str, n_runs: int, n_agents: int, stride: int)
     return moved
 
 
-def _estimate_ensemble(conn, a, models, step_sizes, controls: dict):
+def _ensemble_msd(conn, a, models, step_sizes, controls: dict):
     """Body of ``workflows._EnsembleWorker``'s process.
 
     Starts the Monte-Carlo runs of ``a``, ``models`` and ``step_sizes`` under
     the run controls ``controls`` at once; the limit points follow on
-    ``conn`` (``engine.estimate_ensemble`` says how the runs wait for them),
-    and the runs' ``MsdEstimate`` is returned. The runs look at ``conn``
-    every sample block, so they stop at the next one once it closes, as when
-    the parent dies.
+    ``conn`` (``engine.run_ensemble`` says how runs wait for late limit
+    points), and the ``MsdEstimate`` of the runs' tail means is returned.
+    The runs look at ``conn`` every sample block, so they stop at the next
+    one once it closes, as when the parent dies.
     """
     from . import engine
 
-    return engine.estimate_ensemble(
+    runs = engine.run_ensemble(
         a,
         models,
         step_sizes,
@@ -129,6 +129,7 @@ def _estimate_ensemble(conn, a, models, step_sizes, controls: dict):
         lambda wait: conn.recv() if wait or conn.poll() else None,
         **controls,
     )
+    return engine.msd_from_tails([run.mean_sq_error_tail for run in runs])
 
 
 def _serve(conn, body) -> None:

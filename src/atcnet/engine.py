@@ -22,8 +22,8 @@ report it.
 The kernel hands over the states it records, a sample block at a time,
 and ``_measure`` turns them into squared errors against the limit points
 and record-order tail sums. The runs themselves never read the limit
-points, so ``estimate_ensemble`` can start them before the points are
-known and keep the states after the burn-in until they come.
+points, so ``run_ensemble`` can start them before late points are known
+and keep the states after the burn-in until they come.
 """
 from __future__ import annotations
 
@@ -129,7 +129,7 @@ class _Kernel:
     rounds, kept in one reused buffer, are checked for divergence at once.
     Every recorded state is copied into one reused record buffer, which is
     handed over a sample block at a time; ``_measure`` turns it into
-    squared errors and tail sums.
+    squared errors and their tail sums.
     """
 
     def __init__(self, a: CombinationMatrix, models, step_sizes: StepSizeProfile):
@@ -195,11 +195,12 @@ class _Kernel:
         """Iterate from ``w_init`` (zero by default) over independent (seed, run, agent) streams.
 
         The state after every ``stride``-th round goes into one record
-        buffer. ``states`` receives it at each sample-block boundary and once
-        at the end, as a (records, rows, N, M) view of the records made since
-        its previous call; the view is valid only until the call returns,
-        and the call may overwrite it. The rows are the runs' iterates and,
-        with ``noise_at`` set, under them the errors of the linear model of
+        buffer. ``states(first, view)`` receives it at each sample-block
+        boundary and once at the end: a (records, rows, N, M) view of the
+        records made since its previous call, the first of them record
+        ``first``. The view is valid only until the call returns, and the call
+        may overwrite it. The rows are the runs' iterates and, with
+        ``noise_at`` set, under them the errors of the linear model of
         ``run_paired_long_term`` around ``limit_points``; then each run's
         largest gap between the two errors, over every round, is returned.
 
@@ -244,7 +245,7 @@ class _Kernel:
         sent = 0  # records handed over so far
         for start in range(0, iterations, _BLOCK):
             if start // stride > sent:
-                states(block[: start // stride - sent])
+                states(sent, block[: start // stride - sent])
                 sent = start // stride
             self.draw(streams, buffers)
             if noise_at == "limit_point":
@@ -282,7 +283,7 @@ class _Kernel:
                     if (i + 1) % stride == 0:
                         block[i // stride - sent] = state
         if iterations // stride > sent:
-            states(block[: iterations // stride - sent])
+            states(sent, block[: iterations // stride - sent])
         return max_gap if noise_at is not None else None
 
 
@@ -315,18 +316,14 @@ def _record_counts(iterations: int, n_runs: int, stride: int,
     return n_rec, tail_from
 
 
-def _measure(states, limit_points, tail=None, sq_tail=None, skip=0) -> np.ndarray:
+def _measure(states, limit_points, sq_tail=None, skip=0) -> np.ndarray:
     """Squared errors (records, runs, N) of recorded states (records, runs, N, M) against
     the limit points.
 
-    The records from ``skip`` on are added, in record order, to the running
-    sums ``tail`` (runs, N, M) of the states and ``sq_tail`` (runs, N) of
-    their squared errors, where given. The errors are taken in place, so
-    ``states`` is overwritten with them.
+    The errors of the records from ``skip`` on are added, in record order,
+    to the running sums ``sq_tail`` (runs, N), where given. The errors are
+    taken in place, so ``states`` is overwritten with them.
     """
-    if tail is not None:
-        for x in states[skip:]:
-            tail += x
     errors = np.subtract(states, limit_points, out=states)
     sq = np.einsum("trkm,trkm->trk", errors, errors)
     if sq_tail is not None:
@@ -339,7 +336,7 @@ def run_ensemble(
     a: CombinationMatrix,
     models: list[CostModel],
     step_sizes: StepSizeProfile,
-    limit_points: np.ndarray,
+    limit_points,
     iterations: int,
     n_runs: int,
     master_seed: int,
@@ -352,9 +349,17 @@ def run_ensemble(
 
     Parameters
     ----------
-    limit_points : (N, M) array
+    limit_points : (N, M) array, or callable
         Reference point per agent (original order); squared errors are
-        measured against these.
+        measured against these. A callable ``limit_points(wait)`` returns
+        them late: the runs call it at every sample-block boundary, where
+        it may return None while the points are not known yet, and with
+        ``wait`` true when they cannot go on without them; it may raise to
+        stop the runs. Until the points come, the runs keep copies of the
+        recorded states after the burn-in, at most as many bytes as their
+        sample buffers, and then wait for them, so memory does not grow
+        with the run length. Late points need ``burn_in_fraction`` and give
+        only tail means: they take no ``records``, and ``sq_error`` is None.
     iterations : int
         Number of synchronous rounds, starting from all-zero iterates.
     stride : int
@@ -376,26 +381,48 @@ def run_ensemble(
     Returns one Trajectory per run. Deterministic in (master_seed, config).
     """
     kernel = _Kernel(a, models, step_sizes)
-    limit_points = kernel.points(limit_points)
+    late = callable(limit_points)
+    if late and (records is not None or burn_in_fraction is None):
+        raise ValueError("late limit_points need a burn_in_fraction and take no records")
+    points = None if late else kernel.points(limit_points)
     n_rec, tail_from = _record_counts(iterations, n_runs, stride, burn_in_fraction)
-    sq_error = np.empty((n_runs, n_rec, kernel.n)) if records is None else None
+    sq_error = None if late or records is not None else np.empty((n_runs, n_rec, kernel.n))
     iterates = np.empty((n_runs, n_rec, kernel.n, kernel.m)) if record_iterates else None
-    tail, sq_tail = np.zeros((n_runs, kernel.n, kernel.m)), np.zeros((n_runs, kernel.n))
-    done = 0  # records measured so far
+    sq_tail, tail = np.zeros((n_runs, kernel.n)), np.zeros((n_runs, kernel.n, kernel.m))
+    bound = kernel.sample_bytes(n_runs)
+    held = []  # with late limit points, copies of the tail states until the points come
 
-    def take(states):
-        nonlocal done
-        upto = done + states.shape[0]
+    def settle(wait):
+        nonlocal points
+        given = limit_points(wait)
+        if points is None and given is not None:
+            points = kernel.points(given)
+            for states in held:
+                _measure(states, points, sq_tail)
+            held.clear()
+
+    def take(first, states):
+        upto = first + states.shape[0]
+        skip = max(tail_from - first, 0)  # records before the first tail record
         if record_iterates:
-            iterates[:, done:upto] = states.transpose(1, 0, 2, 3)
-        sq = _measure(states, limit_points, tail, sq_tail, max(tail_from - done, 0))
-        if records is None:
-            sq_error[:, done:upto] = sq.transpose(1, 0, 2)
-        else:
+            iterates[:, first:upto] = states.transpose(1, 0, 2, 3)
+        for x in states[skip:]:
+            np.add(tail, x, out=tail)
+        if late:
+            states, skip = states[skip:], 0
+            settle(points is None and sum(h.nbytes for h in held) + states.nbytes > bound)
+            if points is None:
+                held.append(states.copy())
+                return
+        sq = _measure(states, points, sq_tail, skip)
+        if sq_error is not None:
+            sq_error[:, first:upto] = sq.transpose(1, 0, 2)
+        elif records is not None:
             records(sq.transpose(1, 0, 2))
-        done = upto
 
     kernel.run(iterations, n_runs, master_seed, stride, take)
+    if points is None:
+        settle(True)
     means = (None, None)
     if burn_in_fraction is not None:
         means = (tail / (n_rec - tail_from), sq_tail / (n_rec - tail_from))
@@ -415,60 +442,6 @@ def run_ensemble(
         )
         for r in range(n_runs)
     ]
-
-
-def estimate_ensemble(
-    a: CombinationMatrix,
-    models: list[CostModel],
-    step_sizes: StepSizeProfile,
-    limit_points,
-    iterations: int,
-    n_runs: int,
-    master_seed: int,
-    stride: int = DEFAULT_STRIDE,
-    burn_in_fraction: float = DEFAULT_BURN_IN,
-) -> MsdEstimate:
-    """The MSD estimate of the runs of ``run_ensemble``, whose limit points may come late.
-
-    ``limit_points(wait)`` returns the (N, M) limit points. The runs call it
-    at every sample-block boundary, where it may return None while the
-    points are not known yet, and with ``wait`` true when they cannot go on
-    without them; it may raise to stop the runs. Until the points come, the
-    runs keep copies of the recorded states after the burn-in, at most as
-    many bytes as their sample buffers, and then wait for them, so memory
-    does not grow with the run length. The estimate has the bits of
-    ``msd_from_tails`` over ``run_ensemble``'s ``mean_sq_error_tail``.
-    """
-    if n_runs < 2:
-        raise InsufficientData("MSD estimation needs at least 2 runs")
-    kernel = _Kernel(a, models, step_sizes)
-    n_rec, tail_from = _record_counts(iterations, n_runs, stride, float(burn_in_fraction))
-    bound = kernel.sample_bytes(n_runs)
-    sq_tail = np.zeros((n_runs, kernel.n))
-    held, points, done = [], None, 0
-
-    def settle(wait):
-        nonlocal points
-        given = limit_points(wait)
-        if points is None and given is not None:
-            points = kernel.points(given)
-            for states in held:
-                _measure(states, points, sq_tail=sq_tail)
-            held.clear()
-
-    def take(states):
-        nonlocal done
-        states, done = states[max(tail_from - done, 0):], done + states.shape[0]
-        settle(points is None and sum(h.nbytes for h in held) + states.nbytes > bound)
-        if points is None:
-            held.append(states.copy())
-        else:
-            _measure(states, points, sq_tail=sq_tail)
-
-    kernel.run(iterations, n_runs, master_seed, stride, take)
-    if points is None:
-        settle(True)
-    return msd_from_tails(sq_tail / (n_rec - tail_from))
 
 
 def long_term_state(models: list[CostModel], limit_points: np.ndarray):
@@ -528,14 +501,11 @@ def run_paired_long_term(
     limit_points = kernel.points(limit_points)
     n_rec, _ = _record_counts(iterations, n_runs, stride)
     sq_error, sq_model = np.empty((2, n_runs, n_rec, kernel.n))
-    done = 0  # records measured so far
 
-    def take(states):
-        nonlocal done
-        upto = done + states.shape[0]
-        sq_error[:, done:upto] = _measure(states[:, :n_runs], limit_points).transpose(1, 0, 2)
-        sq_model[:, done:upto] = _measure(states[:, n_runs:], 0.0).transpose(1, 0, 2)
-        done = upto
+    def take(first, states):
+        upto = first + states.shape[0]
+        sq_error[:, first:upto] = _measure(states[:, :n_runs], limit_points).transpose(1, 0, 2)
+        sq_model[:, first:upto] = _measure(states[:, n_runs:], 0.0).transpose(1, 0, 2)
 
     gaps = kernel.run(iterations, n_runs, seed, stride, take, w_init=w_init, noise_at=noise_at,
                       limit_points=limit_points)

@@ -231,8 +231,8 @@ def msd(config: ExperimentConfig, with_sim: bool = False) -> dict:
     With ``with_sim``, the run controls are checked first; then a worker
     process (``python -m atcnet.child``, see ``_EnsembleWorker``) starts the
     Monte-Carlo ensemble of ``simulate`` while this process computes the
-    theory, and measures the runs once it is handed the limit points the
-    theory gives.
+    theory: its ``engine.run_ensemble`` takes the limit points late, once
+    the theory gives them, and keeps only the runs' tail means.
     """
     models = list(config.require_models())
     step_sizes = config.require_step_sizes()
@@ -449,14 +449,15 @@ class _EnsembleWorker(_Child):
     It is handed the matrix, models, step sizes and run controls before the
     theory runs, and the theory draws its logistic designs on copies of the
     models, so the models go without them. ``estimate`` hands it the limit
-    points and returns its ``MsdEstimate``, or raises the error the runs
+    points, which its ``engine.run_ensemble`` takes late, and returns the
+    ``MsdEstimate`` of the runs' tail means, or raises the error the runs
     raised. Leaving the ``with`` block before ``estimate`` has answered stops
     the process, so a failure here never waits for the runs.
     """
 
     def __init__(self, a, models, step_sizes, controls: dict):
         self.answered = False
-        super().__init__("_estimate_ensemble", "atcnet-ensemble", a, models, step_sizes, controls)
+        super().__init__("_ensemble_msd", "atcnet-ensemble", a, models, step_sizes, controls)
 
     def __exit__(self, *exc_info) -> None:
         if not self.answered:

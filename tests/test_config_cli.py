@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -604,6 +605,29 @@ def _workers(pgid: int) -> list[int]:
     return workers
 
 
+def _interrupt(proc) -> str:
+    """Press Ctrl-C on ``proc``, a command started in a new session, and return its standard
+    error once it has exited and, within a few seconds, left no process in its group.
+
+    The command is waited on, not its pipes: a child that outlived it would hold them
+    open, so a wait on the pipes would let the child go before its group is looked at.
+    """
+    os.killpg(proc.pid, signal.SIGINT)
+    proc.wait(timeout=120)
+    deadline = time.monotonic() + 5
+    while _group(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _group(proc.pid) == []
+    return proc.communicate()[1]
+
+
+def _kill_group(proc) -> None:
+    """Kill whatever is left of ``proc``'s process group, then reap ``proc`` and close its pipes."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.communicate()
+
+
 def _cpu_seconds(pid: int) -> float:
     """User and system CPU time process ``pid`` has used; 0 once it is gone."""
     try:
@@ -898,19 +922,12 @@ class TestCli:
             while not any(out.glob(".staging-*")) and proc.poll() is None:
                 assert time.monotonic() < deadline, "the writer never staged its files"
                 time.sleep(0.02)
-            os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=120)
+            err = _interrupt(proc)
         finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+            _kill_group(proc)
         assert proc.returncode == 130
         assert err == "interrupted\n"
         assert not out.exists()
-        deadline = time.monotonic() + 30
-        while _group(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _group(proc.pid) == []
 
     def test_analyze_logistic_preset(self, tmp_path):
         # limit points via Newton on the sampled aggregate gradient
@@ -1077,19 +1094,12 @@ class TestCli:
             while not any(_cpu_seconds(pid) > 1.0 for pid in _workers(proc.pid)):
                 assert proc.poll() is None and time.monotonic() < deadline, "no worker ran"
                 time.sleep(0.05)
-            os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=120)
+            err = _interrupt(proc)
         finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+            _kill_group(proc)
         assert proc.returncode == 130
         assert err == "interrupted\n"
         assert not out.exists()
-        deadline = time.monotonic() + 30
-        while _group(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _group(proc.pid) == []
 
     def test_other_package_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def no_convergence(models, q, return_hessians=False):

@@ -119,9 +119,8 @@ class TestRun:
             an.run_ensemble(a, models, steps, np.zeros((2, 1)), iterations=2000, n_runs=2,
                             master_seed=2, burn_in_fraction=fraction)
         with pytest.raises(ValueError, match="burn_in_fraction"):
-            engine.estimate_ensemble(a, models, steps, lambda wait: np.zeros((2, 1)),
-                                     iterations=2000, n_runs=2, master_seed=2,
-                                     burn_in_fraction=fraction)
+            an.run_ensemble(a, models, steps, lambda wait: np.zeros((2, 1)), iterations=2000,
+                            n_runs=2, master_seed=2, burn_in_fraction=fraction)
 
     @pytest.mark.parametrize("n_runs", [0, -1])
     def test_run_count_below_one_rejected(self, two_agent_setup, n_runs):

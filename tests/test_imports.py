@@ -157,7 +157,7 @@ def test_ensemble_worker_imports_only_what_it_runs():
     controls = {**workflows._run_controls(config), "iterations": 2000}
     args = pickle.dumps((config.matrix, list(config.models), config.step_sizes, controls))
     points = pickle.dumps(np.zeros((config.n, 1)))
-    estimate, imported = serve_in_child("_estimate_ensemble", args, points)
+    estimate, imported = serve_in_child("_ensemble_msd", args, points)
     assert estimate.per_agent.shape == (config.n,)
     assert "atcnet.engine" in imported
     assert not imported & PARENT_ONLY
@@ -181,7 +181,7 @@ def test_msd_with_sim_starts_one_child(tmp_path):
     code, started, tracker = python(script)[-3:]
     assert code == "0"
     [argv] = json.loads(started)
-    assert argv.startswith("-m atcnet.child ") and argv.endswith(" _estimate_ensemble")
+    assert argv.startswith("-m atcnet.child ") and argv.endswith(" _ensemble_msd")
     assert tracker == "False"
 
 

@@ -492,24 +492,52 @@ class TestWorkingSet:
 
 
 class TestLateLimitPoints:
-    """``estimate_ensemble``, whose limit points may come after the runs start."""
+    """``run_ensemble`` with limit points that may come after the runs start."""
 
-    @pytest.mark.parametrize("stride, burn_in", [(10, 0.5), (7, 0.3), (1, 0.0)])
-    def test_late_points_give_the_bits_of_run_ensemble(self, stride, burn_in):
-        args, lp = preset_network()[:3], preset_network()[3]
-        kwargs = dict(iterations=2500, n_runs=3, master_seed=4, stride=stride)
-        runs = engine.run_ensemble(*args, lp, **kwargs, burn_in_fraction=burn_in)
+    @pytest.mark.parametrize(
+        "network, stride, burn_in",
+        [(preset_network, 10, 0.5), (preset_network, 7, 0.3), (preset_network, 1, 0.0),
+         (mixed_network, 10, 0.5)],
+        ids=["10-0.5", "7-0.3", "1-0.0", "mixed_network"],
+    )
+    def test_late_points_give_the_bits_of_run_ensemble(self, network, stride, burn_in):
+        *args, lp = network()
+        kwargs = dict(iterations=2500, n_runs=3, master_seed=4, stride=stride,
+                      record_iterates=True, burn_in_fraction=burn_in)
+        runs = engine.run_ensemble(*args, lp, **kwargs)
         kept = engine.msd_from_tails([t.mean_sq_error_tail for t in runs])
         for points in (lambda wait: lp, lambda wait: lp if wait else None):
-            late = engine.estimate_ensemble(*args, points, **kwargs, burn_in_fraction=burn_in)
+            late_runs = engine.run_ensemble(*args, points, **kwargs)
+            late = engine.msd_from_tails([t.mean_sq_error_tail for t in late_runs])
             assert np.array_equal(late.per_agent, kept.per_agent)
             assert np.array_equal(late.halfwidth, kept.halfwidth)
+            for run, late_run in zip(runs, late_runs):
+                assert late_run.sq_error is None
+                for field in ("iterates", "mean_iterate_tail", "mean_sq_error_tail"):
+                    assert np.array_equal(getattr(late_run, field), getattr(run, field)), field
 
-    @pytest.mark.parametrize("iterations", [400, 4000])
-    def test_held_states_stop_at_the_sample_buffers(self, iterations):
+    @pytest.mark.parametrize(
+        "controls, match",
+        [({"records": lambda rows: None, "burn_in_fraction": 0.5}, "records"),
+         ({}, "burn_in_fraction")],
+        ids=["records", "no-burn-in"],
+    )
+    def test_late_points_need_a_burn_in_and_take_no_records(self, controls, match):
+        a, models, steps, lp = single_agent()
+        with pytest.raises(ValueError, match=match):
+            engine.run_ensemble(a, models, steps, lambda wait: lp, iterations=100, n_runs=2,
+                                master_seed=1, **controls)
+
+    @pytest.mark.parametrize(
+        "iterations, burn_in, asked_at",
+        [(400, 0.0, [False, True]), (4000, 0.0, [False, False, True, False]),
+         (4000, 0.5, [False, False, False, False, True])],
+        ids=["400", "4000", "4000-burn_in"],
+    )
+    def test_held_states_stop_at_the_sample_buffers(self, iterations, burn_in, asked_at):
         # one scalar quadratic agent draws u and d: 2 x 8 bytes a sample against a
         # state of 8, so 2 runs hold at most 2048 records (32 KB) before they wait;
-        # stride 1 without burn-in makes 400 or 4000 of them
+        # stride 1 makes 400 or 4000 records, and the runs hold only those after the burn-in
         a, models, steps, lp = single_agent()
         kernel = engine._Kernel(a, models, steps)
         bound = kernel.sample_bytes(2)
@@ -522,18 +550,21 @@ class TestLateLimitPoints:
             return lp if wait else None
 
         def estimate(points):
-            return lambda: engine.estimate_ensemble(a, models, steps, points, iterations,
-                                                    n_runs=2, master_seed=5, stride=1,
-                                                    burn_in_fraction=0.0)
+            return lambda: engine.run_ensemble(a, models, steps, points, iterations, n_runs=2,
+                                               master_seed=5, stride=1,
+                                               burn_in_fraction=burn_in)
 
         estimate(late)()  # fills the interpreter's free lists, which tracemalloc counts as in use
         asked.clear()
         prompt = traced_peak(estimate(lambda wait: lp))
         held = traced_peak(estimate(late))
-        records = 2 * iterations * 8
-        assert held - prompt <= min(records, bound) + 4096
-        # 1024-record blocks: the third would pass the bound, so the runs wait there
-        assert asked == ([False, True] if iterations == 400 else [False, False, True, False])
+        tail_records = iterations - int(burn_in * iterations)
+        assert held - prompt <= min(2 * tail_records * 8, bound) + 4096
+        # 1024-record blocks. Without burn-in the third would pass the bound, so the runs
+        # wait there. With half of 4000 burnt in, they hold records 2000 to 3999 (31.25 KB)
+        # from the second block on, and wait only at the end; holding from record 0, they
+        # would wait at the third block.
+        assert asked == asked_at
 
 
 def traced_peak(fn) -> int:

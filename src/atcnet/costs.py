@@ -197,7 +197,7 @@ class QuadraticCost(CostModel):
 
 
 class FeatureSampler(ABC):
-    """Label/feature generator plugged into a logistic cost."""
+    """Label/feature generator plugged into a logistic cost; it also stores the cost's design."""
 
     dimension: int
 
@@ -211,6 +211,16 @@ class FeatureSampler(ABC):
         gamma, h = np.empty((1, n)), np.empty((1, n, self.dimension))
         self.draw_into([rng], gamma, h)
         return gamma[0], h[0]
+
+    def draw_design(self, rng: np.random.Generator, n: int):
+        """The stored form of ``draw(rng, n)``: by default its signed features gamma h, (n, dimension)."""
+        gamma, h = self.draw(rng, n)
+        return np.multiply(h, gamma[:, None], out=h)
+
+    def design_blocks(self, design, rows: int):
+        """The signed features of ``design``'s first ``rows`` rows, in C-contiguous blocks of <= BLOCK_ROWS rows."""
+        for start in range(0, rows, BLOCK_ROWS):
+            yield design[start : min(start + BLOCK_ROWS, rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,19 +272,18 @@ class TwoClassGaussianSampler(FeatureSampler):
 def quadratic_features(points: np.ndarray) -> np.ndarray:
     """Map 2-D points to the feature vector (5, x, y, x^2, y^2, x y)."""
     out = np.empty((points.shape[0], 6))
-    out[:, 1] = points[:, 0]
-    out[:, 2] = points[:, 1]
+    out[:, 1:3] = points
     _fill_quadratic_features(out)
     return out
 
 
 def _fill_quadratic_features(out: np.ndarray) -> None:
     """Complete rows (_, x, y, _, _, _) of ``out`` in place to (5, x, y, x^2, y^2, x y)."""
-    x, y = out[:, 1], out[:, 2]
-    out[:, 0] = 5.0
-    np.multiply(x, x, out=out[:, 3])
-    np.multiply(y, y, out=out[:, 4])
-    np.multiply(x, y, out=out[:, 5])
+    x, y = out[..., 1], out[..., 2]
+    out[..., 0] = 5.0
+    np.multiply(x, x, out=out[..., 3])
+    np.multiply(y, y, out=out[..., 4])
+    np.multiply(x, y, out=out[..., 5])
 
 
 @dataclass(frozen=True)
@@ -285,7 +294,8 @@ class EllipseSampler(FeatureSampler):
     class -1 points fill a radial band outside it. A fraction of the +1
     draws can be relocated to a Gaussian cluster away from the origin to
     model outlier data. Features are the quadratic map of the 2-D point. A
-    draw of n points needs two (n,) scratch arrays besides its outputs.
+    design is stored as its int8 labels and (2, n) points, 17 bytes a row,
+    and one (BLOCK_ROWS, 6) buffer that each block of it is mapped into.
     """
 
     semi_axes: tuple[float, float] = (2.0, 1.0)
@@ -297,34 +307,60 @@ class EllipseSampler(FeatureSampler):
 
     dimension = 6
 
+    def _draw_points(self, rngs, x, y, spare):
+        """Points (x[r], y[r]) from ``rngs[r]``; returns the mask of class +1. Per stream, uniforms for
+        the labels, angles, inner and outer radii (and outliers) in that order, into ``spare`` and two
+        scratch arrays; then one map to points over all streams, with the bits of ``rng.uniform``."""
+        (a, b), (lo, hi) = self.semi_axes, self.outside_band
+        positive, theta, radius = np.empty(spare.shape, dtype=bool), np.empty(spare.shape), np.empty(spare.shape)
+        outliers = []
+        for r, rng in enumerate(rngs):
+            np.less(rng.random(out=spare[r]), self.p_pos, out=positive[r])
+            for uniforms in (theta, radius, spare):  # angles, inner and outer radii
+                rng.random(out=uniforms[r])
+            if self.outlier_fraction > 0.0:  # the draw's size depends on the labels
+                hit = positive[r] & (rng.random(spare.shape[1]) < self.outlier_fraction)
+                outliers.append((r, hit, self.outlier_std * rng.standard_normal((int(hit.sum()), 2))))
+        theta *= 2.0 * np.pi  # rng.uniform(0, 2 pi)'s bits
+        np.sqrt(radius, out=radius)
+        radius *= 0.9  # inside: 0.9 sqrt(u)
+        spare *= hi - lo
+        spare += lo  # outside: rng.uniform(lo, hi)'s bits
+        np.copyto(radius, spare, where=~positive)
+        np.multiply(radius, a, out=x)
+        np.multiply(radius, b, out=y)
+        x *= np.cos(theta, out=radius)
+        y *= np.sin(theta, out=theta)
+        for r, hit, cluster in outliers:
+            x[r, hit], y[r, hit] = (cluster + self.outlier_center).T
+        return positive
+
     def draw_into(self, rngs, gamma, h):
-        """Per stream, uniforms for the labels, angles, inner and outer radii (and outliers)
-        in that order, drawn into ``gamma`` and two scratch arrays; the labels go into
-        ``gamma`` last, and each point straight into its row of ``h``, mapped there."""
-        a, b = self.semi_axes
-        lo, hi = self.outside_band
-        theta, radius = np.empty(gamma.shape[1]), np.empty(gamma.shape[1])
-        # the outlier draw's size depends on the labels, so each stream runs the whole recipe
-        for rng, spare, h_run in zip(rngs, gamma, h):
-            positive = rng.random(out=spare) < self.p_pos
-            np.multiply(rng.random(out=theta), 2.0 * np.pi, out=theta)  # rng.uniform(0, 2 pi)'s bits
-            np.sqrt(rng.random(out=radius), out=radius)
-            radius *= 0.9  # inside: 0.9 sqrt(u)
-            rng.random(out=spare)
-            spare *= hi - lo
-            spare += lo  # outside: rng.uniform(lo, hi)'s bits
-            np.copyto(radius, spare, where=~positive)
-            np.multiply(radius, a, out=h_run[:, 1])
-            np.multiply(radius, b, out=h_run[:, 2])
-            h_run[:, 1] *= np.cos(theta, out=radius)
-            h_run[:, 2] *= np.sin(theta, out=theta)
-            if self.outlier_fraction > 0.0:
-                hit = positive & (rng.random(out=spare) < self.outlier_fraction)
-                cluster = np.asarray(self.outlier_center) + self.outlier_std * rng.standard_normal((int(hit.sum()), 2))
-                h_run[hit, 1:3] = cluster
-            np.multiply(positive, 2.0, out=spare)
-            spare -= 1.0  # the labels: +1 inside, -1 outside
-            _fill_quadratic_features(h_run)
+        """Each point into its row of ``h``, mapped there; labels, +1 inside and -1 outside, into ``gamma``."""
+        positive = self._draw_points(rngs, h[..., 1], h[..., 2], gamma)
+        np.multiply(positive, 2.0, out=gamma)
+        gamma -= 1.0
+        _fill_quadratic_features(h)
+
+    def draw_design(self, rng, n):
+        """(labels, points, buffer): int8 labels (n,), points (2, n) and the block buffer."""
+        points = np.empty((2, 1, n))
+        positive = self._draw_points([rng], points[0], points[1], np.empty((1, n)))[0]
+        return 2 * positive.astype(np.int8) - 1, points[:, 0], np.empty((min(n, BLOCK_ROWS), 6))
+
+    def design_blocks(self, design, rows):
+        """Blocks written into the buffer as gamma (5, x, y), (gamma x) x, (gamma y) y, (gamma x) y: gamma h's bits."""
+        labels, (x, y), buffer = design
+        for start in range(0, rows, BLOCK_ROWS):
+            at = slice(start, min(start + BLOCK_ROWS, rows))
+            gamma, columns = labels[at], buffer[: at.stop - start].T
+            np.multiply(gamma, 5.0, out=columns[0])
+            np.multiply(gamma, x[at], out=columns[1])
+            np.multiply(gamma, y[at], out=columns[2])
+            np.multiply(columns[1], x[at], out=columns[3])
+            np.multiply(columns[2], y[at], out=columns[4])
+            np.multiply(columns[1], y[at], out=columns[5])
+            yield columns.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,8 +374,9 @@ class LogisticCost(CostModel):
     its rows, so that nothing design-sized is formed. A sample is one field,
     the signed features s = gamma h: gamma = +-1 only flips signs, so every
     product and sum over s has the bits of the same one over gamma and h.
-    The design is drawn on first use; a shallow copy of the model shares a
-    design already drawn and keeps one it draws to itself.
+    The sampler stores the design, drawn on first use, and hands out its
+    blocks of s; a shallow copy of the model shares a design already drawn
+    and keeps one it draws to itself.
     """
 
     rho: float
@@ -358,28 +395,27 @@ class LogisticCost(CostModel):
         return self.eval_samples
 
     @cached_property
-    def _design(self) -> np.ndarray:
-        """The evaluation design: ``draw_batch``'s signed features, (eval_samples, M)."""
-        return self.draw_batch(np.random.default_rng(self.eval_seed), self.eval_samples)[0]
+    def _design(self):
+        """The evaluation design, in the sampler's stored form."""
+        return self.sampler.draw_design(np.random.default_rng(self.eval_seed), self.eval_samples)
+
+    def _blocks(self):
+        return self.sampler.design_blocks(self._design, self.eval_samples)
 
     def prefix(self, rows):
-        """The same loss over a view of the first ``rows`` rows of this design.
-
-        The first prefix draws this model's whole design; no prefix copies it.
-        """
+        """The same loss over the first ``rows`` rows of this design, which the first prefix draws and all share."""
         coarse = replace(self, eval_samples=rows)
-        coarse.__dict__["_design"] = self._design[:rows]
+        coarse.__dict__["_design"] = self._design
         return coarse
 
     def _pass(self, w, loss=False, weight=None):
-        """Means over the design, walked in blocks of ``BLOCK_ROWS`` rows: of ln(1 + exp(-z)) when
-        ``loss``, of sig s, and of weight(sig) s s^T when a ``weight`` is given, with z = s.w and
-        sig = 1 / (1 + exp(z)) formed once per block. The loss is read off the sigmoid as
+        """Means over the design, walked a block of signed features at a time: of ln(1 + exp(-z))
+        when ``loss``, of sig s, and of weight(sig) s s^T when a ``weight`` is given, with z = s.w
+        and sig = 1 / (1 + exp(z)) formed once per block. The loss is read off the sigmoid as
         -min(z, 0) - log1p(-min(sig, 1 - sig)); a mean not asked for is 0."""
-        rows, m = self._design.shape
+        rows, m = self.eval_samples, self.dimension
         data, first, second = 0.0, np.zeros(m), np.zeros((m, m))
-        for start in range(0, rows, BLOCK_ROWS):
-            block = self._design[start : start + BLOCK_ROWS]
+        for block in self._blocks():
             z = block @ w
             sig = inv_one_plus_exp(z)
             if loss:
@@ -402,8 +438,8 @@ class LogisticCost(CostModel):
 
     def separated_by(self, w):
         """rho = 0 and every margin s.w positive; the walk stops at the first block with one that is not."""
-        w, blocks = np.asarray(w, dtype=float), range(0, self.eval_samples, BLOCK_ROWS)
-        return self.rho == 0 and all((self._design[i : i + BLOCK_ROWS] @ w > 0).all() for i in blocks)
+        w = np.asarray(w, dtype=float)
+        return self.rho == 0 and all((block @ w > 0).all() for block in self._blocks())
 
     def noise_covariance(self, at):
         """Covariance of the sampled gradients over the evaluation design.

@@ -22,7 +22,10 @@ MSD digests were taken again when the loss, gradient, Hessian and noise
 covariance began to be summed over blocks of ``BLOCK_ROWS`` design rows,
 which round differently: the Pareto points moved by at most 1.4e-15, the
 two-agent MSD by 2.2e-14 dB. The draw digests held when the ellipse draw
-began to fill scratch arrays in place of full-length temporaries.
+began to fill scratch arrays in place of full-length temporaries. Every
+digest held when an ellipse design became its labels and points, read as
+blocks of signed features written one at a time, and when the kernel's
+ellipse draw began to map all streams' points at once.
 """
 import hashlib
 import tracemalloc
@@ -30,7 +33,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atcnet as an
@@ -112,10 +115,13 @@ def ellipse_samplers(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ellipse_samplers(), st.sampled_from([1, 2, 7, 1001, 40001]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(ellipse_samplers(), st.sampled_from([1, 2, 7, 1000, 1001, 1024, 40001]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(EllipseSampler(p_pos=0.43, outlier_fraction=0.2), 1024, 4, 0)
+@example(EllipseSampler(outlier_fraction=0.2), 1000, 3, 1)
 def test_ellipse_draw_matches_the_full_length_recipe(sampler, n, runs, seed):
-    """Every stream of ``draw_into`` has the bits of the recipe drawn on its own."""
-    gamma, h = np.empty((runs, n)), np.empty((runs, n, 6))
+    """Every stream of ``draw_into``, which maps all streams' points at once, has the
+    bits of the recipe drawn on its own; the runs sit apart, as in the kernel's buffers."""
+    gamma, h = np.empty((runs, n)), np.empty((runs, 2, n, 6))[:, 0]
     sampler.draw_into([np.random.default_rng([seed, r]) for r in range(runs)], gamma, h)
     for r in range(runs):
         expected = reference_ellipse_draw(sampler, np.random.default_rng([seed, r]), n)
@@ -191,9 +197,14 @@ def test_loss_read_off_the_sigmoid_matches_logaddexp(scale):
     assert model.gradient_and_hessian(w)[0] == pytest.approx(direct, rel=1e-14)
 
 
+def whole_design(model):
+    """The model's signed features, (rows, M), gathered from its design's blocks."""
+    return np.concatenate([block.copy() for block in model._blocks()])
+
+
 def whole_design_theory(model, w):
     """Loss, gradient, Hessian, noise covariance and separation from one product with the whole design."""
-    signed, rho = model._design, model.rho
+    signed, rho = whole_design(model), model.rho
     n = signed.shape[0]
     z = signed @ w
     sig = costs.inv_one_plus_exp(z)
@@ -213,6 +224,31 @@ def assert_close(got, expected, rtol=1e-13):
     """Agreement within ``rtol`` of the largest entry of ``expected``."""
     got, expected = np.asarray(got), np.asarray(expected)
     assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+DESIGNS = {
+    "ellipse": lambda n: LogisticCost(0.1, EllipseSampler(p_pos=0.43), eval_samples=n, eval_seed=4),
+    "outliers": lambda n: LogisticCost(0.1, EllipseSampler(outlier_fraction=0.05), eval_samples=n, eval_seed=5),
+    "gaussian": lambda n: LogisticCost(0.2, TwoClassGaussianSampler([1.0, 0.5], [-1.0, 0.0]), eval_samples=n, eval_seed=6),
+    "zeroed": lambda n: ZeroedObservations(
+        LogisticCost(0.1, EllipseSampler(outlier_fraction=0.2), eval_samples=n, eval_seed=7)
+    ),
+}
+
+
+@pytest.mark.parametrize("rows", [costs.BLOCK_ROWS // 3, costs.BLOCK_ROWS, 2 * costs.BLOCK_ROWS + 5])
+@pytest.mark.parametrize("whole", [True, False], ids=["design", "prefix"])
+@pytest.mark.parametrize("kind", DESIGNS)
+def test_design_blocks_have_the_bits_of_the_signed_features(kind, whole, rows):
+    """The blocks of a design of ``rows`` rows, or of its ``rows``-row prefix of a longer
+    one, are C-contiguous, at most BLOCK_ROWS long, and together the first rows of
+    ``draw_batch``'s signed features gamma h from the design's seed."""
+    total = rows if whole else 2 * costs.BLOCK_ROWS + 5
+    model = logistic_of(DESIGNS[kind](total).prefix(rows))
+    blocks = [(block.flags.c_contiguous, len(block), block.copy()) for block in model._blocks()]
+    (signed,) = model.draw_batch(np.random.default_rng(model.eval_seed), total)
+    assert all(contiguous and n <= costs.BLOCK_ROWS for contiguous, n, _ in blocks)
+    assert digest(np.concatenate([block for *_, block in blocks])) == digest(signed[:rows])
 
 
 @pytest.mark.parametrize("rows", [costs.BLOCK_ROWS // 3, costs.BLOCK_ROWS, 2 * costs.BLOCK_ROWS + 5])
@@ -411,7 +447,8 @@ def test_scaling_a_feature_scales_its_coordinate_inversely(column, k, seed):
 
 
 DESIGN_ROWS = 20000
-DESIGN_BYTES = DESIGN_ROWS * 6 * 8  # one (rows, 6) float64 design of signed ellipse features
+# one ellipse design: int8 labels, (2, rows) float64 points and a (BLOCK_ROWS, 6) block buffer
+DESIGN_BYTES = DESIGN_ROWS * 17 + costs.BLOCK_ROWS * 6 * 8
 
 
 def two_subnetwork_config(zeroed=()):
@@ -441,14 +478,14 @@ def holds_design(model):
 def count_design_draws(monkeypatch):
     """A Counter of the full designs drawn from then on, keyed by their sampler's (distinct) semi-axes."""
     drawn = Counter()
-    draw_into = EllipseSampler.draw_into
+    draw_design = EllipseSampler.draw_design
 
-    def logged(self, rngs, gamma, h):
-        if gamma.shape[1] == DESIGN_ROWS:
+    def logged(self, rng, n):
+        if n == DESIGN_ROWS:
             drawn[self.semi_axes] += 1
-        draw_into(self, rngs, gamma, h)
+        return draw_design(self, rng, n)
 
-    monkeypatch.setattr(EllipseSampler, "draw_into", logged)
+    monkeypatch.setattr(EllipseSampler, "draw_design", logged)
     return drawn
 
 
@@ -473,18 +510,19 @@ class TestDesignLifetime:
     """A logistic design lives only while its sending sub-network's theory runs."""
 
     def test_theory_holds_one_sub_network_of_designs_at_a_time(self):
-        # measured 4.58 MB: the four designs of the larger sub-network (3.84 MB)
-        # and the draw's few design columns; all seven designs held at once gave
-        # 9.45 MB, and a design-sized product per Hessian 5.20 MB
+        # measured 3.67 MB: the four designs of the larger sub-network (2.93 MB)
+        # and a walk's block temporaries (0.74 MB); designs of signed features gave
+        # 4.58 MB, all seven of those held at once 9.45 MB, and a design-sized
+        # product per Hessian 5.20 MB
         def run():
             config = two_subnetwork_config()
             performance.theoretical_msd(an.classify(config.matrix), list(config.models), config.step_sizes)
 
-        assert traced_peak(run) <= 4 * DESIGN_BYTES + 6 * DESIGN_ROWS * 8
+        assert traced_peak(run) <= 4 * DESIGN_BYTES + 800_000
 
     def test_theory_at_a_point_allocates_nothing_design_sized(self):
-        """One Hessian and one noise covariance over a 200 000-row design (9.6 MB)
-        allocate blocks of rows only: measured 0.72 MB."""
+        """One Hessian and one noise covariance over a 200 000-row design (9.6 MB of
+        signed features, stored in 3.8 MB) allocate blocks of rows only: measured 0.72 MB."""
         model = LogisticCost(0.1, EllipseSampler(outlier_fraction=0.01))
         model._design
         w = np.linspace(-0.3, 0.4, model.dimension)
